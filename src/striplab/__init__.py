@@ -7,7 +7,6 @@ from .approximation import (
     FitResult,
     TargetFunction,
     approximate,
-    fit_least_squares,
     lawson_refine,
 )
 from .geometry import (
@@ -50,7 +49,6 @@ from .scan import (
     discrepancy,
     line_universality,
     scan_density,
-    self_similarity_target,
     write_trace_csv,
 )
 from .targets import resolve_target
@@ -88,7 +86,6 @@ __all__ = [
     "evaluate_factored",
     "fat_cantor",
     "fiber_edges",
-    "fit_least_squares",
     "from_roots",
     "lawson_refine",
     "line_universality",
@@ -100,7 +97,6 @@ __all__ = [
     "resolve_target",
     "roots",
     "scan_density",
-    "self_similarity_target",
     "to_spec",
     "write_trace_csv",
     "zeta_em",

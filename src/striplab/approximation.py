@@ -29,19 +29,20 @@ _LAWSON_WEIGHT_FLOOR = 1e-14
 _DEFAULT_LAWSON_ITERS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetFunction:
-    """Target values aligned 1:1 with a SampleGrid."""
+    """Target values aligned 1:1 with a SampleGrid, as a read-only complex array."""
 
-    samples: tuple[complex, ...]
+    samples: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.samples)
-        if not vals:
-            raise InvalidSpec("target function needs at least one sample")
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vals):
+        vals = np.array(self.samples, dtype=complex)
+        if vals.ndim != 1 or vals.size == 0:
+            raise InvalidSpec("target function needs a one-dimensional array of at least one sample")
+        if not np.all(np.isfinite(vals)):
             raise InvalidSpec("target function contains non-finite samples")
+        vals.flags.writeable = False
         object.__setattr__(self, "samples", vals)
 
 
@@ -108,7 +109,7 @@ def _fit_weighted(
     scale: float = 1.0,
 ):
     z = grid.points
-    f = np.array(target.samples)
+    f = target.samples
     Q, P = _weighted_basis((z - center) / scale, w, degree)
     a = np.array([complex(np.sum(w * np.conj(Q[:, j]) * f)) for j in range(degree + 1)])
     poly = Polynomial(tuple(P @ a), center, scale)
@@ -125,15 +126,6 @@ def _validate_fit_args(grid: SampleGrid, target: TargetFunction, degree: int):
         raise InsufficientSamples(
             f"degree {degree} needs at least {degree + 1} samples, grid has {len(grid)}"
         )
-
-
-def fit_least_squares(grid: SampleGrid, target: TargetFunction, degree: int) -> FitResult:
-    """Discrete least squares on the grid; sup error recomputed from the
-    returned coefficient-form polynomial."""
-    _validate_fit_args(grid, target, degree)
-    w = np.full(len(grid), 1.0 / len(grid))
-    poly, sup = _fit_weighted(grid, target, degree, w)
-    return FitResult(poly, sup, degree, 1, grid.covering_radius)
 
 
 def lawson_refine(
@@ -155,7 +147,7 @@ def lawson_refine(
     _validate_fit_args(grid, target, degree)
     n = len(grid)
     z = grid.points
-    f = np.array(target.samples)
+    f = target.samples
     w = np.full(n, 1.0 / n)
 
     best_poly, best_sup = _fit_weighted(grid, target, degree, w, center, scale)

@@ -177,9 +177,7 @@ def cmd_scan(args) -> int:
         # scan against that surrogate at half the threshold
         fp, fit, cert = approximate_nonvanishing(K, target_spec, args.eps / 2.0, args.max_degree)
         grid = geometry.discretize(K, args.grid_h)
-        surrogate = TargetFunction(
-            tuple(evaluate_factored(fp, grid.points)), "nonvanishing surrogate"
-        )
+        surrogate = TargetFunction(evaluate_factored(fp, grid.points), "nonvanishing surrogate")
         config = scan_mod.ScanConfig(
             T=args.T,
             step=args.step,

@@ -165,11 +165,12 @@ def roots(p: Polynomial, tol: float = 1e-12, max_sweeps: int = 1000) -> tuple[co
 
     The iteration runs on the coefficients in the frame variable; its roots
     are mapped back by z = center + scale * root.  Deterministic start: a
-    ring at the Cauchy radius 1 + max|c_k / c_m|, angles offset by 0.4 rad to
-    break symmetry.  A root is accepted when
-    |p(root)| <= tol * max|coeff| * max(1, |root|)**m (frame variable);
-    sweeps continue until corrections stagnate so clustered roots reach
-    their attainable accuracy.
+    ring at the Fujiwara bound 2 * max_k |c_{m-k} / c_m|**(1/k), which holds
+    every root (radius 1 for c_m z**m), angles offset by 0.4 rad to break
+    symmetry.  A root is accepted when |p(root)| <= tol * sum_k |c_k| |root|**k
+    in the frame variable, a backward-error test that holds its meaning at
+    every root scale; sweeps continue until corrections stagnate so
+    clustered roots reach their attainable accuracy.
     """
     return tuple(p.center + p.scale * np.array(_frame_roots(p, tol, max_sweeps)))
 
@@ -182,14 +183,21 @@ def _frame_roots(p: Polynomial, tol: float, max_sweeps: int) -> tuple[complex, .
     if m == 1:
         return (-coeffs[0] / coeffs[1],)
 
-    radius = 1.0 + float(np.max(np.abs(coeffs[:-1] / coeffs[-1])))
+    # the Fujiwara bound scales with the roots, so |z|**m on the start ring
+    # stays representable at degree 60
+    ratios = np.abs(coeffs[-2::-1] / coeffs[-1]) ** (1.0 / np.arange(1, m + 1))
+    radius = 2.0 * float(np.max(ratios)) or 1.0  # 0 only for p = c_m z**m
     z = radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4))
-    scale = float(np.max(np.abs(coeffs)))
+    abs_desc = np.abs(coeffs[::-1])
+
+    def resid_ok(pv, z):
+        return bool(np.all(np.abs(pv) <= tol * np.polyval(abs_desc, np.abs(z))))
 
     best_rel = math.inf
     stall = 0
     for sweep in range(1, max_sweeps + 1):
         pv, dpv = _horner_pair(coeffs, z)
+        converging = resid_ok(pv, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = pv / dpv
             diff = z[:, None] - z[None, :]
@@ -200,9 +208,8 @@ def _frame_roots(p: Polynomial, tol: float, max_sweeps: int) -> tuple[complex, .
             kick = 0.1 * (1.0 + np.abs(z[bad])) * np.exp(1j * sweep)
             delta[bad] = np.where(np.isfinite(newton[bad]), newton[bad], kick)
         z = z - delta
-        resid_ok = np.all(np.abs(pv) <= tol * scale * np.maximum(1.0, np.abs(z)) ** m)
         rel = float(np.max(np.abs(delta) / (1.0 + np.abs(z))))
-        if resid_ok:
+        if converging:
             if rel <= 4e-16:
                 return tuple(z)
             if rel < 0.5 * best_rel:
@@ -216,7 +223,7 @@ def _frame_roots(p: Polynomial, tol: float, max_sweeps: int) -> tuple[complex, .
             stall = 0
             best_rel = math.inf
     pv, _ = _horner_pair(coeffs, z)
-    if np.all(np.abs(pv) <= tol * scale * np.maximum(1.0, np.abs(z)) ** m):
+    if resid_ok(pv, z):
         return tuple(z)
     raise NoConvergence(max_sweeps)
 

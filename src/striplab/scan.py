@@ -84,17 +84,8 @@ def discrepancy(grid: SampleGrid, target: TargetFunction, t: float, params: Zeta
     """max over grid points of |zeta(z_i + it) - f_i|."""
     if len(target.samples) != len(grid):
         raise InvalidSpec("target and grid lengths differ")
-    values = zeta_shifted_grid(grid, t, params)
-    f = np.array(target.samples)
-    v = np.array([zv.value for zv in values])
-    return float(np.max(np.abs(v - f)))
-
-
-def self_similarity_target(grid: SampleGrid, params: ZetaParams = DEFAULT_PARAMS) -> TargetFunction:
-    """f_i = zeta(z_i): the target whose hits witness near-returns of the
-    zeta function to its own unshifted values."""
-    values = zeta_shifted_grid(grid, 0.0, params)
-    return TargetFunction(tuple(zv.value for zv in values), "zeta self-similarity")
+    values, _ = zeta_shifted_grid(grid, t, params)
+    return float(np.max(np.abs(values - target.samples)))
 
 
 def _trace_grid(config: ScanConfig) -> np.ndarray:
@@ -233,7 +224,7 @@ def line_universality(
     h = grid_h if grid_h is not None else min(DEFAULT_GRID_H, C / 4.0)
     grid = geometry.discretize(K, h)
     if callable(f) and not isinstance(f, TargetFunction):
-        samples = tuple(complex(f(float(z.imag))) for z in grid.points)
+        samples = [complex(f(float(z.imag))) for z in grid.points]
         target = TargetFunction(samples, getattr(f, "__name__", "f(t)"))
     else:
         from .targets import resolve_target

@@ -23,17 +23,17 @@ def resolve_target(spec, grid: SampleGrid, zeta_params=None) -> TargetFunction:
             )
         return spec
     if callable(spec):
-        values = np.array([complex(spec(z)) for z in grid.points])
-        return TargetFunction(tuple(values), getattr(spec, "__name__", "callable"))
+        values = [complex(spec(z)) for z in grid.points]
+        return TargetFunction(values, getattr(spec, "__name__", "callable"))
     if isinstance(spec, (int, float, complex)):
         c = complex(spec)
-        return TargetFunction((c,) * len(grid), f"constant {c}")
+        return TargetFunction(np.full(len(grid), c), f"constant {c}")
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "builtin":
             return _builtin(spec, grid)
         if kind == "samples":
-            values = tuple(complex(re, im) for re, im in spec["values"])
+            values = [complex(re, im) for re, im in spec["values"]]
             if len(values) != len(grid):
                 raise InvalidSpec(
                     f"samples target has {len(values)} values but the grid has {len(grid)}"
@@ -43,8 +43,8 @@ def resolve_target(spec, grid: SampleGrid, zeta_params=None) -> TargetFunction:
             from . import zeta as zeta_mod
 
             params = zeta_params if zeta_params is not None else zeta_mod.DEFAULT_PARAMS
-            vals = zeta_mod.zeta_shifted_grid(grid, 0.0, params)
-            return TargetFunction(tuple(v.value for v in vals), "zeta(z)")
+            values, _ = zeta_mod.zeta_shifted_grid(grid, 0.0, params)
+            return TargetFunction(values, "zeta(z)")
         raise InvalidSpec(f"unknown target kind {kind!r}")
     raise InvalidSpec(f"cannot interpret target spec {spec!r}")
 
@@ -53,15 +53,15 @@ def _builtin(spec: dict, grid: SampleGrid) -> TargetFunction:
     name = spec.get("name")
     z = grid.points
     if name == "conj":
-        return TargetFunction(tuple(np.conj(z)), "conj(z)")
+        return TargetFunction(np.conj(z), "conj(z)")
     if name == "abs":
-        return TargetFunction(tuple(np.abs(z).astype(complex)), "|z|")
+        return TargetFunction(np.abs(z), "|z|")
     if name == "identity":
-        return TargetFunction(tuple(z), "z")
+        return TargetFunction(z, "z")
     if name == "constant":
         value = spec.get("value")
         if value is None:
             raise InvalidSpec("builtin constant target needs a 'value' field")
         c = complex(value[0], value[1]) if isinstance(value, (list, tuple)) else complex(value)
-        return TargetFunction((c,) * len(grid), f"constant {c}")
+        return TargetFunction(np.full(len(grid), c), f"constant {c}")
     raise InvalidSpec(f"unknown builtin target {name!r}")

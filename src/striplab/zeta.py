@@ -108,14 +108,13 @@ def _unit_phases(tau: float, ln_values: np.ndarray) -> np.ndarray:
     return np.exp(-1j * theta)
 
 
-def _choose_n(s: complex, params: ZetaParams) -> int:
-    return max(params.min_terms, int(math.ceil(params.terms_per_unit_t * abs(s.imag))))
+def _choose_n(tau: float, params: ZetaParams) -> int:
+    return max(params.min_terms, int(math.ceil(params.terms_per_unit_t * abs(tau))))
 
 
-def _em_eval(s: complex, N: int, kb: int, phase: np.ndarray | None = None) -> tuple[complex, float]:
+def _em_eval(s: complex, N: int, kb: int, phase: np.ndarray) -> tuple[complex, float]:
+    # phase is exp(-i Im(s) ln n) for n = 1..N-1, shared by points of equal Im(s)
     ln = _ln_table(N - 1)
-    if phase is None:
-        phase = _unit_phases(s.imag, ln)
     amp = np.exp(-s.real * np.asarray(ln, dtype=np.float64))
     partial = complex(np.sum(amp * phase))
     q = _em_coefficients(kb)
@@ -145,43 +144,45 @@ def _check_range(s: complex) -> complex:
     return s
 
 
-def zeta_em(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> ZetaValue:
-    """zeta(s) with an a-posteriori truncation-error estimate."""
-    s = _check_range(s)
-    N = _choose_n(s, params)
-    for _ in range(3):
-        value, err = _em_eval(s, N, params.bernoulli_terms)
-        if err <= _ERR_THRESHOLD and np.isfinite(value) and np.isfinite(err):
-            return ZetaValue(value, err)
-        N *= 2
-    raise PrecisionExhausted(
-        f"error estimate {err:g} above {_ERR_THRESHOLD:g} at s = {s} after doubling N twice"
-    )
-
-
-def zeta_shifted_grid(grid, t: float, params: ZetaParams = DEFAULT_PARAMS) -> list[ZetaValue]:
-    """zeta(z_i + i t) for all grid points.
-
-    Points sharing the same imaginary part share N and the oscillatory
-    power table, so horizontal grids evaluate in one pass per row; results
-    are identical to one-by-one zeta_em calls.
-    """
-    shifted = [_check_range(complex(z) + 1j * t) for z in grid.points]
-    out: list[ZetaValue | None] = [None] * len(shifted)
+def _evaluate(points, params: ZetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error estimates) of zeta at the points.  Points sharing Im(s)
+    share N and the phase table; N is doubled, at most twice, only for the
+    points whose estimate stays above threshold.  A point that still fails
+    raises PrecisionExhausted carrying its index."""
+    shifted = [_check_range(s) for s in points]
+    values = np.empty(len(shifted), dtype=complex)
+    errors = np.empty(len(shifted))
     groups: dict[float, list[int]] = {}
     for i, s in enumerate(shifted):
         groups.setdefault(s.imag, []).append(i)
-    for tau, idxs in groups.items():
-        N = _choose_n(complex(0.0, tau), params)
-        phase = _unit_phases(tau, _ln_table(N - 1))
-        for i in idxs:
-            s = shifted[i]
-            value, err = _em_eval(s, N, params.bernoulli_terms, phase=phase)
-            if err <= _ERR_THRESHOLD and np.isfinite(value):
-                out[i] = ZetaValue(value, err)
-            else:
-                try:
-                    out[i] = zeta_em(s, params)
-                except PrecisionExhausted as exc:
-                    raise PrecisionExhausted(str(exc), index=i) from exc
-    return out
+    for tau, pending in groups.items():
+        N = _choose_n(tau, params)
+        for _ in range(3):
+            phase = _unit_phases(tau, _ln_table(N - 1))
+            for i in pending:
+                values[i], errors[i] = _em_eval(shifted[i], N, params.bernoulli_terms, phase)
+            pending = [i for i in pending if not errors[i] <= _ERR_THRESHOLD or not np.isfinite(values[i])]
+            if not pending:
+                break
+            N *= 2
+        if pending:
+            i = pending[0]
+            raise PrecisionExhausted(
+                f"error estimate {errors[i]:g} above {_ERR_THRESHOLD:g} at s = {shifted[i]} "
+                "after doubling N twice",
+                index=i,
+            )
+    return values, errors
+
+
+def zeta_em(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> ZetaValue:
+    """zeta(s) with an a-posteriori truncation-error estimate."""
+    values, errors = _evaluate([s], params)
+    return ZetaValue(complex(values[0]), float(errors[0]))
+
+
+def zeta_shifted_grid(grid, t: float, params: ZetaParams = DEFAULT_PARAMS) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error estimates) of zeta(z_i + i t) for all grid points, as
+    arrays.  Horizontal grids share one phase table per row, and every value
+    is identical to a one-point zeta_em call."""
+    return _evaluate(grid.points + 1j * t, params)

@@ -11,7 +11,6 @@ from striplab import (
     approximate,
     discretize,
     evaluate,
-    fit_least_squares,
     lawson_refine,
     resolve_target,
 )
@@ -38,14 +37,14 @@ def segment_grid(n, a=-1.0, b=1.0):
 
 def test_fit_identity_degree_one():
     g = segment_grid(20)
-    fit = fit_least_squares(g, resolve_target({"kind": "builtin", "name": "identity"}, g), 1)
+    fit = lawson_refine(g, resolve_target({"kind": "builtin", "name": "identity"}, g), 1, 0)
     assert fit.sup_error_on_samples <= 1e-12
 
 
 def test_fit_constant_samples_degree_zero():
     g = segment_grid(10)
     c = 0.3 - 0.8j
-    fit = fit_least_squares(g, TargetFunction((c,) * len(g)), 0)
+    fit = lawson_refine(g, TargetFunction((c,) * len(g)), 0, 0)
     assert fit.sup_error_on_samples <= 1e-15
     assert fit.polynomial.coeffs[0] == pytest.approx(c, abs=1e-15)
 
@@ -54,7 +53,7 @@ def test_fit_conj_on_vertical_segment_is_affine():
     # on Re(z) = 0.6 the conjugate equals 1.2 - z
     seg = Segment(0.6, 0.6 + 0.2j)
     g = discretize(seg, 0.005)
-    fit = fit_least_squares(g, resolve_target({"kind": "builtin", "name": "conj"}, g), 1)
+    fit = lawson_refine(g, resolve_target({"kind": "builtin", "name": "conj"}, g), 1, 0)
     assert fit.sup_error_on_samples <= 1e-10
     assert fit.polynomial.coeffs[0] == pytest.approx(1.2, abs=1e-9)
     assert fit.polynomial.coeffs[1] == pytest.approx(-1.0, abs=1e-9)
@@ -63,19 +62,19 @@ def test_fit_conj_on_vertical_segment_is_affine():
 def test_fit_requires_enough_samples():
     g = discretize(PointSet((0.1, 0.9)), 0.1)
     with pytest.raises(InsufficientSamples):
-        fit_least_squares(g, TargetFunction((0j, 0j)), 5)
+        lawson_refine(g, TargetFunction((0j, 0j)), 5, 0)
 
 
 def test_fit_duplicate_points_rank_deficient():
     g = discretize(PointSet((0.5, 0.5, 0.5)), 0.1)
     with pytest.raises(RankDeficient):
-        fit_least_squares(g, TargetFunction((1j, 1j, 1j)), 2)
+        lawson_refine(g, TargetFunction((1j, 1j, 1j)), 2, 0)
 
 
 def test_fit_result_sup_is_recomputable():
     g = discretize(ARC, 0.005)
     target = resolve_target({"kind": "builtin", "name": "abs"}, g)
-    fit = fit_least_squares(g, target, 6)
+    fit = lawson_refine(g, target, 6, 0)
     resid = np.abs(evaluate(fit.polynomial, g.points) - np.array(target.samples))
     assert fit.sup_error_on_samples == pytest.approx(float(resid.max()), rel=0, abs=0)
 
@@ -86,7 +85,7 @@ def test_fit_result_sup_is_recomputable():
 def test_lawson_exact_target_one_iteration():
     g = segment_grid(25)
     target = resolve_target({"kind": "builtin", "name": "identity"}, g)
-    ls = fit_least_squares(g, target, 1)
+    ls = lawson_refine(g, target, 1, 0)
     lw = lawson_refine(g, target, 1, 10)
     assert lw.iterations == 1
     assert lw.sup_error_on_samples == ls.sup_error_on_samples
@@ -96,18 +95,19 @@ def test_lawson_exact_target_one_iteration():
 def test_lawson_never_worse_than_plain_ls():
     g = discretize(ARC, 0.005)
     target = resolve_target({"kind": "builtin", "name": "abs"}, g)
-    ls = fit_least_squares(g, target, 8)
+    ls = lawson_refine(g, target, 8, 0)
     lw = lawson_refine(g, target, 8, 10)
     assert lw.sup_error_on_samples <= ls.sup_error_on_samples
 
 
 def test_lawson_zero_iters_is_plain_ls():
+    # with no reweighting the fit is the discrete least-squares solution,
+    # checked against numpy's lstsq on the monomial basis
     g = discretize(ARC, 0.01)
     target = resolve_target({"kind": "builtin", "name": "conj"}, g)
-    ls = fit_least_squares(g, target, 4)
     lw = lawson_refine(g, target, 4, 0)
-    assert lw.polynomial.coeffs == ls.polynomial.coeffs
-    assert lw.sup_error_on_samples == ls.sup_error_on_samples
+    ls_coeffs = np.linalg.lstsq(np.vander(g.points, 5, increasing=True), target.samples, rcond=None)[0]
+    assert np.max(np.abs(np.array(lw.polynomial.coeffs) - ls_coeffs)) <= 1e-10 * np.max(np.abs(ls_coeffs))
     assert lw.iterations == 1
 
 
@@ -185,7 +185,7 @@ def test_polynomial_targets_recovered_exactly():
         p = Polynomial(tuple(coeffs))
         g = segment_grid(max(4 * d, 4))
         target = TargetFunction(tuple(evaluate(p, g.points)))
-        fit = fit_least_squares(g, target, d)
+        fit = lawson_refine(g, target, d, 0)
         assert fit.sup_error_on_samples <= 1e-10
 
 

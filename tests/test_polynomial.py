@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -112,6 +114,27 @@ def test_roots_degree_ten_round_trip():
     expected = random_separated_roots(rng, 10)
     found = roots(from_roots(1, expected))
     assert match_error(found, expected) <= 1e-8
+
+
+def test_roots_degree_60_on_ring_outside_unit_circle():
+    # |c_k / c_m| reaches ~1e10 here, so the start ring must follow the roots
+    # for |z|**60 to stay finite; the 60-factor expansion itself limits the
+    # attainable accuracy to ~1e-3
+    expected = 1.3 * np.exp(2j * np.pi * (np.arange(60) + 0.25) / 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        found = np.array(roots(from_roots(1, expected)))
+    assert max(np.min(np.abs(found - r)) for r in expected) <= 1e-2
+
+
+@pytest.mark.parametrize("radius, m", [(0.2, 30), (2.0, 45), (5.0, 30)])
+def test_roots_accepted_only_at_small_backward_error(radius, m):
+    # tiny (radius 0.2) and huge (radius 5) coefficients: a small absolute
+    # residual says nothing there, so acceptance must mean a small backward error
+    rng = np.random.default_rng(2024)
+    expected = radius * np.exp(2j * np.pi * rng.uniform(size=m))
+    found = roots(from_roots(1, expected))
+    assert match_error(found, expected) <= 1e-2 * radius
 
 
 def test_roots_degree_zero_raises():

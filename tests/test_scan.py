@@ -9,8 +9,8 @@ from striplab import (
     discrepancy,
     discretize,
     line_universality,
+    resolve_target,
     scan_density,
-    self_similarity_target,
     write_trace_csv,
     zeta_em,
 )
@@ -41,7 +41,7 @@ def point_grid():
 
 
 def test_discrepancy_self_similarity_at_zero(point_grid):
-    target = self_similarity_target(point_grid)
+    target = resolve_target({"kind": "zeta"}, point_grid)
     assert discrepancy(point_grid, target, 0.0) <= 1e-12
 
 
@@ -51,7 +51,7 @@ def test_discrepancy_constant_offset(point_grid):
 
 
 def test_discrepancy_is_compositional(point_grid):
-    target = self_similarity_target(point_grid)
+    target = resolve_target({"kind": "zeta"}, point_grid)
     expected = abs(zeta_em(0.75 + 50.0j).value - zeta_em(0.75 + 0j).value)
     assert discrepancy(point_grid, target, 50.0) == pytest.approx(expected, abs=1e-12)
 
@@ -59,7 +59,8 @@ def test_discrepancy_is_compositional(point_grid):
 def test_self_similarity_matches_scalars():
     seg = Segment(0.75, 0.75 + 0.2j)
     grid = discretize(seg, 0.02)
-    target = self_similarity_target(grid)
+    target = resolve_target({"kind": "zeta"}, grid)
+    assert target.samples.dtype == complex and not target.samples.flags.writeable
     for z, f in zip(grid.points, target.samples):
         assert f == zeta_em(complex(z)).value
 

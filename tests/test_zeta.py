@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
+import striplab.zeta as zeta_mod
 from striplab import PointSet, Segment, ZetaParams, bernoulli_table, discretize, zeta_em, zeta_shifted_grid
 from striplab.errors import PoleAtOne, PrecisionExhausted
 from striplab.zeta import DEFAULT_PARAMS
@@ -130,32 +131,34 @@ def test_precision_exhausted_at_extreme_params():
 
 def test_grid_single_point_matches_scalar():
     grid = discretize(PointSet((0.75,)), 0.1)
-    (zv,) = zeta_shifted_grid(grid, 0.0)
-    assert zv.value == zeta_em(0.75 + 0j).value
+    values, errors = zeta_shifted_grid(grid, 0.0)
+    zv = zeta_em(0.75 + 0j)
+    assert values.shape == errors.shape == (1,)
+    assert values[0] == zv.value and errors[0] == zv.error_estimate
 
 
 def test_grid_vertical_segment_matches_scalar_calls():
     grid = discretize(Segment(0.75, 0.75 + 0.2j), 0.02)
-    batched = zeta_shifted_grid(grid, 100.0)
-    for z, zv in zip(grid.points, batched):
-        assert abs(zv.value - zeta_em(complex(z) + 100.0j).value) <= 1e-12
+    values, _ = zeta_shifted_grid(grid, 100.0)
+    for z, v in zip(grid.points, values):
+        assert abs(v - zeta_em(complex(z) + 100.0j).value) <= 1e-12
 
 
 def test_grid_horizontal_points_against_oracle():
     grid = discretize(PointSet((2.0, 3.0)), 0.1)
-    v2, v3 = zeta_shifted_grid(grid, 0.0)
-    assert abs(v2.value - math.pi**2 / 6.0) <= 1e-12
+    (v2, v3), _ = zeta_shifted_grid(grid, 0.0)
+    assert abs(v2 - math.pi**2 / 6.0) <= 1e-12
     oracle3 = zeta_em(3.0 + 0j, ORACLE)
-    assert abs(v3.value - oracle3.value) <= 1e-12
-    assert abs(v3.value - 1.2020569031595943) <= 1e-12
+    assert abs(v3 - oracle3.value) <= 1e-12
+    assert abs(v3 - 1.2020569031595943) <= 1e-12
 
 
 def test_grid_shares_phase_table_for_equal_im():
     # two points with equal imaginary part must agree exactly with scalars
     grid = discretize(PointSet((0.6 + 0.3j, 0.9 + 0.3j)), 0.1)
-    batched = zeta_shifted_grid(grid, 7.5)
-    for z, zv in zip(grid.points, batched):
-        assert zv.value == zeta_em(complex(z) + 7.5j).value
+    values, _ = zeta_shifted_grid(grid, 7.5)
+    for z, v in zip(grid.points, values):
+        assert v == zeta_em(complex(z) + 7.5j).value
 
 
 def test_grid_propagates_offending_index():
@@ -164,6 +167,44 @@ def test_grid_propagates_offending_index():
     with pytest.raises(PrecisionExhausted) as excinfo:
         zeta_shifted_grid(grid, 0.0, params)
     assert excinfo.value.index == 1
+
+
+# ---------------------------------------------------------------- mpmath oracle
+
+ORACLE_SIGMAS = (0.55, 0.75, 0.95)
+
+
+def _check_against_mpmath(t, params=DEFAULT_PARAMS):
+    mpmath = pytest.importorskip("mpmath")
+    # the horizontal grid's points share one phase table
+    grid = discretize(PointSet(ORACLE_SIGMAS), 0.1)
+    values, errors = zeta_shifted_grid(grid, t, params)
+    for sigma, v, err in zip(ORACLE_SIGMAS, values, errors):
+        zv = zeta_em(complex(sigma, t), params)
+        assert (zv.value, zv.error_estimate) == (v, err)
+        with mpmath.workdps(25):
+            exact = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+        assert abs(v - exact) <= max(err, 1e-11)
+
+
+@pytest.mark.parametrize("t", [0.0, 14.1, 1e2, 1e3, 1e4, 1e5])
+def test_against_mpmath(t):
+    _check_against_mpmath(t)
+
+
+@pytest.mark.parametrize("per_unit_t, ns", [(0.15, [150, 300]), (0.1, [100, 200, 400])])
+def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
+    # at t = 1e3 the first N leaves the estimate above 1e-6 at every sigma
+    em_eval = zeta_mod._em_eval
+    used = set()
+
+    def recording(s, N, kb, phase):
+        used.add(N)
+        return em_eval(s, N, kb, phase)
+
+    monkeypatch.setattr(zeta_mod, "_em_eval", recording)
+    _check_against_mpmath(1e3, ZetaParams(terms_per_unit_t=per_unit_t))
+    assert sorted(used) == ns
 
 
 # ---------------------------------------------------------------- invariants
