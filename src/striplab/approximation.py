@@ -26,7 +26,9 @@ from .geometry import CompactSet, SampleGrid
 from .polynomial import Polynomial, derivative_bound, evaluate
 
 _LAWSON_WEIGHT_FLOOR = 1e-14
-_DEFAULT_LAWSON_ITERS = 10
+_LAWSON_ITERS = 10
+# most samples ``approximate`` puts on a set
+_GRID_CAP = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +134,7 @@ def lawson_refine(
     grid: SampleGrid,
     target: TargetFunction,
     degree: int,
-    max_iters: int = _DEFAULT_LAWSON_ITERS,
+    max_iters: int = _LAWSON_ITERS,
     center: complex = 0j,
     scale: float = 1.0,
 ) -> FitResult:
@@ -176,17 +178,17 @@ def approximate(
     target_spec,
     budget: float,
     max_degree: int = 60,
-    lawson_iters: int = _DEFAULT_LAWSON_ITERS,
-    zeta_params=None,
-    grid_cap: int = 20_000,
 ) -> FitResult:
     """Find the least degree whose refined fit beats the budget on a grid
     tied to it (covering radius min(0.01, budget/10), re-fit once on a denser
     grid if the fitted polynomial's derivative bound invalidates that choice).
     Fits run in the frame of ``set_frame(K)``; the grid and its covering
     radius stay in world units.
-    The budget-tied density is relaxed when it would exceed grid_cap samples,
-    so minuscule budgets fail with BudgetNotMet instead of an unbuildable grid.
+    The budget-tied density is relaxed (h grows 8x at a time) while it would
+    exceed 20 000 samples, so minuscule budgets fail with BudgetNotMet
+    instead of an unbuildable grid.  Relaxing stops once h exceeds 2 * rho,
+    where every piece of the set is at its fewest samples; a set that still
+    needs more raises BudgetExceeded.
 
     Degree escalation doubles (1, 2, 4, ...) up to the cap, then bisects for
     the least sufficient degree.  Raises BudgetNotMet carrying the best
@@ -197,16 +199,18 @@ def approximate(
     if not budget > 0:
         raise InvalidSpec("budget must be positive")
 
+    center, scale = set_frame(K)
     h0 = min(0.01, budget / 10.0)
     while True:
         try:
-            grid = geometry.discretize(K, h0, cap=grid_cap)
+            grid = geometry.discretize(K, h0, cap=_GRID_CAP)
             break
         except BudgetExceeded:
+            if h0 > 2.0 * scale:
+                raise
             h0 *= 8.0
-    center, scale = set_frame(K)
-    target = resolve_target(target_spec, grid, zeta_params)
-    result = _escalate(grid, target, budget, max_degree, lawson_iters, center, scale)
+    target = resolve_target(target_spec, grid)
+    result = _escalate(grid, target, budget, max_degree, center, scale)
 
     # one re-fit if the fitted polynomial's derivative bound invalidates the
     # grid choice; skipped when no feasible density could restore the slack
@@ -217,19 +221,19 @@ def approximate(
         h1 = budget / (10.0 * lp)
         if h0 / 64.0 <= h1 < grid.covering_radius:
             try:
-                dense = geometry.discretize(K, h1, cap=grid_cap)
+                dense = geometry.discretize(K, h1, cap=_GRID_CAP)
             except BudgetExceeded:
                 dense = None
             if dense is not None:
-                target = resolve_target(target_spec, dense, zeta_params)
-                result = _escalate(dense, target, budget, max_degree, lawson_iters, center, scale)
+                target = resolve_target(target_spec, dense)
+                result = _escalate(dense, target, budget, max_degree, center, scale)
 
     if isinstance(result, FitResult):
         return result
     raise result
 
 
-def _escalate(grid, target, budget, max_degree, lawson_iters, center, scale):
+def _escalate(grid, target, budget, max_degree, center, scale):
     """Doubling-then-bisection search for the least sufficient degree.
     Returns a FitResult on success or a BudgetNotMet exception object."""
     cap = min(max_degree, len(grid) - 1)
@@ -238,7 +242,7 @@ def _escalate(grid, target, budget, max_degree, lawson_iters, center, scale):
 
     def attempt(d):
         nonlocal best
-        fit = lawson_refine(grid, target, d, lawson_iters, center, scale)
+        fit = lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale)
         if best is None or fit.sup_error_on_samples < best.sup_error_on_samples:
             best = fit
         if fit.sup_error_on_samples < budget:

@@ -8,6 +8,7 @@ written).  Every failure payload is valid JSON carrying an "error" field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -84,9 +85,10 @@ def _zeta_params(args) -> zeta_mod.ZetaParams:
 
 
 def _add_zeta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--terms-per-unit-t", type=float, default=2.0)
-    p.add_argument("--min-terms", type=int, default=20)
-    p.add_argument("--bernoulli-terms", type=int, default=12)
+    defaults = zeta_mod.DEFAULT_PARAMS
+    p.add_argument("--terms-per-unit-t", type=float, default=defaults.terms_per_unit_t)
+    p.add_argument("--min-terms", type=int, default=defaults.min_terms)
+    p.add_argument("--bernoulli-terms", type=int, default=defaults.bernoulli_terms)
 
 
 def _fit_payload(fit, K) -> dict:
@@ -178,13 +180,7 @@ def cmd_scan(args) -> int:
         fp, fit, cert = approximate_nonvanishing(K, target_spec, args.eps / 2.0, args.max_degree)
         grid = geometry.discretize(K, args.grid_h)
         surrogate = TargetFunction(evaluate_factored(fp, grid.points), "nonvanishing surrogate")
-        config = scan_mod.ScanConfig(
-            T=args.T,
-            step=args.step,
-            eps=args.eps / 2.0,
-            refine_tol=args.refine_tol,
-            t_start=args.t_start,
-        )
+        config = dataclasses.replace(config, eps=args.eps / 2.0)
         report = scan_mod.scan_on_grid(grid, surrogate, config, params, args.threads)
         payload["via_polynomial"] = {
             "fit": _fit_payload(fit, K),
@@ -239,14 +235,9 @@ def cmd_cantor(args) -> int:
         "intervals": intervals.tolist(),
     }
     if args.y_lo is not None and args.y_hi is not None:
-        payload["set"] = {
-            "variant": "cantor_product",
-            "intervals": intervals.tolist(),
-            "y_lo": args.y_lo,
-            "y_hi": args.y_hi,
-            "scale": args.scale,
-            "offset": [args.offset_re, args.offset_im],
-        }
+        payload["set"] = geometry.to_spec(geometry.CantorProduct(
+            intervals, args.y_lo, args.y_hi, args.scale, complex(args.offset_re, args.offset_im)
+        ))
     payload["manifest"] = _manifest(
         "cantor",
         {"depth": args.depth, "y_lo": args.y_lo, "y_hi": args.y_hi,

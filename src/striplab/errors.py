@@ -67,10 +67,6 @@ class BudgetInfeasible(StriplabError):
         self.required_delta = required_delta
 
 
-class RootFindingFailed(StriplabError):
-    """Root extraction failed inside the repair stage."""
-
-
 class PoleAtOne(StriplabError):
     """zeta was evaluated at (or too close to) its pole s = 1."""
 

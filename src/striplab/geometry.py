@@ -147,6 +147,16 @@ class CantorProduct:
 CompactSet = Union[Segment, Arc, Polyline, PointSet, CantorProduct]
 
 
+def _vertices(K: Segment | Polyline | PointSet) -> tuple[complex, ...]:
+    """The corner points of a set made of straight pieces: a segment is the
+    polyline (a, b), and a point set is its own vertex list."""
+    if isinstance(K, Segment):
+        return (K.a, K.b)
+    if isinstance(K, Polyline):
+        return K.vertices
+    return K.points
+
+
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Finite sample of a CompactSet; every set point is within
@@ -297,8 +307,6 @@ def _segment_distance(a: complex, b: complex, z: complex) -> float:
 def distance(K: CompactSet, z: complex) -> float:
     """Exact Euclidean distance from z to the set (0 iff z lies on it)."""
     z = complex(z)
-    if isinstance(K, Segment):
-        return _segment_distance(K.a, K.b, z)
     if isinstance(K, Arc):
         w = z - K.center
         rho = abs(w)
@@ -309,8 +317,9 @@ def distance(K: CompactSet, z: complex) -> float:
         e0 = K.center + K.radius * complex(math.cos(K.angle_start), math.sin(K.angle_start))
         e1 = K.center + K.radius * complex(math.cos(K.angle_end), math.sin(K.angle_end))
         return min(abs(z - e0), abs(z - e1))
-    if isinstance(K, Polyline):
-        return min(_segment_distance(u, v, z) for u, v in zip(K.vertices, K.vertices[1:]))
+    if isinstance(K, (Segment, Polyline)):
+        verts = _vertices(K)
+        return min(_segment_distance(u, v, z) for u, v in zip(verts, verts[1:]))
     if isinstance(K, PointSet):
         return min(abs(z - p) for p in K.points)
     if isinstance(K, CantorProduct):
@@ -323,12 +332,6 @@ def distance(K: CompactSet, z: complex) -> float:
 
 # ---------------------------------------------------------------------------
 # discretization
-
-
-def _curve_samples(length: float, h_target: float, point_at) -> tuple[np.ndarray, float]:
-    n_int = max(1, math.ceil(length / (2.0 * h_target)))
-    ts = np.linspace(0.0, 1.0, n_int + 1)
-    return point_at(ts), (length / n_int) / 2.0
 
 
 def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) -> SampleGrid:
@@ -344,32 +347,21 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
     if isinstance(K, PointSet):
         return SampleGrid(np.array(K.points, dtype=complex), 0.0, K)
 
-    if isinstance(K, Segment):
-        length = abs(K.b - K.a)
-        n_int = max(1, math.ceil(length / (2.0 * h_target)))
-        if n_int + 1 > cap:
-            raise BudgetExceeded(f"segment discretization needs {n_int + 1} > {cap} samples")
-        pts, radius = _curve_samples(length, h_target, lambda ts: K.a + ts * (K.b - K.a))
-        return SampleGrid(pts, radius, K)
-
     if isinstance(K, Arc):
         length = K.radius * K.span
         n_int = max(1, math.ceil(length / (2.0 * h_target)))
         if n_int + 1 > cap:
             raise BudgetExceeded(f"arc discretization needs {n_int + 1} > {cap} samples")
+        ts = np.linspace(0.0, 1.0, n_int + 1)
+        pts = K.center + K.radius * np.exp(1j * (K.angle_start + ts * K.span))
+        return SampleGrid(pts, (length / n_int) / 2.0, K)
 
-        def point_at(ts):
-            ang = K.angle_start + ts * K.span
-            return K.center + K.radius * np.exp(1j * ang)
-
-        pts, radius = _curve_samples(length, h_target, point_at)
-        return SampleGrid(pts, radius, K)
-
-    if isinstance(K, Polyline):
+    if isinstance(K, (Segment, Polyline)):
+        verts = _vertices(K)
         chunks = []
         radius = 0.0
         total = 0
-        for u, v in zip(K.vertices, K.vertices[1:]):
+        for u, v in zip(verts, verts[1:]):
             length = abs(v - u)
             n_int = max(1, math.ceil(length / (2.0 * h_target)))
             total += n_int
@@ -378,7 +370,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
             ts = np.linspace(0.0, 1.0, n_int + 1)
             chunks.append(u + ts[:-1] * (v - u))
             radius = max(radius, (length / n_int) / 2.0)
-        chunks.append(np.array([K.vertices[-1]], dtype=complex))
+        chunks.append(np.array([verts[-1]], dtype=complex))
         return SampleGrid(np.concatenate(chunks), radius, K)
 
     if isinstance(K, CantorProduct):
@@ -389,9 +381,12 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
         cell = h_target * math.sqrt(2.0)
         nx = np.maximum(1, np.ceil(widths / cell).astype(int))
         ny = max(1, math.ceil(height / cell)) if height > 0 else 1
-        counts = (nx + 1) * (ny + 1)
-        if int(np.sum(counts)) > cap:
-            raise BudgetExceeded(f"cantor_product discretization needs {int(np.sum(counts))} > {cap} samples")
+        # a degenerate interval builds one column, a zero height one row
+        columns = np.where(x_hi > x_lo, nx + 1, 1)
+        rows = ny + 1 if height > 0 else 1
+        count = int(np.sum(columns)) * rows
+        if count > cap:
+            raise BudgetExceeded(f"cantor_product discretization needs {count} > {cap} samples")
         ys = np.linspace(y_lo, y_hi, ny + 1) if height > 0 else np.array([y_lo])
         chunks = []
         radius = 0.0
@@ -411,20 +406,17 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
 
 
 def _normal_directions(K: CompactSet, z: complex) -> list[complex]:
-    if isinstance(K, Segment):
-        d = K.b - K.a
-        n = 1j * d / abs(d)
-        return [n, -n]
     if isinstance(K, Arc):
         w = z - K.center
         if abs(w) > 0:
             n = w / abs(w)
             return [n, -n]
         return []
-    if isinstance(K, Polyline):
+    if isinstance(K, (Segment, Polyline)):
+        verts = _vertices(K)
         best = None
         best_d = math.inf
-        for u, v in zip(K.vertices, K.vertices[1:]):
+        for u, v in zip(verts, verts[1:]):
             d = _segment_distance(u, v, z)
             if d < best_d:
                 best_d = d
@@ -477,8 +469,8 @@ def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
 def bounding_radius(K: CompactSet, center: complex = 0j) -> float:
     """max |z - center| over the set (closed form per variant)."""
     c = complex(center)
-    if isinstance(K, Segment):
-        return max(abs(K.a - c), abs(K.b - c))
+    if isinstance(K, (Segment, Polyline, PointSet)):
+        return max(abs(v - c) for v in _vertices(K))
     if isinstance(K, Arc):
         candidates = [
             abs(K.center + K.radius * complex(math.cos(a), math.sin(a)) - c)
@@ -492,10 +484,6 @@ def bounding_radius(K: CompactSet, center: complex = 0j) -> float:
         else:
             candidates.append(K.radius)
         return max(candidates)
-    if isinstance(K, Polyline):
-        return max(abs(v - c) for v in K.vertices)
-    if isinstance(K, PointSet):
-        return max(abs(p - c) for p in K.points)
     if isinstance(K, CantorProduct):
         x_lo, x_hi, y_lo, y_hi = K.rects()
         corners = np.concatenate(
@@ -510,8 +498,8 @@ def bounding_box(K: CompactSet) -> tuple[float, float, float, float]:
     if isinstance(K, CantorProduct):
         x_lo, x_hi, y_lo, y_hi = K.rects()
         return float(np.min(x_lo)), float(np.max(x_hi)), y_lo, y_hi
-    if isinstance(K, Segment):
-        pts = [K.a, K.b]
+    if isinstance(K, (Segment, Polyline, PointSet)):
+        pts = _vertices(K)
     elif isinstance(K, Arc):
         pts = [
             K.center + K.radius * complex(math.cos(a), math.sin(a))
@@ -521,10 +509,6 @@ def bounding_box(K: CompactSet) -> tuple[float, float, float, float]:
         for k, direction in enumerate((1, 1j, -1, -1j)):
             if (k * math.pi / 2.0 - K.angle_start) % _TWO_PI <= K.span:
                 pts.append(K.center + K.radius * direction)
-    elif isinstance(K, Polyline):
-        pts = list(K.vertices)
-    elif isinstance(K, PointSet):
-        pts = list(K.points)
     else:
         raise InvalidSpec(f"unsupported set type {type(K).__name__}")
     xs = [p.real for p in pts]

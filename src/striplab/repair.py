@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import geometry
 from .approximation import FitResult, approximate
-from .errors import BudgetInfeasible, InvalidSpec, NoConvergence, ResolutionExhausted, RootFindingFailed
+from .errors import BudgetInfeasible, InvalidSpec, ResolutionExhausted
 from .geometry import CompactSet
 from .polynomial import (
     FactoredPolynomial,
@@ -78,7 +78,6 @@ def repair_nonvanishing(
     P: Polynomial,
     K: CompactSet,
     budget: float,
-    root_tol: float = 1e-12,
 ) -> tuple[FactoredPolynomial, RepairCertificate]:
     """Move every root on or near the set to a verified exterior point while
     keeping the sup-norm change below the budget.
@@ -107,11 +106,7 @@ def repair_nonvanishing(
         fp = FactoredPolynomial(P.coeffs[0], ())
         return fp, RepairCertificate(0.0, abs(P.coeffs[0]), (), budget)
 
-    try:
-        old = roots(P, root_tol)
-    except NoConvergence as exc:
-        raise RootFindingFailed(str(exc)) from exc
-
+    old = roots(P)
     m = P.degree
     center, rho = P.center, P.scale
     R = geometry.bounding_radius(K, center)
@@ -172,13 +167,11 @@ def approximate_nonvanishing(
     target_spec,
     eps: float,
     max_degree: int = 60,
-    lawson_iters: int = 10,
-    zeta_params=None,
 ) -> tuple[FactoredPolynomial, FitResult, RepairCertificate]:
     """Full pipeline: fit to eps/2 on the set, then repair the roots with the
     remaining eps/2, so that fit error + perturbation bound < eps."""
     if not eps > 0:
         raise InvalidSpec("eps must be positive")
-    fit = approximate(K, target_spec, eps / 2.0, max_degree, lawson_iters, zeta_params)
+    fit = approximate(K, target_spec, eps / 2.0, max_degree)
     fp, cert = repair_nonvanishing(fit.polynomial, K, eps / 2.0)
     return fp, fit, cert

@@ -5,17 +5,26 @@ import pytest
 
 from striplab import (
     Arc,
+    CantorProduct,
     PointSet,
     Polynomial,
     Segment,
     approximate,
     discretize,
     evaluate,
+    fat_cantor,
+    fiber_edges,
     lawson_refine,
     resolve_target,
 )
 from striplab.approximation import TargetFunction
-from striplab.errors import BudgetNotMet, InsufficientSamples, InvalidSpec, RankDeficient
+from striplab.errors import (
+    BudgetExceeded,
+    BudgetNotMet,
+    InsufficientSamples,
+    InvalidSpec,
+    RankDeficient,
+)
 
 ARC = Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
 
@@ -168,6 +177,30 @@ def test_approximate_monotone_in_max_degree():
     sups = [best_sup(cap) for cap in (2, 4, 8)]
     assert sups[1] <= sups[0] + 1e-15
     assert sups[2] <= sups[1] + 1e-15
+
+
+def test_approximate_refits_when_derivative_bound_invalidates_grid():
+    # |p'| = 20 makes L_P * h = 2e-2 on the budget-tied grid (h = 1e-3), above
+    # the 1e-2 budget, so the fit is redone on the grid h = budget / (10 L_P)
+    fit = approximate(Segment(-0.5, 0.5), lambda z: 20 * z, 1e-2)
+    assert fit.degree_used == 1
+    assert fit.grid_covering_radius == pytest.approx(5e-5, rel=1e-12)
+
+
+def test_approximate_relaxes_grid_down_to_fewest_samples():
+    # the edge skeleton at depth 12 has 8192 vertical edges; at its fewest
+    # samples (two per edge) it fits under the 20 000-sample grid cap
+    K = fiber_edges(CantorProduct(fat_cantor(12), 0.0, 0.1, 0.4, 0.55))
+    fit = approximate(K, {"kind": "builtin", "name": "identity"}, 1e-2)
+    assert fit.degree_used == 1
+    assert fit.sup_error_on_samples < 1e-2
+
+
+def test_approximate_raises_when_fewest_samples_exceed_cap():
+    # at depth 13 even two samples per edge are 32 768 > 20 000
+    K = fiber_edges(CantorProduct(fat_cantor(13), 0.0, 0.1, 0.4, 0.55))
+    with pytest.raises(BudgetExceeded):
+        approximate(K, {"kind": "builtin", "name": "identity"}, 1e-2)
 
 
 def test_approximate_rejects_bad_budget():

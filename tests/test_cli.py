@@ -219,3 +219,12 @@ def test_cantor_emits_product_set(tmp_path):
 
     K = build_set(payload["set"])
     assert isinstance(K, CantorProduct)
+
+
+def test_cantor_rejects_invalid_product_set(tmp_path, capsys):
+    out = tmp_path / "set.json"
+    code = main(["cantor", "--depth", "2", "--y-lo", "1", "--y-hi", "0",
+                 "--scale", "-2", "--out", str(out)])
+    assert code == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+    assert not out.exists()

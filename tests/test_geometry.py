@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from striplab import (
     Arc,
@@ -160,6 +162,25 @@ def test_discretize_samples_lie_on_set():
 def test_discretize_budget_cap():
     with pytest.raises(BudgetExceeded):
         discretize(Segment(0, 1), 1e-9, cap=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(0, 6),
+    degenerate=st.booleans(),
+    height=st.sampled_from([0.0, 0.1, 0.37]),
+    scale=st.floats(0.05, 3.0),
+    h=st.floats(1e-2, 1.0),
+)
+def test_discretize_product_cap_counts_built_samples(depth, degenerate, height, scale, h):
+    # degenerate intervals build one column and a zero height one row; the
+    # cap check must count exactly what is built
+    cp = CantorProduct(fat_cantor(depth), y_lo=0.2, y_hi=0.2 + height, scale=scale)
+    K = fiber_edges(cp) if degenerate else cp
+    g = discretize(K, h)
+    assert len(discretize(K, h, cap=len(g))) == len(g)
+    with pytest.raises(BudgetExceeded):
+        discretize(K, h, cap=len(g) - 1)
 
 
 def test_discretize_covering_contract():
