@@ -112,27 +112,40 @@ class FactoredPolynomial:
 
 
 def evaluate(p: Polynomial, z):
-    """Horner evaluation in the frame variable; z may be a scalar or an ndarray."""
-    z = (z - p.center) / p.scale
-    if isinstance(z, np.ndarray):
-        acc = np.zeros_like(z, dtype=complex)
-        for c in reversed(p.coeffs):
-            acc = acc * z + c
-        return acc
-    acc = 0j
+    """Horner evaluation in the frame variable.
+
+    z may be an ndarray or a scalar; a scalar runs through the array code as
+    a one-element array and comes back as a complex, so both give the same
+    floats.  Each complex product is rounded as two real products and their
+    sum, as Python's complex arithmetic rounds it (degree one gives exactly
+    c1 * z + c0): numpy's complex loops fuse multiply-adds on FMA hardware,
+    and their last bits would depend on the loops picked for the host.
+    """
+    if not isinstance(z, np.ndarray):
+        return complex(evaluate(p, np.array([z], dtype=complex))[0])
+    w = (z - p.center) / p.scale
+    wr, wi = w.real.copy(), w.imag.copy()
+    re = np.zeros(w.shape)
+    im = np.zeros(w.shape)
     for c in reversed(p.coeffs):
-        acc = acc * z + c
+        t = im * wi
+        im *= wr
+        im += re * wi
+        im += c.imag
+        re *= wr
+        re -= t
+        re += c.real
+    acc = np.empty(w.shape, dtype=complex)
+    acc.real, acc.imag = re, im
     return acc
 
 
 def evaluate_factored(fp: FactoredPolynomial, z):
-    """Product-form evaluation; stable regardless of coefficient conditioning."""
-    if isinstance(z, np.ndarray):
-        acc = np.full_like(z, fp.leading, dtype=complex)
-        for r in fp.roots:
-            acc = acc * ((z - r) / fp.scale)
-        return acc
-    acc = fp.leading
+    """Product-form evaluation; stable regardless of coefficient conditioning.
+    Scalars go through the array code, as in ``evaluate``."""
+    if not isinstance(z, np.ndarray):
+        return complex(evaluate_factored(fp, np.array([z], dtype=complex))[0])
+    acc = np.full_like(z, fp.leading, dtype=complex)
     for r in fp.roots:
         acc = acc * ((z - r) / fp.scale)
     return acc

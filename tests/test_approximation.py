@@ -17,7 +17,7 @@ from striplab import (
     lawson_refine,
     resolve_target,
 )
-from striplab.approximation import TargetFunction
+from striplab.approximation import TargetFunction, _weighted_basis, set_frame
 from striplab.errors import (
     BudgetExceeded,
     BudgetNotMet,
@@ -78,6 +78,52 @@ def test_fit_duplicate_points_rank_deficient():
     g = discretize(PointSet((0.5, 0.5, 0.5)), 0.1)
     with pytest.raises(RankDeficient):
         lawson_refine(g, TargetFunction((1j, 1j, 1j)), 2, 0)
+
+
+def mgs2_basis(z, w, degree):
+    # reference: the same basis by modified Gram-Schmidt, one vector at a
+    # time, with one reorthogonalization pass
+    Q = np.zeros((len(z), degree + 1), dtype=complex)
+    P = np.zeros((degree + 1, degree + 1), dtype=complex)
+    Q[:, 0] = P[0, 0] = 1.0 / math.sqrt(w.sum())
+    for k in range(1, degree + 1):
+        q = z * Q[:, k - 1]
+        pk = np.concatenate([[0j], P[:-1, k - 1]])
+        for _ in range(2):
+            for j in range(k):
+                h = np.sum(w * np.conj(Q[:, j]) * q)
+                q = q - h * Q[:, j]
+                pk = pk - h * P[:, j]
+        hn = math.sqrt(np.sum(w * np.abs(q) ** 2))
+        Q[:, k], P[:, k] = q / hn, pk / hn
+    return Q, P
+
+
+def test_weighted_basis_orthonormal_under_lawson_weights():
+    # degree 60 on the criterion-1 arc in its frame variable, with weights
+    # spread over 14 decades like Lawson's floored ones: a single classical
+    # Gram-Schmidt pass leaves 1e-12 to 2e-11 here, so the bound needs both
+    g = discretize(ARC, 1e-3)
+    c, rho = set_frame(ARC)
+    rng = np.random.default_rng(2005)
+    w = 10.0 ** rng.uniform(-14, 0, len(g))
+    w /= w.sum()
+    zeta = (g.points - c) / rho
+    Q, P = _weighted_basis(zeta, w, 60)
+    gram = Q.conj().T @ (w[:, None] * Q)
+    assert np.max(np.abs(gram - np.eye(61))) <= 1e-14
+    # Gram-Schmidt with a positive diagonal determines the basis, so the
+    # one-vector-at-a-time loop gives it too, up to rounding (found 1e-14)
+    Q_ref, P_ref = mgs2_basis(zeta, w, 60)
+    assert np.max(np.abs(Q - Q_ref)) <= 1e-12 * np.max(np.abs(Q_ref))
+    assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
+
+
+def test_weighted_basis_rank_deficient_past_the_distinct_points():
+    # three distinct points carry no fourth basis polynomial (lawson_refine
+    # stops this case earlier with InsufficientSamples)
+    with pytest.raises(RankDeficient):
+        _weighted_basis(np.array([-0.5, 0.1j, 0.9]), np.full(3, 1.0 / 3), 3)
 
 
 def test_fit_result_sup_is_recomputable():
@@ -182,9 +228,12 @@ def test_approximate_monotone_in_max_degree():
 def test_approximate_refits_when_derivative_bound_invalidates_grid():
     # |p'| = 20 makes L_P * h = 2e-2 on the budget-tied grid (h = 1e-3), above
     # the 1e-2 budget, so the fit is redone on the grid h = budget / (10 L_P)
+    # (without the re-fit the radius stays 1e-3).  L_P is 20 up to rounding,
+    # and a last-bit change of L_P can put h on either side of 5e-5: just
+    # under it, ``discretize`` adds one sample and the radius is 1/20002
     fit = approximate(Segment(-0.5, 0.5), lambda z: 20 * z, 1e-2)
     assert fit.degree_used == 1
-    assert fit.grid_covering_radius == pytest.approx(5e-5, rel=1e-12)
+    assert 1 / 20002 <= fit.grid_covering_radius <= 5e-5
 
 
 def test_approximate_relaxes_grid_down_to_fewest_samples():

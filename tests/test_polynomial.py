@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from striplab import (
@@ -69,6 +71,29 @@ def test_evaluate_array_matches_scalar():
     zs = np.array([0.1, 0.2 + 0.3j, -1.0])
     vals = evaluate(p, zs)
     assert all(vals[i] == evaluate(p, zs[i]) for i in range(3))
+
+
+unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(unit_complex, min_size=1, max_size=21),
+    leading=unit_complex.filter(lambda c: c != 0),
+    roots_=st.lists(unit_complex, max_size=20),
+    center=unit_complex,
+    scale=st.floats(0.05, 20.0),
+    z=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+def test_scalar_evaluation_is_the_array_evaluation(coeffs, leading, roots_, center, scale, z):
+    p = Polynomial(tuple(coeffs), center, scale)
+    fp = FactoredPolynomial(leading, tuple(roots_), scale)
+    for value, values in (
+        (evaluate(p, z), evaluate(p, np.array([z]))),
+        (evaluate_factored(fp, z), evaluate_factored(fp, np.array([z]))),
+    ):
+        assert type(value) is complex
+        assert value == values[0]
 
 
 def test_trailing_zero_trim():
