@@ -3,12 +3,7 @@ plane sets, and empirical vertical-shift scans of the Riemann zeta function."""
 
 __version__ = "0.1.0"
 
-from .approximation import (
-    FitResult,
-    TargetFunction,
-    approximate,
-    lawson_refine,
-)
+from .approximation import FitResult, approximate, lawson_refine
 from .geometry import (
     Arc,
     CantorProduct,
@@ -51,7 +46,7 @@ from .scan import (
     scan_density,
     write_trace_csv,
 )
-from .targets import resolve_target
+from .targets import TargetFunction, resolve_target
 from .zeta import DEFAULT_PARAMS, ZetaParams, ZetaValue, bernoulli_table, zeta_em, zeta_shifted_grid
 
 __all__ = [

@@ -21,32 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
-from .errors import BudgetExceeded, BudgetNotMet, InsufficientSamples, InvalidSpec, RankDeficient
+from . import geometry, targets
+from .errors import BudgetExceeded, BudgetNotMet, InvalidSpec
 from .geometry import CompactSet, SampleGrid
 from .polynomial import Polynomial, derivative_bound, evaluate
+from .targets import TargetFunction
 
 _LAWSON_WEIGHT_FLOOR = 1e-14
 _LAWSON_ITERS = 10
 # most samples ``approximate`` puts on a set
 _GRID_CAP = 20_000
-
-
-@dataclass(frozen=True, eq=False)
-class TargetFunction:
-    """Target values aligned 1:1 with a SampleGrid, as a read-only complex array."""
-
-    samples: np.ndarray
-    description: str = ""
-
-    def __post_init__(self):
-        vals = np.array(self.samples, dtype=complex)
-        if vals.ndim != 1 or vals.size == 0:
-            raise InvalidSpec("target function needs a one-dimensional array of at least one sample")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidSpec("target function contains non-finite samples")
-        vals.flags.writeable = False
-        object.__setattr__(self, "samples", vals)
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,7 @@ def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int):
             pk -= Pk @ h
         hn = math.sqrt(float(np.sum(w * (q.real**2 + q.imag**2))))
         if hn < 1e-14:
-            raise RankDeficient(
+            raise InvalidSpec(
                 f"orthogonalization collapsed at degree {k}; "
                 "the grid has too few distinct points"
             )
@@ -117,7 +101,7 @@ def _validate_fit_args(grid: SampleGrid, target: TargetFunction, degree: int):
     if len(target.samples) != len(grid):
         raise InvalidSpec("target and grid lengths differ")
     if len(grid) < degree + 1:
-        raise InsufficientSamples(
+        raise InvalidSpec(
             f"degree {degree} needs at least {degree + 1} samples, grid has {len(grid)}"
         )
 
@@ -195,8 +179,6 @@ def approximate(
     the least sufficient degree.  Raises BudgetNotMet carrying the best
     attempt if the cap is reached.
     """
-    from .targets import resolve_target
-
     if not budget > 0:
         raise InvalidSpec("budget must be positive")
 
@@ -210,7 +192,7 @@ def approximate(
             if h0 > 2.0 * scale:
                 raise
             h0 *= 8.0
-    target = resolve_target(target_spec, grid)
+    target = targets.resolve_target(target_spec, grid)
     result = _escalate(grid, target, budget, max_degree, center, scale)
 
     # one re-fit if the fitted polynomial's derivative bound invalidates the
@@ -226,7 +208,7 @@ def approximate(
             except BudgetExceeded:
                 dense = None
             if dense is not None:
-                target = resolve_target(target_spec, dense)
+                target = targets.resolve_target(target_spec, dense)
                 result = _escalate(dense, target, budget, max_degree, center, scale)
 
     if isinstance(result, FitResult):

@@ -17,10 +17,10 @@ import time
 
 from . import __version__
 from . import geometry, scan as scan_mod, zeta as zeta_mod
-from .errors import BudgetInfeasible, BudgetNotMet, StriplabError
+from .errors import BudgetInfeasible, BudgetNotMet, InvalidSpec, StriplabError
 from .polynomial import evaluate_factored, derivative_bound
 from .repair import approximate_nonvanishing
-from .approximation import TargetFunction
+from .targets import TargetFunction
 
 _BUILTIN_TARGETS = ("conj", "abs", "identity", "zeta")
 
@@ -166,7 +166,6 @@ def cmd_scan(args) -> int:
         "t_start": args.t_start,
         "grid_h": args.grid_h,
         "via_polynomial": args.via_polynomial,
-        "threads": args.threads,
         "zeta_params": {
             "terms_per_unit_t": args.terms_per_unit_t,
             "min_terms": args.min_terms,
@@ -181,7 +180,7 @@ def cmd_scan(args) -> int:
         grid = geometry.discretize(K, args.grid_h)
         surrogate = TargetFunction(evaluate_factored(fp, grid.points), "nonvanishing surrogate")
         config = dataclasses.replace(config, eps=args.eps / 2.0)
-        report = scan_mod.scan_on_grid(grid, surrogate, config, params, args.threads)
+        report = scan_mod.scan_on_grid(grid, surrogate, config, params)
         payload["via_polynomial"] = {
             "fit": _fit_payload(fit, K),
             "factored_polynomial": fp.to_spec(),
@@ -189,9 +188,7 @@ def cmd_scan(args) -> int:
             "scan_eps": args.eps / 2.0,
         }
     else:
-        report = scan_mod.scan_density(
-            K, target_spec, config, params, threads=args.threads, grid_h=args.grid_h
-        )
+        report = scan_mod.scan_density(K, target_spec, config, params, grid_h=args.grid_h)
     if args.out_csv:
         scan_mod.write_trace_csv(report, args.out_csv)
     payload["report"] = report.to_dict()
@@ -227,6 +224,8 @@ def cmd_zeta(args) -> int:
 
 def cmd_cantor(args) -> int:
     started = time.monotonic()
+    if (args.y_lo is None) != (args.y_hi is None):
+        raise InvalidSpec("a product set needs both --y-lo and --y-hi")
     intervals = geometry.fat_cantor(args.depth)
     payload = {
         "depth": args.depth,
@@ -234,7 +233,7 @@ def cmd_cantor(args) -> int:
         "total_length": float((intervals[:, 1] - intervals[:, 0]).sum()),
         "intervals": intervals.tolist(),
     }
-    if args.y_lo is not None and args.y_hi is not None:
+    if args.y_lo is not None:
         payload["set"] = geometry.to_spec(geometry.CantorProduct(
             intervals, args.y_lo, args.y_hi, args.scale, complex(args.offset_re, args.offset_im)
         ))
@@ -278,8 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via-polynomial", action="store_true",
                    help="scan against the certified nonvanishing polynomial at eps/2")
     p.add_argument("--max-degree", type=int, default=60)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("STRIPLAB_THREADS", "1")))
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
     _add_zeta_flags(p)

@@ -6,7 +6,9 @@ class StriplabError(Exception):
 
 
 class InvalidSpec(StriplabError):
-    """A set/target/config description violates a constructor constraint."""
+    """An input violates a documented constraint: a malformed set, target or
+    config, a fit the grid cannot carry, roots of a constant, unpaired root
+    lists, or a zeta argument at the pole or outside the supported range."""
 
 
 class BudgetExceeded(StriplabError):
@@ -17,28 +19,12 @@ class ResolutionExhausted(StriplabError):
     """No verified exterior point was found above the floating-point margin."""
 
 
-class DegreeZero(StriplabError):
-    """Root extraction was requested for a constant polynomial."""
-
-
 class NoConvergence(StriplabError):
     """Simultaneous root iteration failed to meet its residual tolerance."""
 
     def __init__(self, iterations):
         super().__init__(f"root iteration did not converge after {iterations} sweeps")
         self.iterations = iterations
-
-
-class LengthMismatch(StriplabError):
-    """Paired root lists have different lengths."""
-
-
-class InsufficientSamples(StriplabError):
-    """The sample grid is too small for the requested fit degree."""
-
-
-class RankDeficient(StriplabError):
-    """Basis orthogonalization collapsed (duplicate or too few distinct samples)."""
 
 
 class BudgetNotMet(StriplabError):
@@ -65,10 +51,6 @@ class BudgetInfeasible(StriplabError):
     def __init__(self, message, required_delta=None):
         super().__init__(message)
         self.required_delta = required_delta
-
-
-class PoleAtOne(StriplabError):
-    """zeta was evaluated at (or too close to) its pole s = 1."""
 
 
 class PrecisionExhausted(StriplabError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DegreeZero, LengthMismatch, NoConvergence
+from .errors import InvalidSpec, NoConvergence
 
 _ROOT_TOL = 1e-12
 _MAX_SWEEPS = 1000
@@ -198,7 +198,7 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
 def _frame_roots(p: Polynomial) -> tuple[complex, ...]:
     m = p.degree
     if m == 0:
-        raise DegreeZero("constant polynomials have no roots to extract")
+        raise InvalidSpec("constant polynomials have no roots to extract")
     coeffs = np.array(p.coeffs, dtype=complex)
     if m == 1:
         return (-coeffs[0] / coeffs[1],)
@@ -266,7 +266,7 @@ def perturbation_bound(
     old = [complex(r) for r in roots_old]
     new = [complex(r) for r in roots_new]
     if len(old) != len(new):
-        raise LengthMismatch(f"root lists differ in length: {len(old)} vs {len(new)}")
+        raise InvalidSpec(f"root lists differ in length: {len(old)} vs {len(new)}")
     if R < 0:
         raise ValueError("R must be nonnegative")
     m = len(old)

@@ -11,16 +11,17 @@ refinement can be audited by rerunning at step/2.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
-from .approximation import TargetFunction
+from . import geometry, targets
 from .errors import InvalidSpec, PrecisionExhausted
 from .geometry import CompactSet, SampleGrid, Segment
+from .targets import TargetFunction
 from .zeta import DEFAULT_PARAMS, ZetaParams, zeta_shifted_grid
 
 DEFAULT_GRID_H = 0.05
@@ -61,10 +62,6 @@ class ScanReport:
     horizon: float
     truncated: bool = False
 
-    @property
-    def trace(self):
-        return list(zip(self.ts.tolist(), self.ds.tolist()))
-
     def to_dict(self) -> dict:
         return {
             "eps": self.eps,
@@ -76,7 +73,6 @@ class ScanReport:
             "best_t": self.best_t,
             "best_D": self.best_d,
             "truncated": self.truncated,
-            "trace": self.trace,
         }
 
 
@@ -109,21 +105,17 @@ def _chunk_worker(payload):
 
 
 def _evaluate_trace(grid, target, ts, params, threads):
-    chunks = np.array_split(ts, max(1, min(len(ts), threads * 4))) if threads > 1 else [ts]
-    truncated = False
+    """D along ts, cut at the first point that exhausts precision; chunks
+    run in a process pool when threads > 1, else in-process."""
+    chunks = np.array_split(ts, min(len(ts), threads * 4)) if threads > 1 else [ts]
+    payloads = [(grid, target, chunk, params) for chunk in chunks]
     out = []
-    if threads > 1:
-        payloads = [(grid, target, chunk, params) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for ds, failed in pool.map(_chunk_worker, payloads):
-                out.extend(ds)
-                if failed:
-                    truncated = True
-                    break
-    else:
-        ds, truncated = _chunk_worker((grid, target, ts, params))
-        out = ds
-    return np.array(out), truncated
+    with (ProcessPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()) as pool:
+        for ds, failed in (pool.map if pool else map)(_chunk_worker, payloads):
+            out.extend(ds)
+            if failed:
+                return np.array(out), True
+    return np.array(out), False
 
 
 def _refine_crossing(t_out, t_in, eps, d_eval, refine_tol):
@@ -197,10 +189,8 @@ def scan_density(
 ) -> ScanReport:
     """Trace D(t) over [t_start, T] on a uniform grid, refine threshold
     crossings by bisection, and report hit intervals plus their density."""
-    from .targets import resolve_target
-
     grid = geometry.discretize(K, grid_h)
-    target = resolve_target(target_spec, grid, params)
+    target = targets.resolve_target(target_spec, grid, params)
     return scan_on_grid(grid, target, config, params, threads)
 
 
@@ -227,9 +217,7 @@ def line_universality(
         samples = [complex(f(float(z.imag))) for z in grid.points]
         target = TargetFunction(samples, getattr(f, "__name__", "f(t)"))
     else:
-        from .targets import resolve_target
-
-        target = resolve_target(f, grid, params)
+        target = targets.resolve_target(f, grid, params)
     return scan_on_grid(grid, target, config, params, threads)
 
 

@@ -1,4 +1,4 @@
-"""Resolution of target-function descriptions onto a sample grid.
+"""Target values on a sample grid, resolved from target descriptions.
 
 Accepted specs: a TargetFunction (passed through after a length check), a
 callable z -> complex, a plain constant, or a JSON-style dict:
@@ -8,11 +8,30 @@ callable z -> complex, a plain constant, or a JSON-style dict:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .approximation import TargetFunction
+from . import zeta as zeta_mod
 from .errors import InvalidSpec
 from .geometry import SampleGrid
+
+
+@dataclass(frozen=True, eq=False)
+class TargetFunction:
+    """Target values aligned 1:1 with a SampleGrid, as a read-only complex array."""
+
+    samples: np.ndarray
+    description: str = ""
+
+    def __post_init__(self):
+        vals = np.array(self.samples, dtype=complex)
+        if vals.ndim != 1 or vals.size == 0:
+            raise InvalidSpec("target function needs a one-dimensional array of at least one sample")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidSpec("target function contains non-finite samples")
+        vals.flags.writeable = False
+        object.__setattr__(self, "samples", vals)
 
 
 def resolve_target(spec, grid: SampleGrid, zeta_params=None) -> TargetFunction:
@@ -40,8 +59,6 @@ def resolve_target(spec, grid: SampleGrid, zeta_params=None) -> TargetFunction:
                 )
             return TargetFunction(values, "samples")
         if kind == "zeta":
-            from . import zeta as zeta_mod
-
             params = zeta_params if zeta_params is not None else zeta_mod.DEFAULT_PARAMS
             values, _ = zeta_mod.zeta_shifted_grid(grid, 0.0, params)
             return TargetFunction(values, "zeta(z)")

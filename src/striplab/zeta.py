@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoleAtOne, PrecisionExhausted
+from .errors import InvalidSpec, PrecisionExhausted
 
 _ERR_THRESHOLD = 1e-6
 _MAX_IM = 1e8
@@ -113,14 +113,12 @@ def _choose_n(tau: float, params: ZetaParams) -> int:
 
 
 def _em_eval(s: complex, N: int, kb: int, phase: np.ndarray) -> tuple[complex, float]:
-    # phase is exp(-i Im(s) ln n) for n = 1..N-1, shared by points of equal Im(s)
-    ln = _ln_table(N - 1)
-    amp = np.exp(-s.real * np.asarray(ln, dtype=np.float64))
-    partial = complex(np.sum(amp * phase))
+    # phase is exp(-i Im(s) ln n) for n = 1..N, shared by points of equal
+    # Im(s): the first N-1 entries feed the partial sum, the last one N^(-s)
+    amp = np.exp(-s.real * np.asarray(_ln_table(N - 1), dtype=np.float64))
+    partial = complex(np.sum(amp * phase[:-1]))
     q = _em_coefficients(kb)
-    ln_n_wide = np.log(_PHASE_DTYPE(N))
-    n_phase = complex(_unit_phases(s.imag, ln_n_wide.reshape(1))[0])
-    n_neg_s = float(N) ** (-s.real) * n_phase  # N^(-s)
+    n_neg_s = float(N) ** (-s.real) * complex(phase[-1])  # N^(-s)
     value = partial + N * n_neg_s / (s - 1.0) + n_neg_s / 2.0
     rising = s
     npow = n_neg_s / N
@@ -136,11 +134,11 @@ def _em_eval(s: complex, N: int, kb: int, phase: np.ndarray) -> tuple[complex, f
 def _check_range(s: complex) -> complex:
     s = complex(s)
     if abs(s - 1.0) < 1e-12:
-        raise PoleAtOne(f"s = {s} is too close to the pole at 1")
+        raise InvalidSpec(f"s = {s} is too close to the pole at 1")
     if s.real <= -1.0:
-        raise ValueError(f"Re(s) = {s.real} outside the supported range Re > -1")
+        raise InvalidSpec(f"Re(s) = {s.real} outside the supported range Re > -1")
     if abs(s.imag) > _MAX_IM:
-        raise ValueError(f"|Im(s)| = {abs(s.imag)} exceeds the precision guard {_MAX_IM:g}")
+        raise InvalidSpec(f"|Im(s)| = {abs(s.imag)} exceeds the precision guard {_MAX_IM:g}")
     return s
 
 
@@ -158,7 +156,7 @@ def _evaluate(points, params: ZetaParams) -> tuple[np.ndarray, np.ndarray]:
     for tau, pending in groups.items():
         N = _choose_n(tau, params)
         for _ in range(3):
-            phase = _unit_phases(tau, _ln_table(N - 1))
+            phase = _unit_phases(tau, _ln_table(N))
             for i in pending:
                 values[i], errors[i] = _em_eval(shifted[i], N, params.bernoulli_terms, phase)
             pending = [i for i in pending if not errors[i] <= _ERR_THRESHOLD or not np.isfinite(values[i])]

@@ -18,13 +18,7 @@ from striplab import (
     resolve_target,
 )
 from striplab.approximation import TargetFunction, _weighted_basis, set_frame
-from striplab.errors import (
-    BudgetExceeded,
-    BudgetNotMet,
-    InsufficientSamples,
-    InvalidSpec,
-    RankDeficient,
-)
+from striplab.errors import BudgetExceeded, BudgetNotMet, InvalidSpec
 
 ARC = Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
 
@@ -70,13 +64,13 @@ def test_fit_conj_on_vertical_segment_is_affine():
 
 def test_fit_requires_enough_samples():
     g = discretize(PointSet((0.1, 0.9)), 0.1)
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InvalidSpec, match="degree 5 needs at least 6 samples"):
         lawson_refine(g, TargetFunction((0j, 0j)), 5, 0)
 
 
 def test_fit_duplicate_points_rank_deficient():
     g = discretize(PointSet((0.5, 0.5, 0.5)), 0.1)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(InvalidSpec, match="orthogonalization collapsed at degree 1"):
         lawson_refine(g, TargetFunction((1j, 1j, 1j)), 2, 0)
 
 
@@ -121,8 +115,8 @@ def test_weighted_basis_orthonormal_under_lawson_weights():
 
 def test_weighted_basis_rank_deficient_past_the_distinct_points():
     # three distinct points carry no fourth basis polynomial (lawson_refine
-    # stops this case earlier with InsufficientSamples)
-    with pytest.raises(RankDeficient):
+    # stops this case earlier with its sample-count check)
+    with pytest.raises(InvalidSpec, match="orthogonalization collapsed at degree 3"):
         _weighted_basis(np.array([-0.5, 0.1j, 0.9]), np.full(3, 1.0 / 3), 3)
 
 

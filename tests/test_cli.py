@@ -1,9 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from striplab import PointSet, Polynomial, discretize, lawson_refine, perturbation_bound, roots, zeta_em
+from striplab.approximation import _weighted_basis
 from striplab.cli import main
+from striplab.errors import InvalidSpec
+from striplab.targets import TargetFunction
 
 
 def write_json(path, payload):
@@ -105,33 +110,24 @@ def test_scan_self_similarity_exit_0(tmp_path, strip_point_set):
 
 def test_scan_eps_zero_exit_3_with_outputs(tmp_path, strip_point_set):
     out_json = tmp_path / "report.json"
+    out_csv = tmp_path / "trace.csv"
     code = main(["scan", "--set", strip_point_set, "--target", "zeta",
                  "--T", "10", "--step", "0.5", "--eps", "0",
-                 "--out-json", str(out_json)])
+                 "--out-json", str(out_json), "--out-csv", str(out_csv)])
     assert code == 3
     payload = read_json(out_json)
     assert payload["error"]
     assert payload["report"]["hit_intervals"] == []
-    assert payload["report"]["trace"]
+    # the trace lives in the CSV only: a header plus t = 0, 0.5, ..., 10
+    assert "trace" not in payload["report"]
+    assert len(out_csv.read_text().splitlines()) == 21 + 1
 
 
 def test_scan_csv_byte_identical_across_reruns(tmp_path, strip_point_set):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scan", "--set", strip_point_set, "--target", "zeta",
-            "--T", "10", "--step", "0.5", "--eps", "0.5", "--threads", "1"]
-    assert main(args + ["--out-csv", str(out1)]) == 0
-    assert main(args + ["--out-csv", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_scan_threads_env_fallback(tmp_path, strip_point_set, monkeypatch):
-    monkeypatch.setenv("STRIPLAB_THREADS", "2")
-    out1 = tmp_path / "env.csv"
-    args = ["scan", "--set", strip_point_set, "--target", "zeta",
             "--T", "10", "--step", "0.5", "--eps", "0.5"]
     assert main(args + ["--out-csv", str(out1)]) == 0
-    monkeypatch.delenv("STRIPLAB_THREADS")
-    out2 = tmp_path / "serial.csv"
     assert main(args + ["--out-csv", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -174,6 +170,42 @@ def test_zeta_command_basel(capsys):
 def test_zeta_command_pole_exit_1(capsys):
     assert main(["zeta", "--re", "1", "--im", "0"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+# ---------------------------------------------------------------- errors
+
+# every check that used to raise a class of its own, each caught by the
+# command line's one StriplabError handler; the zeta guards also go through
+# `striplab zeta`
+INVALID_SPEC_SITES = {
+    "constant_roots": (lambda: roots(Polynomial((5,))), "constant polynomials", None),
+    "unpaired_root_lists": (
+        lambda: perturbation_bound(1.0, (0.0,), (0.0, 1.0), 1.0), "differ in length", None
+    ),
+    "too_few_samples": (
+        lambda: lawson_refine(discretize(PointSet((0.1, 0.9)), 0.1), TargetFunction((0j, 0j)), 5, 0),
+        "needs at least 6 samples",
+        None,
+    ),
+    "rank_deficient_basis": (
+        lambda: _weighted_basis(np.array([-0.5, 0.1j, 0.9]), np.full(3, 1.0 / 3), 3),
+        "orthogonalization collapsed",
+        None,
+    ),
+    "zeta_pole": (lambda: zeta_em(1.0 + 0j), "pole at 1", ("1", "0")),
+    "zeta_real_part": (lambda: zeta_em(-1.5 + 0j), "supported range", ("-1.5", "0")),
+    "zeta_imaginary_part": (lambda: zeta_em(0.75 + 2e8j), "precision guard", ("0.75", "2e8")),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INVALID_SPEC_SITES))
+def test_former_error_classes_raise_invalid_spec(site, capsys):
+    call, message, zeta_args = INVALID_SPEC_SITES[site]
+    with pytest.raises(InvalidSpec, match=message):
+        call()
+    if zeta_args is not None:
+        assert main(["zeta", "--re", zeta_args[0], "--im", zeta_args[1]]) == 1
+        assert message in json.loads(capsys.readouterr().out)["error"]
 
 
 # ---------------------------------------------------------------- cantor
@@ -227,4 +259,12 @@ def test_cantor_rejects_invalid_product_set(tmp_path, capsys):
                  "--scale", "-2", "--out", str(out)])
     assert code == 1
     assert "error" in json.loads(capsys.readouterr().out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("half_range", [["--y-lo", "0"], ["--y-hi", "0.4"]])
+def test_cantor_rejects_half_given_y_range(tmp_path, capsys, half_range):
+    out = tmp_path / "set.json"
+    assert main(["cantor", "--depth", "1", *half_range, "--out", str(out)]) == 1
+    assert "--y-lo and --y-hi" in json.loads(capsys.readouterr().out)["error"]
     assert not out.exists()

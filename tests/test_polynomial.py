@@ -19,7 +19,7 @@ from striplab import (
     perturbation_bound,
     roots,
 )
-from striplab.errors import DegreeZero, LengthMismatch
+from striplab.errors import InvalidSpec
 
 
 def match_error(found, expected):
@@ -163,7 +163,7 @@ def test_roots_accepted_only_at_small_backward_error(radius, m):
 
 
 def test_roots_degree_zero_raises():
-    with pytest.raises(DegreeZero):
+    with pytest.raises(InvalidSpec, match="constant polynomials have no roots"):
         roots(Polynomial((5,)))
 
 
@@ -195,7 +195,7 @@ def test_perturbation_bound_degree_one_exact():
 
 
 def test_perturbation_bound_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidSpec, match="root lists differ in length"):
         perturbation_bound(1.0, (0.0,), (0.0, 1.0), 1.0)
 
 
