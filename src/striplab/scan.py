@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, targets
+from . import geometry, targets, zeta
 from .errors import InvalidSpec, PrecisionExhausted
 from .geometry import CompactSet, SampleGrid, Segment
 from .targets import TargetFunction
@@ -76,11 +76,18 @@ class ScanReport:
         }
 
 
-def discrepancy(grid: SampleGrid, target: TargetFunction, t: float, params: ZetaParams = DEFAULT_PARAMS) -> float:
-    """max over grid points of |zeta(z_i + it) - f_i|."""
+def discrepancy(
+    grid: SampleGrid,
+    target: TargetFunction,
+    t: float,
+    params: ZetaParams = DEFAULT_PARAMS,
+    rows: zeta.DirichletRows | None = None,
+) -> float:
+    """max over grid points of |zeta(z_i + it) - f_i|; `rows` are the
+    grid's zeta.shift_rows when the caller reuses them across t."""
     if len(target.samples) != len(grid):
         raise InvalidSpec("target and grid lengths differ")
-    values, _ = zeta_shifted_grid(grid, t, params)
+    values, _ = zeta_shifted_grid(grid, t, params, rows=rows)
     return float(np.max(np.abs(values - target.samples)))
 
 
@@ -94,21 +101,21 @@ def _trace_grid(config: ScanConfig) -> np.ndarray:
 
 
 def _chunk_worker(payload):
-    grid, target, ts, params = payload
+    grid, target, ts, params, rows = payload
     ds = []
     for t in ts:
         try:
-            ds.append(discrepancy(grid, target, t, params))
+            ds.append(discrepancy(grid, target, t, params, rows))
         except PrecisionExhausted:
             return ds, True
     return ds, False
 
 
-def _evaluate_trace(grid, target, ts, params, threads):
+def _evaluate_trace(grid, target, ts, params, threads, rows):
     """D along ts, cut at the first point that exhausts precision; chunks
     run in a process pool when threads > 1, else in-process."""
     chunks = np.array_split(ts, min(len(ts), threads * 4)) if threads > 1 else [ts]
-    payloads = [(grid, target, chunk, params) for chunk in chunks]
+    payloads = [(grid, target, chunk, params, rows) for chunk in chunks]
     out = []
     with (ProcessPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()) as pool:
         for ds, failed in (pool.map if pool else map)(_chunk_worker, payloads):
@@ -152,13 +159,14 @@ def scan_on_grid(grid, target, config, params=DEFAULT_PARAMS, threads=1) -> Scan
     """Core scan over an already-built grid and resolved target."""
     _warn_if_outside_strip(grid)
     ts = _trace_grid(config)
-    ds, truncated = _evaluate_trace(grid, target, ts, params, threads)
+    rows = zeta.shift_rows(grid.points, config.T, params)
+    ds, truncated = _evaluate_trace(grid, target, ts, params, threads, rows)
     ts = ts[: len(ds)]
     if len(ds) == 0:
         raise PrecisionExhausted("scan failed before the first trace point")
 
     def d_eval(t):
-        return discrepancy(grid, target, t, params)
+        return discrepancy(grid, target, t, params, rows)
 
     intervals = _assemble_intervals(ts, ds, config.eps, d_eval, config.refine_tol)
     total = sum(hi - lo for lo, hi in intervals)

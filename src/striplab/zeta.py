@@ -7,8 +7,14 @@ For s != 1 with Re(s) > -1 and N = max(min_terms, ceil(terms_per_unit_t * |Im s|
 
 The reported error estimate is twice the magnitude of the first omitted
 correction term; N is doubled (at most twice) when that estimate exceeds
-1e-6.  Everything is plain double precision: the estimate makes precision
-loss visible instead of hiding it behind arbitrary-precision arithmetic.
+1e-6.  Everything is double precision except the phases of
+n^-s = n^(-Re s) * exp(-i Im s ln n), whose arguments are reduced mod 2*pi
+in extended precision: the estimate makes precision loss visible instead of
+hiding it behind arbitrary-precision arithmetic.
+
+For shifted points z_j + it the factors n^(-z_j) do not depend on t.  They
+are kept as rows (DirichletRows), built once for a scan's horizon, and each
+t adds one phase table exp(-i t ln n) that all points share.
 """
 
 from __future__ import annotations
@@ -92,33 +98,79 @@ _WIDE = np.finfo(np.longdouble).eps < 1e-18
 _PHASE_DTYPE = np.longdouble if _WIDE else np.float64
 _TWO_PI_WIDE = 2.0 * np.pi if not _WIDE else 2 * np.arccos(np.longdouble(-1.0))
 
+# table entries (points x terms) of one block that zeta_shifted_grid builds
+# for itself, and the most that one scan keeps for its whole horizon
+_BLOCK_ENTRIES = 1 << 16
+_SCAN_ENTRIES = 1 << 22
+
 _ln_cache = np.log(np.arange(1.0, 64.0, dtype=_PHASE_DTYPE))
 
 
 def _ln_table(count: int) -> np.ndarray:
     global _ln_cache
     if count > len(_ln_cache):
-        _ln_cache = np.log(np.arange(1.0, 2 * count + 1.0, dtype=_PHASE_DTYPE))
+        _ln_cache = np.log(np.arange(1.0, count + 1.0, dtype=_PHASE_DTYPE))
     return _ln_cache[:count]
 
 
-def _unit_phases(tau: float, ln_values: np.ndarray) -> np.ndarray:
-    """exp(-i * tau * ln) with the argument reduced mod 2*pi in wide precision."""
-    theta = np.mod(_PHASE_DTYPE(tau) * ln_values, _TWO_PI_WIDE).astype(np.float64)
-    return np.exp(-1j * theta)
+def _unit_phases(tau, ln_values: np.ndarray) -> np.ndarray:
+    """exp(-i * tau * ln) with the argument reduced mod 2*pi in wide precision;
+    tau is a scalar or a column of values."""
+    theta = np.asarray(tau, dtype=_PHASE_DTYPE) * ln_values
+    np.mod(theta, _TWO_PI_WIDE, out=theta)
+    theta = theta.astype(np.float64)
+    phase = theta * -1j
+    return np.exp(phase, out=phase)
 
 
 def _choose_n(tau: float, params: ZetaParams) -> int:
     return max(params.min_terms, int(math.ceil(params.terms_per_unit_t * abs(tau))))
 
 
-def _em_eval(s: complex, N: int, kb: int, phase: np.ndarray) -> tuple[complex, float]:
-    # phase is exp(-i Im(s) ln n) for n = 1..N, shared by points of equal
-    # Im(s): the first N-1 entries feed the partial sum, the last one N^(-s)
-    amp = np.exp(-s.real * np.asarray(_ln_table(N - 1), dtype=np.float64))
-    partial = complex(np.sum(amp * phase[:-1]))
+class DirichletRows:
+    """n^(-z_j) for fixed points z_j and n = 1..count, one row per point:
+    table[j, n-1] = n^(-Re z_j) * exp(-i Im z_j ln n), the phase taken in wide
+    precision.  The table does not depend on a shift t, so zeta(z_j + it)
+    needs one phase table exp(-i t ln n) shared by all points."""
+
+    def __init__(self, points, count: int = 0):
+        self.points = np.asarray(points, dtype=complex)
+        self.table = np.empty((len(self.points), 0), dtype=complex)
+        self.ensure(count)
+
+    def _columns(self, start: int, stop: int) -> np.ndarray:
+        ln = _ln_table(stop)[start:]
+        z = self.points[:, None]
+        cols = _unit_phases(z.imag, ln)
+        amp = ln.astype(np.float64) * -z.real
+        cols *= np.exp(amp, out=amp)
+        return cols
+
+    def ensure(self, count: int) -> None:
+        """Grow the table to exactly `count` columns if it has fewer."""
+        have = self.table.shape[1]
+        if count > have:
+            cols = self._columns(have, count)
+            self.table = np.concatenate((self.table, cols), axis=1) if have else cols
+
+
+def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> DirichletRows | None:
+    """Rows for the points that serve every shift |t| <= t_max, or None when
+    the table would exceed the scan budget (callers then pass no rows)."""
+    points = np.asarray(points, dtype=complex)
+    tau = min(abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0)), _MAX_IM)
+    count = _choose_n(tau, params)
+    if len(points) * count > _SCAN_ENTRIES:
+        return None
+    return DirichletRows(points, count)
+
+
+def _em_eval(s: complex, N: int, kb: int, terms: np.ndarray) -> tuple[complex, float]:
+    # terms[n-1] = n^(-s) for n = 1..N: the first N-1 form the partial sum,
+    # the last is N^(-s)
+    partial = complex(np.sum(terms[:-1]))
     q = _em_coefficients(kb)
-    n_neg_s = float(N) ** (-s.real) * complex(phase[-1])  # N^(-s)
+    n_neg_s = complex(terms[-1])
     value = partial + N * n_neg_s / (s - 1.0) + n_neg_s / 2.0
     rising = s
     npow = n_neg_s / N
@@ -142,45 +194,68 @@ def _check_range(s: complex) -> complex:
     return s
 
 
-def _evaluate(points, params: ZetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error estimates) of zeta at the points.  Points sharing Im(s)
-    share N and the phase table; N is doubled, at most twice, only for the
-    points whose estimate stays above threshold.  A point that still fails
-    raises PrecisionExhausted carrying its index."""
-    shifted = [_check_range(s) for s in points]
+def _shifted(points: np.ndarray, t: float) -> list[complex]:
+    return [_check_range(s) for s in (points + 1j * t).tolist()]
+
+
+def _evaluate(rows: DirichletRows, shifted: list[complex], t: float, params: ZetaParams, offset: int = 0):
+    """(values, error estimates) of zeta at the checked points shifted =
+    z_j + it, z_j the points of `rows`.  One phase table at t serves every
+    point; N is doubled, at most twice, only for the points whose estimate
+    stays above threshold.  A point that still fails raises
+    PrecisionExhausted carrying its index plus `offset`."""
+    counts = [_choose_n(s.imag, params) for s in shifted]
     values = np.empty(len(shifted), dtype=complex)
     errors = np.empty(len(shifted))
-    groups: dict[float, list[int]] = {}
-    for i, s in enumerate(shifted):
-        groups.setdefault(s.imag, []).append(i)
-    for tau, pending in groups.items():
-        N = _choose_n(tau, params)
-        for _ in range(3):
-            phase = _unit_phases(tau, _ln_table(N))
-            for i in pending:
-                values[i], errors[i] = _em_eval(shifted[i], N, params.bernoulli_terms, phase)
-            pending = [i for i in pending if not errors[i] <= _ERR_THRESHOLD or not np.isfinite(values[i])]
-            if not pending:
-                break
-            N *= 2
-        if pending:
-            i = pending[0]
-            raise PrecisionExhausted(
-                f"error estimate {errors[i]:g} above {_ERR_THRESHOLD:g} at s = {shifted[i]} "
-                "after doubling N twice",
-                index=i,
-            )
-    return values, errors
+    pending = range(len(shifted))
+    for _ in range(3):
+        count = max(counts[i] for i in pending)
+        rows.ensure(count)
+        # t = 0 needs no phase table: the rows carry all of Im s
+        phase = _unit_phases(t, _ln_table(count)) if t else None
+        for i in pending:
+            N = counts[i]
+            terms = rows.table[i, :N] if phase is None else rows.table[i, :N] * phase[:N]
+            values[i], errors[i] = _em_eval(shifted[i], N, params.bernoulli_terms, terms)
+        pending = [i for i in pending if not errors[i] <= _ERR_THRESHOLD or not np.isfinite(values[i])]
+        if not pending:
+            return values, errors
+        for i in pending:
+            counts[i] *= 2
+    i = pending[0]
+    raise PrecisionExhausted(
+        f"error estimate {errors[i]:g} above {_ERR_THRESHOLD:g} at s = {shifted[i]} "
+        "after doubling N twice",
+        index=offset + i,
+    )
 
 
 def zeta_em(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> ZetaValue:
     """zeta(s) with an a-posteriori truncation-error estimate."""
-    values, errors = _evaluate([s], params)
+    s = _check_range(s)
+    values, errors = _evaluate(DirichletRows([s]), [s], 0.0, params)
     return ZetaValue(complex(values[0]), float(errors[0]))
 
 
-def zeta_shifted_grid(grid, t: float, params: ZetaParams = DEFAULT_PARAMS) -> tuple[np.ndarray, np.ndarray]:
+def zeta_shifted_grid(
+    grid, t: float, params: ZetaParams = DEFAULT_PARAMS, rows: DirichletRows | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(values, error estimates) of zeta(z_i + i t) for all grid points, as
-    arrays.  Horizontal grids share one phase table per row, and every value
-    is identical to a one-point zeta_em call."""
-    return _evaluate(grid.points + 1j * t, params)
+    arrays.  `rows`, when given, are DirichletRows of grid.points (see
+    shift_rows) that a scan reuses for every t; without them the points are
+    evaluated in blocks of bounded size.  The shift's phase is taken apart
+    from Im z_i, both in wide precision, so a value can differ from the
+    one-point zeta_em(z_i + i t) in the last bits: it is the value at the
+    exact point, not at Im z_i + t rounded to a double."""
+    shifted = _shifted(grid.points, t)
+    if rows is not None:
+        return _evaluate(rows, shifted, t, params)
+    values = np.empty(len(shifted), dtype=complex)
+    errors = np.empty(len(shifted))
+    widest = _choose_n(max((abs(s.imag) for s in shifted), default=0.0), params)
+    step = max(1, _BLOCK_ENTRIES // widest)
+    for lo in range(0, len(shifted), step):
+        block = slice(lo, lo + step)
+        rows = DirichletRows(grid.points[block])
+        values[block], errors[block] = _evaluate(rows, shifted[block], t, params, offset=lo)
+    return values, errors

@@ -154,11 +154,14 @@ def test_grid_horizontal_points_against_oracle():
 
 
 def test_grid_shares_phase_table_for_equal_im():
-    # two points with equal imaginary part must agree exactly with scalars
+    # the points share one phase table at t; the shift's phase is taken apart
+    # from Im z, so a value may differ from the scalar call in the last bits
+    mpmath = pytest.importorskip("mpmath")
     grid = discretize(PointSet((0.6 + 0.3j, 0.9 + 0.3j)), 0.1)
-    values, _ = zeta_shifted_grid(grid, 7.5)
-    for z, v in zip(grid.points, values):
-        assert v == zeta_em(complex(z) + 7.5j).value
+    values, errors = zeta_shifted_grid(grid, 7.5)
+    for z, v, err in zip(grid.points, values, errors):
+        assert abs(v - zeta_em(complex(z) + 7.5j).value) <= 1e-14 * abs(v)
+        assert abs(v - _mpmath_at_shift(mpmath, z, 7.5)) <= max(err, 1e-12)
 
 
 def test_grid_propagates_offending_index():
@@ -169,9 +172,65 @@ def test_grid_propagates_offending_index():
     assert excinfo.value.index == 1
 
 
+def test_grid_offending_index_is_global_past_the_first_block(monkeypatch):
+    # blocks of two points (N = 2 each): the offender at index 5 sits in the
+    # third block, and the error carries its index in the grid
+    params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
+    grid = discretize(PointSet(tuple(0.75 + 0.1j * k for k in range(5)) + (0.75 + 2e5j, 0.8)), 0.01)
+    monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", 4)
+    with pytest.raises(PrecisionExhausted) as excinfo:
+        zeta_shifted_grid(grid, 0.0, params)
+    assert excinfo.value.index == 5
+
+
+def test_grid_blocks_give_the_one_block_values(monkeypatch):
+    grid = discretize(Segment(0.75, 0.75 + 0.2j), 0.02)
+    whole = zeta_shifted_grid(grid, 100.0)
+    monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", 1)
+    for a, b in zip(whole, zeta_shifted_grid(grid, 100.0)):
+        assert np.array_equal(a, b)
+
+
+def test_grid_with_scan_rows_matches_one_shot():
+    grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
+    params = ZetaParams(terms_per_unit_t=0.35)
+    rows = zeta_mod.shift_rows(grid.points, 2e3, params)
+    assert rows.table.shape == (len(grid), math.ceil(0.35 * (2e3 + 0.2)))
+    for t in (0.0, 250.0, 1999.5):
+        for a, b in zip(zeta_shifted_grid(grid, t, params, rows), zeta_shifted_grid(grid, t, params)):
+            assert np.array_equal(a, b)
+
+
+def test_shift_rows_over_budget_is_none():
+    points = np.full(100, 0.75 + 0j)
+    assert zeta_mod.shift_rows(points, 1e6) is None
+    assert zeta_mod.shift_rows(points, 1e2) is not None
+
+
+def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
+    em_eval = zeta_mod._em_eval
+    used = []
+
+    def recording(s, N, kb, terms):
+        used.append(N)
+        return em_eval(s, N, kb, terms)
+
+    monkeypatch.setattr(zeta_mod, "_em_eval", recording)
+    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    zeta_em(0.75 + 1e4j)
+    assert len(zeta_mod._ln_cache) <= max(used)
+
+
 # ---------------------------------------------------------------- mpmath oracle
 
 ORACLE_SIGMAS = (0.55, 0.75, 0.95)
+
+
+def _mpmath_at_shift(mpmath, z, t):
+    # zeta at the exact point Re z + i (Im z + t), not at its rounded double
+    with mpmath.workdps(30):
+        s = mpmath.mpc(mpmath.mpf(z.real), mpmath.mpf(z.imag) + mpmath.mpf(t))
+        return complex(mpmath.zeta(s))
 
 
 def _check_against_mpmath(t, params=DEFAULT_PARAMS):
@@ -198,13 +257,24 @@ def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
     em_eval = zeta_mod._em_eval
     used = set()
 
-    def recording(s, N, kb, phase):
+    def recording(s, N, kb, terms):
         used.add(N)
-        return em_eval(s, N, kb, phase)
+        return em_eval(s, N, kb, terms)
 
     monkeypatch.setattr(zeta_mod, "_em_eval", recording)
     _check_against_mpmath(1e3, ZetaParams(terms_per_unit_t=per_unit_t))
     assert sorted(used) == ns
+
+
+@pytest.mark.parametrize("t", [43225.0, 1e5])
+def test_grid_against_mpmath_at_exact_point(t):
+    # the criterion-6 grid: Im z_j + t rounded to a double would put the
+    # phase 1e-11 off at t = 1e5
+    mpmath = pytest.importorskip("mpmath")
+    grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
+    values, errors = zeta_shifted_grid(grid, t, ZetaParams(terms_per_unit_t=0.35))
+    for z, v, err in zip(grid.points, values, errors):
+        assert abs(v - _mpmath_at_shift(mpmath, z, t)) <= max(err, 1e-12)
 
 
 # ---------------------------------------------------------------- invariants
