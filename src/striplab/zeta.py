@@ -12,9 +12,11 @@ n^-s = n^(-Re s) * exp(-i Im s ln n), whose arguments are reduced mod 2*pi
 in extended precision: the estimate makes precision loss visible instead of
 hiding it behind arbitrary-precision arithmetic.
 
-For shifted points z_j + it the factors n^(-z_j) do not depend on t.  They
-are kept as rows (DirichletRows), built once for a scan's horizon, and each
-t adds one phase table exp(-i t ln n) that all points share.
+For shifted points z_j + it the factors n^(-z_j) do not depend on t.  A
+scan keeps them as rows (DirichletRows), built once for its horizon, and
+each t adds one phase table exp(-i t ln n) that all points share.  Without
+rows, or past their width, the points of equal Im share one phase table
+exp(-i (Im z_j + t) ln n), the sum taken in extended precision.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ _WIDE = np.finfo(np.longdouble).eps < 1e-18
 _PHASE_DTYPE = np.longdouble if _WIDE else np.float64
 _TWO_PI_WIDE = 2.0 * np.pi if not _WIDE else 2 * np.arccos(np.longdouble(-1.0))
 
-# table entries (points x terms) of one block that zeta_shifted_grid builds
-# for itself, and the most that one scan keeps for its whole horizon
-_BLOCK_ENTRIES = 1 << 16
+# the most table entries (points x terms) that a scan keeps as DirichletRows,
+# 64 MB of complex values; a larger scan evaluates every t without rows, as
+# fast as before the rows existed
 _SCAN_ENTRIES = 1 << 22
 
 _ln_cache = np.log(np.arange(1.0, 64.0, dtype=_PHASE_DTYPE))
@@ -114,8 +116,7 @@ def _ln_table(count: int) -> np.ndarray:
 
 
 def _unit_phases(tau, ln_values: np.ndarray) -> np.ndarray:
-    """exp(-i * tau * ln) with the argument reduced mod 2*pi in wide precision;
-    tau is a scalar or a column of values."""
+    """exp(-i * tau * ln) with the argument reduced mod 2*pi in wide precision."""
     theta = np.asarray(tau, dtype=_PHASE_DTYPE) * ln_values
     np.mod(theta, _TWO_PI_WIDE, out=theta)
     theta = theta.astype(np.float64)
@@ -127,42 +128,43 @@ def _choose_n(tau: float, params: ZetaParams) -> int:
     return max(params.min_terms, int(math.ceil(params.terms_per_unit_t * abs(tau))))
 
 
+def _by_im(points: np.ndarray, indices) -> dict[float, list[int]]:
+    groups: dict[float, list[int]] = {}
+    for i in indices:
+        groups.setdefault(points[i].imag, []).append(i)
+    return groups
+
+
+@dataclass(frozen=True, eq=False)
 class DirichletRows:
-    """n^(-z_j) for fixed points z_j and n = 1..count, one row per point:
+    """n^(-z_j) for fixed points z_j and n = 1..width, one row per point:
     table[j, n-1] = n^(-Re z_j) * exp(-i Im z_j ln n), the phase taken in wide
     precision.  The table does not depend on a shift t, so zeta(z_j + it)
     needs one phase table exp(-i t ln n) shared by all points."""
 
-    def __init__(self, points, count: int = 0):
-        self.points = np.asarray(points, dtype=complex)
-        self.table = np.empty((len(self.points), 0), dtype=complex)
-        self.ensure(count)
-
-    def _columns(self, start: int, stop: int) -> np.ndarray:
-        ln = _ln_table(stop)[start:]
-        z = self.points[:, None]
-        cols = _unit_phases(z.imag, ln)
-        amp = ln.astype(np.float64) * -z.real
-        cols *= np.exp(amp, out=amp)
-        return cols
-
-    def ensure(self, count: int) -> None:
-        """Grow the table to exactly `count` columns if it has fewer."""
-        have = self.table.shape[1]
-        if count > have:
-            cols = self._columns(have, count)
-            self.table = np.concatenate((self.table, cols), axis=1) if have else cols
+    points: np.ndarray
+    table: np.ndarray
 
 
 def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> DirichletRows | None:
     """Rows for the points that serve every shift |t| <= t_max, or None when
-    the table would exceed the scan budget (callers then pass no rows)."""
+    the table would exceed _SCAN_ENTRIES (callers then pass no rows)."""
     points = np.asarray(points, dtype=complex)
     tau = min(abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0)), _MAX_IM)
     count = _choose_n(tau, params)
     if len(points) * count > _SCAN_ENTRIES:
         return None
-    return DirichletRows(points, count)
+    ln = _ln_table(count)
+    # filled one distinct Im, then one point, at a time, so that the table is
+    # the only points x terms array; points of equal Im share one wide phase
+    table = np.empty((len(points), count), dtype=complex)
+    for im, group in _by_im(points, range(len(points))).items():
+        table[group] = _unit_phases(im, ln)
+    ln = ln.astype(np.float64)
+    for row, sigma in zip(table, points.real):
+        amp = ln * -sigma
+        row *= np.exp(amp, out=amp)
+    return DirichletRows(points, table)
 
 
 def _em_eval(s: complex, N: int, kb: int, terms: np.ndarray) -> tuple[complex, float]:
@@ -194,29 +196,41 @@ def _check_range(s: complex) -> complex:
     return s
 
 
-def _shifted(points: np.ndarray, t: float) -> list[complex]:
-    return [_check_range(s) for s in (points + 1j * t).tolist()]
+def _terms(points: np.ndarray, t: float, rows: DirichletRows | None, counts: list[int], pending):
+    """(i, n^-(z_i + it) for n = 1..counts[i]) for the pending indices.  Where
+    `rows` are wide enough, a row times one phase table at t that all those
+    points share; elsewhere the points of equal Im share one phase table
+    exp(-i (Im z + t) ln n), the sum Im z + t taken in wide precision."""
+    width = 0 if rows is None else rows.table.shape[1]
+    from_rows = [i for i in pending if counts[i] <= width]
+    if from_rows:
+        # t = 0 needs no phase table: the rows carry all of Im s
+        phase = _unit_phases(t, _ln_table(max(counts[i] for i in from_rows))) if t else None
+        for i in from_rows:
+            row = rows.table[i, : counts[i]]
+            yield i, row if phase is None else row * phase[: counts[i]]
+    for im, group in _by_im(points, [i for i in pending if counts[i] > width]).items():
+        ln = _ln_table(max(counts[i] for i in group))
+        phase = _unit_phases(_PHASE_DTYPE(im) + _PHASE_DTYPE(t), ln)
+        ln = ln.astype(np.float64)
+        for i in group:
+            amp = ln[: counts[i]] * -points[i].real
+            yield i, phase[: counts[i]] * np.exp(amp, out=amp)
 
 
-def _evaluate(rows: DirichletRows, shifted: list[complex], t: float, params: ZetaParams, offset: int = 0):
-    """(values, error estimates) of zeta at the checked points shifted =
-    z_j + it, z_j the points of `rows`.  One phase table at t serves every
-    point; N is doubled, at most twice, only for the points whose estimate
-    stays above threshold.  A point that still fails raises
-    PrecisionExhausted carrying its index plus `offset`."""
+def _evaluate(points: np.ndarray, t: float, params: ZetaParams, rows: DirichletRows | None = None):
+    """(values, error estimates) of zeta at z_j + it for the points z_j.  N
+    is doubled, at most twice, only for the points whose estimate stays above
+    threshold.  A point that still fails raises PrecisionExhausted carrying
+    its index."""
+    shifted = [_check_range(s) for s in (points + 1j * t).tolist()]
     counts = [_choose_n(s.imag, params) for s in shifted]
     values = np.empty(len(shifted), dtype=complex)
     errors = np.empty(len(shifted))
     pending = range(len(shifted))
     for _ in range(3):
-        count = max(counts[i] for i in pending)
-        rows.ensure(count)
-        # t = 0 needs no phase table: the rows carry all of Im s
-        phase = _unit_phases(t, _ln_table(count)) if t else None
-        for i in pending:
-            N = counts[i]
-            terms = rows.table[i, :N] if phase is None else rows.table[i, :N] * phase[:N]
-            values[i], errors[i] = _em_eval(shifted[i], N, params.bernoulli_terms, terms)
+        for i, terms in _terms(points, t, rows, counts, pending):
+            values[i], errors[i] = _em_eval(shifted[i], counts[i], params.bernoulli_terms, terms)
         pending = [i for i in pending if not errors[i] <= _ERR_THRESHOLD or not np.isfinite(values[i])]
         if not pending:
             return values, errors
@@ -226,14 +240,13 @@ def _evaluate(rows: DirichletRows, shifted: list[complex], t: float, params: Zet
     raise PrecisionExhausted(
         f"error estimate {errors[i]:g} above {_ERR_THRESHOLD:g} at s = {shifted[i]} "
         "after doubling N twice",
-        index=offset + i,
+        index=i,
     )
 
 
 def zeta_em(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> ZetaValue:
     """zeta(s) with an a-posteriori truncation-error estimate."""
-    s = _check_range(s)
-    values, errors = _evaluate(DirichletRows([s]), [s], 0.0, params)
+    values, errors = _evaluate(np.array([s], dtype=complex), 0.0, params)
     return ZetaValue(complex(values[0]), float(errors[0]))
 
 
@@ -241,21 +254,11 @@ def zeta_shifted_grid(
     grid, t: float, params: ZetaParams = DEFAULT_PARAMS, rows: DirichletRows | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, error estimates) of zeta(z_i + i t) for all grid points, as
-    arrays.  `rows`, when given, are DirichletRows of grid.points (see
-    shift_rows) that a scan reuses for every t; without them the points are
-    evaluated in blocks of bounded size.  The shift's phase is taken apart
-    from Im z_i, both in wide precision, so a value can differ from the
-    one-point zeta_em(z_i + i t) in the last bits: it is the value at the
-    exact point, not at Im z_i + t rounded to a double."""
-    shifted = _shifted(grid.points, t)
-    if rows is not None:
-        return _evaluate(rows, shifted, t, params)
-    values = np.empty(len(shifted), dtype=complex)
-    errors = np.empty(len(shifted))
-    widest = _choose_n(max((abs(s.imag) for s in shifted), default=0.0), params)
-    step = max(1, _BLOCK_ENTRIES // widest)
-    for lo in range(0, len(shifted), step):
-        block = slice(lo, lo + step)
-        rows = DirichletRows(grid.points[block])
-        values[block], errors[block] = _evaluate(rows, shifted[block], t, params, offset=lo)
-    return values, errors
+    arrays.  `rows`, when given, are the shift_rows of grid.points that a
+    scan reuses for every t.  Both ways take the value at the exact point
+    Re z_i + i(Im z_i + t), not at Im z_i + t rounded to a double, and may
+    differ from each other and from a one-point zeta_em(z_i + i t) in the
+    last bits."""
+    if rows is not None and not np.array_equal(rows.points, grid.points):
+        raise InvalidSpec("rows were built for other points than the grid's")
+    return _evaluate(grid.points, t, params, rows)

@@ -172,23 +172,16 @@ def test_grid_propagates_offending_index():
     assert excinfo.value.index == 1
 
 
-def test_grid_offending_index_is_global_past_the_first_block(monkeypatch):
-    # blocks of two points (N = 2 each): the offender at index 5 sits in the
-    # third block, and the error carries its index in the grid
+def test_grid_offending_index_with_rows_past_their_width():
+    # the rows hold N = 2; the offender at index 5 doubles past them and
+    # fails in the shared-phase path, with its index in the grid
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     grid = discretize(PointSet(tuple(0.75 + 0.1j * k for k in range(5)) + (0.75 + 2e5j, 0.8)), 0.01)
-    monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", 4)
+    rows = zeta_mod.shift_rows(grid.points, 0.0, params)
+    assert rows.table.shape == (7, 2)
     with pytest.raises(PrecisionExhausted) as excinfo:
-        zeta_shifted_grid(grid, 0.0, params)
+        zeta_shifted_grid(grid, 0.0, params, rows)
     assert excinfo.value.index == 5
-
-
-def test_grid_blocks_give_the_one_block_values(monkeypatch):
-    grid = discretize(Segment(0.75, 0.75 + 0.2j), 0.02)
-    whole = zeta_shifted_grid(grid, 100.0)
-    monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", 1)
-    for a, b in zip(whole, zeta_shifted_grid(grid, 100.0)):
-        assert np.array_equal(a, b)
 
 
 def test_grid_with_scan_rows_matches_one_shot():
@@ -197,8 +190,45 @@ def test_grid_with_scan_rows_matches_one_shot():
     rows = zeta_mod.shift_rows(grid.points, 2e3, params)
     assert rows.table.shape == (len(grid), math.ceil(0.35 * (2e3 + 0.2)))
     for t in (0.0, 250.0, 1999.5):
-        for a, b in zip(zeta_shifted_grid(grid, t, params, rows), zeta_shifted_grid(grid, t, params)):
-            assert np.array_equal(a, b)
+        (v, err), (w, err_w) = zeta_shifted_grid(grid, t, params, rows), zeta_shifted_grid(grid, t, params)
+        assert np.all(np.abs(v - w) <= 1e-14 * np.abs(w))
+        assert np.allclose(err, err_w, rtol=1e-12, atol=0.0)
+
+
+def test_grid_rejects_rows_of_other_points():
+    grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
+    rows = zeta_mod.shift_rows(grid.points + 0.1, 1e2)
+    with pytest.raises(InvalidSpec):
+        zeta_shifted_grid(grid, 1.0, DEFAULT_PARAMS, rows)
+
+
+def test_doubling_past_the_rows_leaves_them_at_their_width():
+    # at t = 1e3 N doubles twice (100 -> 400) past the rows' width; the
+    # doubled points take the shared-phase path and the rows do not grow
+    grid = discretize(PointSet(ORACLE_SIGMAS), 0.1)
+    params = ZetaParams(terms_per_unit_t=0.1)
+    rows = zeta_mod.shift_rows(grid.points, 1e3, params)
+    for a, b in zip(zeta_shifted_grid(grid, 1e3, params), zeta_shifted_grid(grid, 1e3, params, rows)):
+        assert np.array_equal(a, b)
+    assert rows.table.shape == (3, 100)
+
+
+def test_one_wide_phase_table_per_distinct_im(monkeypatch):
+    unit_phases = zeta_mod._unit_phases
+    calls = []
+
+    def recording(tau, ln_values):
+        calls.append(tau)
+        return unit_phases(tau, ln_values)
+
+    monkeypatch.setattr(zeta_mod, "_unit_phases", recording)
+    grid = discretize(PointSet((0.6, 0.7, 0.8, 0.6 + 0.1j, 0.7 + 0.1j)), 0.1)
+    rows = zeta_mod.shift_rows(grid.points, 50.0)
+    assert len(calls) == 2
+    zeta_shifted_grid(grid, 50.0, DEFAULT_PARAMS, rows)
+    assert len(calls) == 3
+    zeta_shifted_grid(grid, 50.0)
+    assert len(calls) == 5
 
 
 def test_shift_rows_over_budget_is_none():
@@ -272,9 +302,12 @@ def test_grid_against_mpmath_at_exact_point(t):
     # phase 1e-11 off at t = 1e5
     mpmath = pytest.importorskip("mpmath")
     grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
-    values, errors = zeta_shifted_grid(grid, t, ZetaParams(terms_per_unit_t=0.35))
-    for z, v, err in zip(grid.points, values, errors):
-        assert abs(v - _mpmath_at_shift(mpmath, z, t)) <= max(err, 1e-12)
+    params = ZetaParams(terms_per_unit_t=0.35)
+    exact = [_mpmath_at_shift(mpmath, z, t) for z in grid.points]
+    for rows in (None, zeta_mod.shift_rows(grid.points, t, params)):
+        values, errors = zeta_shifted_grid(grid, t, params, rows)
+        for x, v, err in zip(exact, values, errors):
+            assert abs(v - x) <= max(err, 1e-12)
 
 
 # ---------------------------------------------------------------- invariants
