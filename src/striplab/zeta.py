@@ -10,7 +10,12 @@ correction term; N is doubled (at most twice) when that estimate exceeds
 1e-6.  Everything is double precision except the phases of
 n^-s = n^(-Re s) * exp(-i Im s ln n), whose arguments are reduced mod 2*pi
 in extended precision: the estimate makes precision loss visible instead of
-hiding it behind arbitrary-precision arithmetic.
+hiding it behind arbitrary-precision arithmetic.  A phase table of at least
+_PRODUCT_CUT entries reduces only the arguments at the primes; n^(-i tau) is
+completely multiplicative, so each composite entry is the product of two
+earlier ones, and the table keeps the wide table's accuracy (both sit at the
+floor tau times the rounding of the extended-precision logs).  At most
+_MAX_TERMS terms are summed for any point.
 
 For shifted points z_j + it the factors n^(-z_j) do not depend on t.  A
 scan keeps them as rows (DirichletRows), built once for its horizon, and
@@ -105,23 +110,113 @@ _TWO_PI_WIDE = 2.0 * np.pi if not _WIDE else 2 * np.arccos(np.longdouble(-1.0))
 # fast as before the rows existed
 _SCAN_ENTRIES = 1 << 22
 
+# the most terms any evaluation may ask for: the log cache alone holds 16
+# bytes per term, and |Im s| near the 1e8 guard would ask for 2e8 terms
+_MAX_TERMS = 1 << 26
+
+# tables of at least this many entries take the wide phase only at the primes
+# and fill the composites by products (_product_phases); below it one wide
+# pass over every n is faster
+_PRODUCT_CUT = 2048
+
 _ln_cache = np.log(np.arange(1.0, 64.0, dtype=_PHASE_DTYPE))
+_plan_cache = None
 
 
 def _ln_table(count: int) -> np.ndarray:
     global _ln_cache
+    if count > _MAX_TERMS:
+        raise InvalidSpec(f"{count} terms exceed the term cap {_MAX_TERMS} (2^26)")
     if count > len(_ln_cache):
         _ln_cache = np.log(np.arange(1.0, count + 1.0, dtype=_PHASE_DTYPE))
     return _ln_cache[:count]
 
 
-def _unit_phases(tau, ln_values: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _FactorPlan:
+    """How to fill exp(-i tau ln n) for n = 1..size in the buffer order
+    [1, primes ascending, composites ascending]: primes holds n - 1 of each
+    prime; factors and cofactors hold the buffer positions of p and m = n / p
+    for each composite n, p its smallest prime factor; order[n - 1] is the
+    buffer position of n.  All indices are int32."""
+
+    size: int
+    primes: np.ndarray
+    factors: np.ndarray
+    cofactors: np.ndarray
+    order: np.ndarray
+
+
+def _factor_plan() -> _FactorPlan:
+    """The plan over n = 1..len(_ln_cache), built once per size of the log
+    cache; a call cuts it to its own count by prefix."""
+    global _plan_cache
+    size = len(_ln_cache)
+    if _plan_cache is None or _plan_cache.size != size:
+        spf = np.zeros(size + 1, dtype=np.int32)
+        for p in range(2, math.isqrt(size) + 1):
+            if not spf[p]:
+                multiples = spf[p * p :: p]
+                multiples[multiples == 0] = p
+        spf[:2] = 1
+        primes = np.flatnonzero(spf == 0).astype(np.int32)
+        composites = np.flatnonzero(spf[2:]).astype(np.int32) + 2
+        order = np.empty(size, dtype=np.int32)
+        order[0] = 0
+        order[primes - 1] = np.arange(1, len(primes) + 1, dtype=np.int32)
+        order[composites - 1] = np.arange(len(primes) + 1, size, dtype=np.int32)
+        factors = spf[composites]
+        _plan_cache = _FactorPlan(
+            size,
+            primes=primes - 1,
+            factors=order[factors - 1],
+            cofactors=order[composites // factors - 1],
+            order=order,
+        )
+    return _plan_cache
+
+
+def _wide_phases(tau, ln_values: np.ndarray) -> np.ndarray:
     """exp(-i * tau * ln) with the argument reduced mod 2*pi in wide precision."""
     theta = np.asarray(tau, dtype=_PHASE_DTYPE) * ln_values
     np.mod(theta, _TWO_PI_WIDE, out=theta)
     theta = theta.astype(np.float64)
     phase = theta * -1j
     return np.exp(phase, out=phase)
+
+
+def _product_phases(tau, count: int) -> np.ndarray:
+    """exp(-i * tau * ln n) for n = 1..count from wide phases at the primes:
+    n^(-i tau) is completely multiplicative, so each composite n = p * m is
+    phase[p] * phase[m].  Both factors lie below 2^k for n in [2^k, 2^(k+1)),
+    so one vectorised pass per doubling block fills the table."""
+    plan = _factor_plan()
+    primes = plan.primes[: np.searchsorted(plan.primes, count)]
+    start = len(plan.primes) + 1
+    # composites below x: x - 2 minus the primes below x; the blocks end at
+    # the powers of two, the last at count + 1
+    ends = np.minimum(1 << np.arange(3, count.bit_length() + 1), count + 1)
+    ends = ends - 2 - np.searchsorted(plan.primes, ends - 1)
+    buf = np.empty(start + ends[-1], dtype=complex)
+    buf[0] = 1.0
+    buf[1 : len(primes) + 1] = _wide_phases(tau, _ln_cache[primes])
+    lo = 0
+    for hi in ends:
+        np.multiply(
+            buf.take(plan.factors[lo:hi]), buf.take(plan.cofactors[lo:hi]), out=buf[start + lo : start + hi]
+        )
+        lo = hi
+    return buf.take(plan.order[:count])
+
+
+def _unit_phases(tau, count: int) -> np.ndarray:
+    """exp(-i * tau * ln n) for n = 1..count.  Below _PRODUCT_CUT every
+    argument is reduced mod 2*pi in wide precision; from it on only the
+    primes are, and the composites are products of earlier entries."""
+    ln = _ln_table(count)
+    if count < _PRODUCT_CUT:
+        return _wide_phases(tau, ln)
+    return _product_phases(tau, count)
 
 
 def _choose_n(tau: float, params: ZetaParams) -> int:
@@ -154,13 +249,12 @@ def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> Dir
     count = _choose_n(tau, params)
     if len(points) * count > _SCAN_ENTRIES:
         return None
-    ln = _ln_table(count)
     # filled one distinct Im, then one point, at a time, so that the table is
-    # the only points x terms array; points of equal Im share one wide phase
+    # the only points x terms array; points of equal Im share one phase table
     table = np.empty((len(points), count), dtype=complex)
     for im, group in _by_im(points, range(len(points))).items():
-        table[group] = _unit_phases(im, ln)
-    ln = ln.astype(np.float64)
+        table[group] = _unit_phases(im, count)
+    ln = _ln_table(count).astype(np.float64)
     for row, sigma in zip(table, points.real):
         amp = ln * -sigma
         row *= np.exp(amp, out=amp)
@@ -205,14 +299,14 @@ def _terms(points: np.ndarray, t: float, rows: DirichletRows | None, counts: lis
     from_rows = [i for i in pending if counts[i] <= width]
     if from_rows:
         # t = 0 needs no phase table: the rows carry all of Im s
-        phase = _unit_phases(t, _ln_table(max(counts[i] for i in from_rows))) if t else None
+        phase = _unit_phases(t, max(counts[i] for i in from_rows)) if t else None
         for i in from_rows:
             row = rows.table[i, : counts[i]]
             yield i, row if phase is None else row * phase[: counts[i]]
     for im, group in _by_im(points, [i for i in pending if counts[i] > width]).items():
-        ln = _ln_table(max(counts[i] for i in group))
-        phase = _unit_phases(_PHASE_DTYPE(im) + _PHASE_DTYPE(t), ln)
-        ln = ln.astype(np.float64)
+        count = max(counts[i] for i in group)
+        phase = _unit_phases(_PHASE_DTYPE(im) + _PHASE_DTYPE(t), count)
+        ln = _ln_table(count).astype(np.float64)
         for i in group:
             amp = ln[: counts[i]] * -points[i].real
             yield i, phase[: counts[i]] * np.exp(amp, out=amp)

@@ -247,8 +247,93 @@ def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
 
     monkeypatch.setattr(zeta_mod, "_em_eval", recording)
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zeta_em(0.75 + 1e4j)
     assert len(zeta_mod._ln_cache) <= max(used)
+    # N = 2e4 is past the product cut, so the factor plan was built too, at
+    # the log cache's size and with int32 indices
+    plan = zeta_mod._plan_cache
+    assert plan.size == len(plan.order) == len(zeta_mod._ln_cache)
+    for indices in (plan.primes, plan.factors, plan.cofactors, plan.order):
+        assert indices.dtype == np.int32
+
+
+def test_term_cap_raises_before_allocating(monkeypatch):
+    # |Im s| = 5e7 passes the 1e8 precision guard but asks for N = 1e8 terms
+    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    with pytest.raises(InvalidSpec, match="term cap 67108864"):
+        zeta_em(0.75 + 5e7j)
+    grid = discretize(PointSet((0.75,)), 0.1)
+    assert zeta_mod.shift_rows(grid.points, 5e7) is None
+    with pytest.raises(InvalidSpec, match="term cap"):
+        zeta_shifted_grid(grid, 5e7)
+    assert len(zeta_mod._ln_cache) == 63 and zeta_mod._plan_cache is None
+
+
+def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
+    # N = 2e6; the fixture drops the large caches afterwards
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    zv = zeta_em(0.75 + 1e6j)
+    assert abs(zv.value - _mpmath_at_shift(mpmath, 0.75 + 0j, 1e6)) <= 1e-12
+
+
+# ---------------------------------------------------------------- phase tables
+
+
+def _wide_reference(tau, count):
+    # every argument tau * ln n reduced mod 2 pi in wide precision, as the
+    # tables below the product cut are built
+    dtype = zeta_mod._PHASE_DTYPE
+    theta = np.asarray(tau, dtype=dtype) * np.log(np.arange(1.0, count + 1.0, dtype=dtype))
+    theta = np.mod(theta, zeta_mod._TWO_PI_WIDE).astype(np.float64)
+    return np.exp(theta * -1j)
+
+
+def _im_plus_t(im, t):
+    # the shared-phase path's argument, Im z + t summed in wide precision
+    return zeta_mod._PHASE_DTYPE(im) + zeta_mod._PHASE_DTYPE(t)
+
+
+@pytest.mark.parametrize("count", [20, 1000, zeta_mod._PRODUCT_CUT - 1])
+def test_phases_below_the_cut_are_the_wide_table(count):
+    for tau in (0.0, 14.1, 2e3, 43225.0, _im_plus_t(0.2, 43225.0)):
+        assert np.array_equal(zeta_mod._unit_phases(tau, count), _wide_reference(tau, count))
+
+
+@pytest.mark.parametrize("count", [zeta_mod._PRODUCT_CUT, 4000, 15480])
+def test_phases_past_the_cut_agree_with_the_wide_table(count):
+    # up to the criterion-6 shift; at t = 1e5 each table sits about 7e-14
+    # from mpmath, so their gap may reach twice that (mpmath test below)
+    for tau in (14.1, 2e3, 43225.0, _im_plus_t(0.2, 43225.0)):
+        assert np.max(np.abs(zeta_mod._unit_phases(tau, count) - _wide_reference(tau, count))) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [43225.0, 1e5])
+@pytest.mark.parametrize("im", [None, 0.2])
+def test_product_phases_against_mpmath(t, im):
+    # the longest product chains (2^k, 3^k), primes and the largest n,
+    # against 40 digits; im None is the rows path's float t, 0.2 the
+    # shared-phase path's Im z + t in wide precision
+    mpmath = pytest.importorskip("mpmath")
+    sympy = pytest.importorskip("sympy")
+    count = math.ceil(0.35 * (t + 0.2))
+    tau = t if im is None else _im_plus_t(im, t)
+    primes = list(sympy.primerange(2, count + 1))
+    ns = sorted(
+        {2**k for k in range(1, count.bit_length()) if 2**k <= count}
+        | {3**k for k in range(1, 10) if 3**k <= count}
+        | set(primes[:20] + primes[-20:] + primes[:: len(primes) // 40])
+        | set(range(count - 20, count + 1))
+    )
+    product, wide = zeta_mod._unit_phases(tau, count), _wide_reference(tau, count)
+    with mpmath.workdps(40):
+        exact_tau = mpmath.mpf(t) + (0 if im is None else mpmath.mpf(im))
+        exact = np.array([complex(mpmath.expj(-exact_tau * mpmath.log(n))) for n in ns])
+    index = np.array(ns) - 1
+    assert np.max(np.abs(product[index] - exact)) <= np.max(np.abs(wide[index] - exact)) + 1e-15
 
 
 # ---------------------------------------------------------------- mpmath oracle
@@ -281,9 +366,8 @@ def test_against_mpmath(t):
     _check_against_mpmath(t)
 
 
-@pytest.mark.parametrize("per_unit_t, ns", [(0.15, [150, 300]), (0.1, [100, 200, 400])])
-def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
-    # at t = 1e3 the first N leaves the estimate above 1e-6 at every sigma
+def _checked_after_doubling(monkeypatch, t, per_unit_t):
+    # the Ns that _check_against_mpmath used at t
     em_eval = zeta_mod._em_eval
     used = set()
 
@@ -292,8 +376,20 @@ def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
         return em_eval(s, N, kb, terms)
 
     monkeypatch.setattr(zeta_mod, "_em_eval", recording)
-    _check_against_mpmath(1e3, ZetaParams(terms_per_unit_t=per_unit_t))
-    assert sorted(used) == ns
+    _check_against_mpmath(t, ZetaParams(terms_per_unit_t=per_unit_t))
+    return sorted(used)
+
+
+@pytest.mark.parametrize("per_unit_t, ns", [(0.15, [150, 300]), (0.1, [100, 200, 400])])
+def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
+    # at t = 1e3 the first N leaves the estimate above 1e-6 at every sigma
+    assert _checked_after_doubling(monkeypatch, 1e3, per_unit_t) == ns
+
+
+def test_against_mpmath_after_doubling_past_the_product_cut(monkeypatch):
+    # at t = 1e4 N doubles from 1000, below the cut, to 2000 and 4000 past it
+    assert _checked_after_doubling(monkeypatch, 1e4, 0.1) == [1000, 2000, 4000]
+    assert 1000 < zeta_mod._PRODUCT_CUT <= 4000
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
