@@ -134,13 +134,12 @@ def _ln_table(count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FactorPlan:
-    """How to fill exp(-i tau ln n) for n = 1..size in the buffer order
-    [1, primes ascending, composites ascending]: primes holds n - 1 of each
-    prime; factors and cofactors hold the buffer positions of p and m = n / p
-    for each composite n, p its smallest prime factor; order[n - 1] is the
-    buffer position of n.  All indices are int32."""
+    """How to fill exp(-i tau ln n) for n = 1..len(order) in the buffer
+    order [1, primes ascending, composites ascending]: primes holds n - 1 of
+    each prime; factors and cofactors hold the buffer positions of p and
+    m = n / p for each composite n, p its smallest prime factor; order[n - 1]
+    is the buffer position of n.  All indices are int32."""
 
-    size: int
     primes: np.ndarray
     factors: np.ndarray
     cofactors: np.ndarray
@@ -152,7 +151,7 @@ def _factor_plan() -> _FactorPlan:
     cache; a call cuts it to its own count by prefix."""
     global _plan_cache
     size = len(_ln_cache)
-    if _plan_cache is None or _plan_cache.size != size:
+    if _plan_cache is None or len(_plan_cache.order) != size:
         spf = np.zeros(size + 1, dtype=np.int32)
         for p in range(2, math.isqrt(size) + 1):
             if not spf[p]:
@@ -167,7 +166,6 @@ def _factor_plan() -> _FactorPlan:
         order[composites - 1] = np.arange(len(primes) + 1, size, dtype=np.int32)
         factors = spf[composites]
         _plan_cache = _FactorPlan(
-            size,
             primes=primes - 1,
             factors=order[factors - 1],
             cofactors=order[composites // factors - 1],
@@ -193,8 +191,8 @@ def _product_phases(tau, count: int) -> np.ndarray:
     plan = _factor_plan()
     primes = plan.primes[: np.searchsorted(plan.primes, count)]
     start = len(plan.primes) + 1
-    # composites below x: x - 2 minus the primes below x; the blocks end at
-    # the powers of two, the last at count + 1
+    # the blocks end before n = 8, 16, ..., the last before count + 1; the
+    # composites below x are the x - 2 numbers 2..x-1 less the primes among them
     ends = np.minimum(1 << np.arange(3, count.bit_length() + 1), count + 1)
     ends = ends - 2 - np.searchsorted(plan.primes, ends - 1)
     buf = np.empty(start + ends[-1], dtype=complex)

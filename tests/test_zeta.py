@@ -253,7 +253,7 @@ def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
     # N = 2e4 is past the product cut, so the factor plan was built too, at
     # the log cache's size and with int32 indices
     plan = zeta_mod._plan_cache
-    assert plan.size == len(plan.order) == len(zeta_mod._ln_cache)
+    assert len(plan.order) == len(zeta_mod._ln_cache)
     for indices in (plan.primes, plan.factors, plan.cofactors, plan.order):
         assert indices.dtype == np.int32
 
