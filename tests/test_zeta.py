@@ -272,7 +272,7 @@ def test_term_cap_raises_before_allocating(monkeypatch):
 
 
 def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
-    # N = 2e6; the fixture drops the large caches afterwards
+    # N = 2e6; monkeypatch puts the earlier caches back afterwards
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
@@ -387,7 +387,7 @@ def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
 
 
 def test_against_mpmath_after_doubling_past_the_product_cut(monkeypatch):
-    # at t = 1e4 N doubles from 1000, below the cut, to 2000 and 4000 past it
+    # at t = 1e4 N doubles from 1000 and 2000, below the cut, to 4000 past it
     assert _checked_after_doubling(monkeypatch, 1e4, 0.1) == [1000, 2000, 4000]
     assert 1000 < zeta_mod._PRODUCT_CUT <= 4000
 
