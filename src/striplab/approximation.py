@@ -181,6 +181,8 @@ def approximate(
     """
     if not budget > 0:
         raise InvalidSpec("budget must be positive")
+    if max_degree < 0:
+        raise InvalidSpec("max_degree must be >= 0")
 
     center, scale = set_frame(K)
     h0 = min(0.01, budget / 10.0)
@@ -193,12 +195,11 @@ def approximate(
                 raise
             h0 *= 8.0
     target = targets.resolve_target(target_spec, grid)
-    result = _escalate(grid, target, budget, max_degree, center, scale)
+    fit, met = _escalate(grid, target, budget, max_degree, center, scale)
 
     # one re-fit if the fitted polynomial's derivative bound invalidates the
     # grid choice; skipped when no feasible density could restore the slack
     # (the certificate then reports the oversized L_P * h honestly)
-    fit = result if isinstance(result, FitResult) else result.best
     lp = derivative_bound(fit.polynomial, scale, center)
     if grid.covering_radius * lp > budget:
         h1 = budget / (10.0 * lp)
@@ -209,51 +210,38 @@ def approximate(
                 dense = None
             if dense is not None:
                 target = targets.resolve_target(target_spec, dense)
-                result = _escalate(dense, target, budget, max_degree, center, scale)
+                fit, met = _escalate(dense, target, budget, max_degree, center, scale)
 
-    if isinstance(result, FitResult):
-        return result
-    raise result
+    if not met:
+        raise BudgetNotMet(fit, budget)
+    return fit
 
 
-def _escalate(grid, target, budget, max_degree, center, scale):
-    """Doubling-then-bisection search for the least sufficient degree.
-    Returns a FitResult on success or a BudgetNotMet exception object."""
+def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResult, bool]:
+    """Search for the least degree whose fit beats the budget: 1, 2, 4, ...
+    below the cap, then the cap, then bisection.  Returns (fit, True) for
+    that degree, or (best, False) with best the first attempt of least sup
+    error when even the cap fails."""
     cap = min(max_degree, len(grid) - 1)
-    best = None
-    success_fits: dict[int, FitResult] = {}
+    fits: dict[int, FitResult] = {}
 
-    def attempt(d):
-        nonlocal best
-        fit = lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale)
-        if best is None or fit.sup_error_on_samples < best.sup_error_on_samples:
-            best = fit
-        if fit.sup_error_on_samples < budget:
-            success_fits[d] = fit
-            return True
-        return False
+    def met(d):
+        fits[d] = lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale)
+        return fits[d].sup_error_on_samples < budget
 
-    d = 1
-    lo, hi = -1, None
-    while True:
-        if d > cap:
-            if hi is None and cap > lo and cap not in success_fits:
-                if attempt(cap):
-                    hi = cap
-                else:
-                    lo = cap
+    d, lo = 1, -1
+    while lo < cap:
+        d = min(d, cap)
+        if met(d):
             break
-        if attempt(d):
-            hi = d
-            break
-        lo = d
-        d *= 2
-    if hi is None:
-        return BudgetNotMet(best, budget)
+        lo, d = d, 2 * d
+    if lo == cap:
+        return min(fits.values(), key=lambda fit: fit.sup_error_on_samples), False
+    hi = d
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if attempt(mid):
+        if met(mid):
             hi = mid
         else:
             lo = mid
-    return success_fits[hi]
+    return fits[hi], True

@@ -166,11 +166,7 @@ def cmd_scan(args) -> int:
         "t_start": args.t_start,
         "grid_h": args.grid_h,
         "via_polynomial": args.via_polynomial,
-        "zeta_params": {
-            "terms_per_unit_t": args.terms_per_unit_t,
-            "min_terms": args.min_terms,
-            "bernoulli_terms": args.bernoulli_terms,
-        },
+        "zeta_params": dataclasses.asdict(params),
     }
     payload: dict = {}
     if args.via_polynomial:
@@ -178,7 +174,7 @@ def cmd_scan(args) -> int:
         # scan against that surrogate at half the threshold
         fp, fit, cert = approximate_nonvanishing(K, target_spec, args.eps / 2.0, args.max_degree)
         grid = geometry.discretize(K, args.grid_h)
-        surrogate = TargetFunction(evaluate_factored(fp, grid.points), "nonvanishing surrogate")
+        surrogate = TargetFunction(evaluate_factored(fp, grid.points))
         config = dataclasses.replace(config, eps=args.eps / 2.0)
         report = scan_mod.scan_on_grid(grid, surrogate, config, params)
         payload["via_polynomial"] = {
@@ -212,8 +208,7 @@ def cmd_zeta(args) -> int:
         "error_estimate": zv.error_estimate,
         "manifest": _manifest(
             "zeta",
-            {"re": args.re, "im": args.im, "terms_per_unit_t": params.terms_per_unit_t,
-             "min_terms": params.min_terms, "bernoulli_terms": params.bernoulli_terms},
+            {"re": args.re, "im": args.im, **dataclasses.asdict(params)},
             {},
             started,
         ),

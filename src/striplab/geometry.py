@@ -164,7 +164,6 @@ class SampleGrid:
 
     points: np.ndarray
     covering_radius: float
-    source: CompactSet
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).copy()
@@ -345,7 +344,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
         raise InvalidSpec("h_target must be positive")
 
     if isinstance(K, PointSet):
-        return SampleGrid(np.array(K.points, dtype=complex), 0.0, K)
+        return SampleGrid(np.array(K.points, dtype=complex), 0.0)
 
     if isinstance(K, Arc):
         length = K.radius * K.span
@@ -354,7 +353,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
             raise BudgetExceeded(f"arc discretization needs {n_int + 1} > {cap} samples")
         ts = np.linspace(0.0, 1.0, n_int + 1)
         pts = K.center + K.radius * np.exp(1j * (K.angle_start + ts * K.span))
-        return SampleGrid(pts, (length / n_int) / 2.0, K)
+        return SampleGrid(pts, (length / n_int) / 2.0)
 
     if isinstance(K, (Segment, Polyline)):
         verts = _vertices(K)
@@ -371,7 +370,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
             chunks.append(u + ts[:-1] * (v - u))
             radius = max(radius, (length / n_int) / 2.0)
         chunks.append(np.array([verts[-1]], dtype=complex))
-        return SampleGrid(np.concatenate(chunks), radius, K)
+        return SampleGrid(np.concatenate(chunks), radius)
 
     if isinstance(K, CantorProduct):
         x_lo, x_hi, y_lo, y_hi = K.rects()
@@ -396,7 +395,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
             dy = height / ny
             radius = max(radius, math.hypot(dx, dy) / 2.0)
             chunks.append((xs[:, None] + 1j * ys[None, :]).ravel())
-        return SampleGrid(np.concatenate(chunks), radius, K)
+        return SampleGrid(np.concatenate(chunks), radius)
 
     raise InvalidSpec(f"unsupported set type {type(K).__name__}")
 

@@ -43,10 +43,6 @@ class Polynomial:
             raise ValueError("polynomial frame scale must be positive and finite")
 
     @property
-    def identity_frame(self) -> bool:
-        return self.center == 0 and self.scale == 1.0
-
-    @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -59,7 +55,7 @@ class Polynomial:
 
     def to_spec(self) -> dict:
         spec = {"coeffs": [[c.real, c.imag] for c in self.coeffs]}
-        if not self.identity_frame:
+        if self.center != 0 or self.scale != 1.0:
             spec["center"] = [self.center.real, self.center.imag]
             spec["scale"] = self.scale
         return spec
@@ -96,10 +92,6 @@ class FactoredPolynomial:
             raise ValueError("factored polynomial needs a finite nonzero leading coefficient")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("factored polynomial scale must be positive and finite")
-
-    @property
-    def degree(self) -> int:
-        return len(self.roots)
 
     def to_spec(self) -> dict:
         spec = {

@@ -12,6 +12,7 @@ refinement can be audited by rerunning at step/2.
 from __future__ import annotations
 
 import contextlib
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,16 +37,16 @@ class ScanConfig:
     t_start: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise InvalidSpec("scan horizon T must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise InvalidSpec("scan horizon T must be positive and finite")
         if not 0.0 <= self.t_start < self.T:
             raise InvalidSpec("t_start must satisfy 0 <= t_start < T")
         if not 0.0 < self.step <= self.T / 10.0:
             raise InvalidSpec("step must be positive and at most T/10")
         if not 0.0 < self.refine_tol < self.step:
             raise InvalidSpec("refine_tol must be positive and below step")
-        if self.eps < 0.0:
-            raise InvalidSpec("eps must be nonnegative")
+        if not 0.0 <= self.eps < math.inf:
+            raise InvalidSpec("eps must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +222,8 @@ def line_universality(
     K = Segment(complex(sigma), complex(sigma, C))
     h = grid_h if grid_h is not None else min(DEFAULT_GRID_H, C / 4.0)
     grid = geometry.discretize(K, h)
-    if callable(f) and not isinstance(f, TargetFunction):
-        samples = [complex(f(float(z.imag))) for z in grid.points]
-        target = TargetFunction(samples, getattr(f, "__name__", "f(t)"))
-    else:
-        target = targets.resolve_target(f, grid, params)
+    spec = (lambda z: f(float(z.imag))) if callable(f) else f
+    target = targets.resolve_target(spec, grid, params)
     return scan_on_grid(grid, target, config, params, threads)
 
 

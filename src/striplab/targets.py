@@ -22,7 +22,6 @@ class TargetFunction:
     """Target values aligned 1:1 with a SampleGrid, as a read-only complex array."""
 
     samples: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         vals = np.array(self.samples, dtype=complex)
@@ -43,25 +42,27 @@ def resolve_target(spec, grid: SampleGrid, zeta_params=None) -> TargetFunction:
         return spec
     if callable(spec):
         values = [complex(spec(z)) for z in grid.points]
-        return TargetFunction(values, getattr(spec, "__name__", "callable"))
+        return TargetFunction(values)
     if isinstance(spec, (int, float, complex)):
-        c = complex(spec)
-        return TargetFunction(np.full(len(grid), c), f"constant {c}")
+        return TargetFunction(np.full(len(grid), complex(spec)))
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "builtin":
             return _builtin(spec, grid)
         if kind == "samples":
-            values = [complex(re, im) for re, im in spec["values"]]
+            try:
+                values = [complex(re, im) for re, im in spec["values"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InvalidSpec(f"samples target needs 'values' as [re, im] pairs: {exc}") from exc
             if len(values) != len(grid):
                 raise InvalidSpec(
                     f"samples target has {len(values)} values but the grid has {len(grid)}"
                 )
-            return TargetFunction(values, "samples")
+            return TargetFunction(values)
         if kind == "zeta":
             params = zeta_params if zeta_params is not None else zeta_mod.DEFAULT_PARAMS
             values, _ = zeta_mod.zeta_shifted_grid(grid, 0.0, params)
-            return TargetFunction(values, "zeta(z)")
+            return TargetFunction(values)
         raise InvalidSpec(f"unknown target kind {kind!r}")
     raise InvalidSpec(f"cannot interpret target spec {spec!r}")
 
@@ -70,15 +71,18 @@ def _builtin(spec: dict, grid: SampleGrid) -> TargetFunction:
     name = spec.get("name")
     z = grid.points
     if name == "conj":
-        return TargetFunction(np.conj(z), "conj(z)")
+        return TargetFunction(np.conj(z))
     if name == "abs":
-        return TargetFunction(np.abs(z), "|z|")
+        return TargetFunction(np.abs(z))
     if name == "identity":
-        return TargetFunction(z, "z")
+        return TargetFunction(z)
     if name == "constant":
         value = spec.get("value")
         if value is None:
             raise InvalidSpec("builtin constant target needs a 'value' field")
-        c = complex(value[0], value[1]) if isinstance(value, (list, tuple)) else complex(value)
-        return TargetFunction(np.full(len(grid), c), f"constant {c}")
+        try:
+            c = complex(value[0], value[1]) if isinstance(value, (list, tuple)) else complex(value)
+        except (IndexError, TypeError, ValueError) as exc:
+            raise InvalidSpec(f"builtin constant 'value' must be a number or [re, im]: {exc}") from exc
+        return TargetFunction(np.full(len(grid), c))
     raise InvalidSpec(f"unknown builtin target {name!r}")

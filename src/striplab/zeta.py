@@ -26,6 +26,7 @@ exp(-i (Im z_j + t) ln n), the sum taken in extended precision.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,11 +222,20 @@ def _choose_n(tau: float, params: ZetaParams) -> int:
     return max(params.min_terms, int(math.ceil(params.terms_per_unit_t * abs(tau))))
 
 
-def _by_im(points: np.ndarray, indices) -> dict[float, list[int]]:
+def _shared_phase_terms(points: np.ndarray, t: float, counts, indices):
+    """(i, n^-(z_i + it) for n = 1..counts[i]) for the indices: the points of
+    equal Im share one phase table exp(-i (Im z + t) ln n), the sum Im z + t
+    taken in wide precision, times each point's n^(-Re z)."""
     groups: dict[float, list[int]] = {}
     for i in indices:
         groups.setdefault(points[i].imag, []).append(i)
-    return groups
+    for im, group in groups.items():
+        count = max(counts[i] for i in group)
+        phase = _unit_phases(_PHASE_DTYPE(im) + _PHASE_DTYPE(t), count)
+        ln = _ln_table(count).astype(np.float64)
+        for i in group:
+            amp = ln[: counts[i]] * -points[i].real
+            yield i, phase[: counts[i]] * np.exp(amp, out=amp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,15 +257,11 @@ def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> Dir
     count = _choose_n(tau, params)
     if len(points) * count > _SCAN_ENTRIES:
         return None
-    # filled one distinct Im, then one point, at a time, so that the table is
-    # the only points x terms array; points of equal Im share one phase table
+    # filled one point at a time, so that the table is the only points x
+    # terms array
     table = np.empty((len(points), count), dtype=complex)
-    for im, group in _by_im(points, range(len(points))).items():
-        table[group] = _unit_phases(im, count)
-    ln = _ln_table(count).astype(np.float64)
-    for row, sigma in zip(table, points.real):
-        amp = ln * -sigma
-        row *= np.exp(amp, out=amp)
+    for j, terms in _shared_phase_terms(points, 0.0, [count] * len(points), range(len(points))):
+        table[j] = terms
     return DirichletRows(points, table)
 
 
@@ -279,6 +285,8 @@ def _em_eval(s: complex, N: int, kb: int, terms: np.ndarray) -> tuple[complex, f
 
 def _check_range(s: complex) -> complex:
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise InvalidSpec(f"s = {s} is not finite")
     if abs(s - 1.0) < 1e-12:
         raise InvalidSpec(f"s = {s} is too close to the pole at 1")
     if s.real <= -1.0:
@@ -291,8 +299,8 @@ def _check_range(s: complex) -> complex:
 def _terms(points: np.ndarray, t: float, rows: DirichletRows | None, counts: list[int], pending):
     """(i, n^-(z_i + it) for n = 1..counts[i]) for the pending indices.  Where
     `rows` are wide enough, a row times one phase table at t that all those
-    points share; elsewhere the points of equal Im share one phase table
-    exp(-i (Im z + t) ln n), the sum Im z + t taken in wide precision."""
+    points share; elsewhere _shared_phase_terms, as shift_rows fills the
+    rows at t = 0."""
     width = 0 if rows is None else rows.table.shape[1]
     from_rows = [i for i in pending if counts[i] <= width]
     if from_rows:
@@ -301,13 +309,7 @@ def _terms(points: np.ndarray, t: float, rows: DirichletRows | None, counts: lis
         for i in from_rows:
             row = rows.table[i, : counts[i]]
             yield i, row if phase is None else row * phase[: counts[i]]
-    for im, group in _by_im(points, [i for i in pending if counts[i] > width]).items():
-        count = max(counts[i] for i in group)
-        phase = _unit_phases(_PHASE_DTYPE(im) + _PHASE_DTYPE(t), count)
-        ln = _ln_table(count).astype(np.float64)
-        for i in group:
-            amp = ln[: counts[i]] * -points[i].real
-            yield i, phase[: counts[i]] * np.exp(amp, out=amp)
+    yield from _shared_phase_terms(points, t, counts, [i for i in pending if counts[i] > width])
 
 
 def _evaluate(points: np.ndarray, t: float, params: ZetaParams, rows: DirichletRows | None = None):

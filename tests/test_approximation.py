@@ -6,6 +6,7 @@ import pytest
 from striplab import (
     Arc,
     CantorProduct,
+    FitResult,
     PointSet,
     Polynomial,
     Segment,
@@ -17,6 +18,7 @@ from striplab import (
     lawson_refine,
     resolve_target,
 )
+from striplab import approximation
 from striplab.approximation import TargetFunction, _weighted_basis, set_frame
 from striplab.errors import BudgetExceeded, BudgetNotMet, InvalidSpec
 
@@ -199,6 +201,53 @@ def test_approximate_arc_tight_budget_not_met():
     assert best.sup_error_on_samples >= floor
     assert best.sup_error_on_samples > 1e-3
     assert best.sup_error_on_samples < 1e-2
+
+
+def _recorded_search(monkeypatch, sups, max_degree, budget=0.5):
+    """Degrees `approximate` fits, in order, with lawson_refine stubbed to
+    the sup error sups(d) and a zero polynomial (no derivative re-fit);
+    returns (degrees, fit or BudgetNotMet)."""
+    degrees = []
+
+    def stub(grid, target, d, iters, center, scale):
+        degrees.append(d)
+        return FitResult(Polynomial((0j,), center, scale), sups(d), d, 1, grid.covering_radius)
+
+    monkeypatch.setattr(approximation, "lawson_refine", stub)
+    try:
+        # a 101-sample grid, so that no cap below is cut by the sample count
+        out = approximate(Segment(-1.0, 1.0), {"kind": "builtin", "name": "abs"}, budget, max_degree)
+    except BudgetNotMet as exc:
+        out = exc
+    return degrees, out
+
+
+@pytest.mark.parametrize(
+    "cap, expected",
+    [(0, [0]), (1, [1]), (5, [1, 2, 4, 5]), (8, [1, 2, 4, 8]), (60, [1, 2, 4, 8, 16, 32, 60])],
+)
+def test_degree_search_order_when_never_met(monkeypatch, cap, expected):
+    degrees, out = _recorded_search(monkeypatch, lambda d: 1.0, cap)
+    assert degrees == expected
+    assert isinstance(out, BudgetNotMet)
+
+
+def test_degree_search_bisects_to_the_least_sufficient_degree(monkeypatch):
+    degrees, fit = _recorded_search(monkeypatch, lambda d: 0.1 if d >= 3 else 1.0, 60)
+    assert degrees == [1, 2, 4, 3]
+    assert fit.degree_used == 3
+
+
+def test_degree_search_best_failure_is_earliest_on_a_tie(monkeypatch):
+    sups = {1: 0.9, 2: 0.8, 4: 0.8, 5: 0.85}
+    degrees, out = _recorded_search(monkeypatch, sups.get, 5)
+    assert degrees == [1, 2, 4, 5]
+    assert out.best.degree_used == 2
+
+
+def test_approximate_rejects_negative_max_degree():
+    with pytest.raises(InvalidSpec, match="max_degree"):
+        approximate(ARC, {"kind": "builtin", "name": "conj"}, 0.1, -1)
 
 
 def test_approximate_fits_in_the_set_frame():

@@ -88,6 +88,28 @@ def test_approx_malformed_set_exits_1(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+MALFORMED_TARGETS = {
+    "samples_not_pairs": {"kind": "samples", "values": [1, 2]},
+    "samples_without_values": {"kind": "samples"},
+    "constant_not_numbers": {"kind": "builtin", "name": "constant", "value": ["a", "b"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TARGETS))
+def test_approx_malformed_target_file_exits_1(tmp_path, segment_set, capsys, name):
+    bad = write_json(tmp_path / "target.json", MALFORMED_TARGETS[name])
+    code = main(["approx", "--set", segment_set, "--target", bad, "--eps", "0.1"])
+    assert code == 1
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_approx_negative_max_degree_exits_1(segment_set, capsys):
+    code = main(["approx", "--set", segment_set, "--target", "identity",
+                 "--eps", "0.1", "--max-degree", "-1"])
+    assert code == 1
+    assert "max_degree" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_missing_required_flag_exits_1(segment_set, capsys):
     assert main(["approx", "--set", segment_set]) == 1
 
@@ -154,6 +176,19 @@ def test_scan_constant_target(tmp_path, strip_point_set):
     payload = read_json(out_json)
     assert code in (0, 3)
     assert payload["report"]["best_D"] > 0
+
+
+def test_scan_samples_target_file(tmp_path, strip_point_set):
+    # a samples file with one value per grid point reads as that constant
+    target = write_json(tmp_path / "target.json", {"kind": "samples", "values": [[1.0, 0.0]]})
+    args = ["scan", "--set", strip_point_set, "--T", "40", "--step", "0.5", "--eps", "0.9"]
+    from_file, from_constant = tmp_path / "file.json", tmp_path / "constant.json"
+    code = main(args + ["--target", target, "--out-json", str(from_file)])
+    assert code == main(args + ["--target", "constant:1.0", "--out-json", str(from_constant)])
+    payload = read_json(from_file)
+    assert payload["report"] == read_json(from_constant)["report"]
+    assert payload["manifest"]["config"]["target"] == {"kind": "samples", "values": [[1.0, 0.0]]}
+    assert payload["manifest"]["input_digests"]["target"]
 
 
 # ---------------------------------------------------------------- zeta

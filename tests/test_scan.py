@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,12 @@ def test_scan_config_validation():
         ScanConfig(T=-1.0, step=0.05, eps=0.5)
     with pytest.raises(InvalidSpec):
         ScanConfig(T=10.0, step=0.5, eps=-0.1)
+    with pytest.raises(InvalidSpec):
+        ScanConfig(T=math.inf, step=0.05, eps=0.5)
+    with pytest.raises(InvalidSpec):
+        ScanConfig(T=10.0, step=0.5, eps=math.inf)
+    with pytest.raises(InvalidSpec):
+        ScanConfig(T=10.0, step=0.5, eps=math.nan)
 
 
 def test_scan_threads_deterministic():

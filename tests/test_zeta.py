@@ -109,6 +109,9 @@ def test_supported_range_guards():
         zeta_em(-1.5 + 0j)
     with pytest.raises(InvalidSpec, match="exceeds the precision guard"):
         zeta_em(0.75 + 2e8j)
+    for s in (complex(math.nan, 1.0), complex(0.75, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(InvalidSpec, match="not finite"):
+            zeta_em(s)
 
 
 def test_params_validation():
