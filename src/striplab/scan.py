@@ -2,11 +2,20 @@
 |zeta(z + it) - f(z)|, hit-interval detection below a threshold, and the
 finite-horizon empirical density of hits.
 
+The trace evaluates the coarse t grid in blocks of shifts, one batched
+zeta._evaluate call per block of at most _BLOCK_PAIRS (point, shift) pairs,
+and takes D per column.  A value depends only on (z, t, params), not on its
+block, so the trace is the same serially, in the process pool and in any
+block width, and D at a trace point equals discrepancy() there.  Bisection
+refines all threshold crossings of a scan in lockstep, one batched call for
+the midpoints of each step.
+
 Hit detection is conservative-by-grid: a dip narrower than the coarse step
 that lies strictly between two same-side grid points is missed, and interval
 endpoints are bisection-refined to refine_tol, so the empirical density is a
 grid-audited proxy, not a rigorous measure.  Reports carry the step so the
-refinement can be audited by rerunning at step/2.
+refinement can be audited by rerunning at step/2, and the largest zeta error
+estimate over the trace so that D can be read against it.
 """
 
 from __future__ import annotations
@@ -26,6 +35,17 @@ from .targets import TargetFunction
 from .zeta import DEFAULT_PARAMS, ZetaParams, zeta_shifted_grid
 
 DEFAULT_GRID_H = 0.05
+
+# the most (point, shift) pairs of one batched zeta call in the trace.  On
+# the scan500 benchmark job (one point, 10 001 shifts; 2 cores, x86-64) 2^8
+# pairs took 0.23 s at 40.5 MB peak RSS, 2^10 0.20 s at 40.4 MB, 2^12 0.20 s
+# at 41.1 MB and 2^14 (the whole trace in one call) 0.19 s at 42.6 MB
+_BLOCK_PAIRS = 1 << 10
+
+# the most trace points a scan may ask for: the trace keeps t, D and the
+# error estimate, 24 bytes a point, so the cap stands at 400 MB; a scan to
+# T = 1e5 at step 0.05 traces 2e6 points
+_MAX_TRACE_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -47,6 +67,11 @@ class ScanConfig:
             raise InvalidSpec("refine_tol must be positive and below step")
         if not 0.0 <= self.eps < math.inf:
             raise InvalidSpec("eps must be nonnegative and finite")
+        points = math.floor((self.T - self.t_start) / self.step) + 1
+        if points > _MAX_TRACE_POINTS:
+            raise InvalidSpec(
+                f"the trace would have {points} points, above the cap {_MAX_TRACE_POINTS} (2^24)"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +82,7 @@ class ScanReport:
     empirical_density: float
     best_t: float
     best_d: float
+    max_zeta_error: float
     eps: float
     step: float
     t_start: float
@@ -73,6 +99,7 @@ class ScanReport:
             "empirical_density": self.empirical_density,
             "best_t": self.best_t,
             "best_D": self.best_d,
+            "max_zeta_error": self.max_zeta_error,
             "truncated": self.truncated,
         }
 
@@ -101,45 +128,70 @@ def _trace_grid(config: ScanConfig) -> np.ndarray:
     return ts
 
 
-def _chunk_worker(payload):
+def _columns(grid, target, ts, params, rows):
+    """(D, largest zeta error estimate, exhausted) at each shift of ts,
+    from one batched zeta evaluation."""
+    values, errors, exhausted = zeta._evaluate(grid.points, ts, params, rows)
+    d = np.max(np.abs(values - target.samples[:, None]), axis=0)
+    return d, np.max(errors, axis=0), exhausted.any(axis=0)
+
+
+def _trace_chunk(payload):
+    """(D, largest zeta error estimate per trace point, truncated) along
+    the chunk's ts, cut before the first point that exhausts precision."""
     grid, target, ts, params, rows = payload
-    ds = []
-    for t in ts:
-        try:
-            ds.append(discrepancy(grid, target, t, params, rows))
-        except PrecisionExhausted:
-            return ds, True
-    return ds, False
+    ds, errs = [], []
+    # zeta cuts each block's phase tables to its entry budget by their term
+    # counts; the block size only bounds the per-pair arrays
+    step = max(1, _BLOCK_PAIRS // len(grid.points))
+    for lo in range(0, len(ts), step):
+        d, err, failed = _columns(grid, target, ts[lo : lo + step], params, rows)
+        stop = int(np.argmax(failed)) if failed.any() else len(d)
+        ds.append(d[:stop])
+        errs.append(err[:stop])
+        if stop < len(d):
+            return np.concatenate(ds), np.concatenate(errs), True
+    return np.concatenate(ds), np.concatenate(errs), False
 
 
 def _evaluate_trace(grid, target, ts, params, threads, rows):
-    """D along ts, cut at the first point that exhausts precision; chunks
-    run in a process pool when threads > 1, else in-process."""
+    """(D, error estimates, truncated) along ts, cut at the first point that
+    exhausts precision; chunks run in a process pool when threads > 1, else
+    in-process."""
     chunks = np.array_split(ts, min(len(ts), threads * 4)) if threads > 1 else [ts]
     payloads = [(grid, target, chunk, params, rows) for chunk in chunks]
-    out = []
+    ds, errs = [], []
     with (ProcessPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()) as pool:
-        for ds, failed in (pool.map if pool else map)(_chunk_worker, payloads):
-            out.extend(ds)
+        for d, err, failed in (pool.map if pool else map)(_trace_chunk, payloads):
+            ds.append(d)
+            errs.append(err)
             if failed:
-                return np.array(out), True
-    return np.array(out), False
+                return np.concatenate(ds), np.concatenate(errs), True
+    return np.concatenate(ds), np.concatenate(errs), False
 
 
-def _refine_crossing(t_out, t_in, eps, d_eval, refine_tol):
-    # d(t_out) >= eps, d(t_in) < eps; returns the bracket midpoint
-    while abs(t_in - t_out) > refine_tol:
-        mid = 0.5 * (t_out + t_in)
-        if d_eval(mid) < eps:
-            t_in = mid
-        else:
-            t_out = mid
+def _refine_crossings(t_out, t_in, eps, d_eval, refine_tol):
+    """Midpoints of the brackets (t_out, t_in), d(t_out) >= eps > d(t_in),
+    each bisected until it is at most refine_tol wide.  The brackets are
+    bisected in lockstep, so each step evaluates D at all their midpoints
+    in one call; a bracket's result does not depend on the others."""
+    t_out = np.array(t_out, dtype=np.float64)
+    t_in = np.array(t_in, dtype=np.float64)
+    active = np.flatnonzero(np.abs(t_in - t_out) > refine_tol)
+    while len(active):
+        mid = 0.5 * (t_out[active] + t_in[active])
+        hit = d_eval(mid) < eps
+        t_in[active[hit]] = mid[hit]
+        t_out[active[~hit]] = mid[~hit]
+        active = active[np.abs(t_in[active] - t_out[active]) > refine_tol]
     return 0.5 * (t_out + t_in)
 
 
 def _assemble_intervals(ts, ds, eps, d_eval, refine_tol):
+    # runs [i, j] of trace points below eps; an end inside the trace is a
+    # crossing between a point outside and the run's end point
     hits = ds < eps
-    intervals = []
+    runs = []
     i = 0
     n = len(ts)
     while i < n:
@@ -149,25 +201,35 @@ def _assemble_intervals(ts, ds, eps, d_eval, refine_tol):
         j = i
         while j + 1 < n and hits[j + 1]:
             j += 1
-        lo = ts[0] if i == 0 else _refine_crossing(ts[i - 1], ts[i], eps, d_eval, refine_tol)
-        hi = ts[-1] if j == n - 1 else _refine_crossing(ts[j + 1], ts[j], eps, d_eval, refine_tol)
-        intervals.append((float(lo), float(hi)))
+        runs.append((i, j))
         i = j + 1
-    return tuple(intervals)
+    outside = [k for i, j in runs for k in (i - 1, j + 1) if 0 <= k < n]
+    inside = [k for i, j in runs for k, m in ((i, i - 1), (j, j + 1)) if 0 <= m < n]
+    refined = iter(_refine_crossings(ts[outside], ts[inside], eps, d_eval, refine_tol).tolist())
+    return tuple(
+        (float(ts[0]) if i == 0 else next(refined), float(ts[-1]) if j == n - 1 else next(refined))
+        for i, j in runs
+    )
 
 
 def scan_on_grid(grid, target, config, params=DEFAULT_PARAMS, threads=1) -> ScanReport:
     """Core scan over an already-built grid and resolved target."""
+    if len(target.samples) != len(grid):
+        raise InvalidSpec("target and grid lengths differ")
     _warn_if_outside_strip(grid)
     ts = _trace_grid(config)
     rows = zeta.shift_rows(grid.points, config.T, params)
-    ds, truncated = _evaluate_trace(grid, target, ts, params, threads, rows)
+    ds, errs, truncated = _evaluate_trace(grid, target, ts, params, threads, rows)
     ts = ts[: len(ds)]
     if len(ds) == 0:
         raise PrecisionExhausted("scan failed before the first trace point")
 
-    def d_eval(t):
-        return discrepancy(grid, target, t, params, rows)
+    def d_eval(mids):
+        d, _, failed = _columns(grid, target, mids, params, rows)
+        if failed.any():
+            t = mids[np.argmax(failed)]
+            raise PrecisionExhausted(f"zeta exhausted precision while refining at t = {t}")
+        return d
 
     intervals = _assemble_intervals(ts, ds, config.eps, d_eval, config.refine_tol)
     total = sum(hi - lo for lo, hi in intervals)
@@ -180,6 +242,7 @@ def scan_on_grid(grid, target, config, params=DEFAULT_PARAMS, threads=1) -> Scan
         empirical_density=float(density),
         best_t=float(ts[best_idx]),
         best_d=float(ds[best_idx]),
+        max_zeta_error=float(np.max(errs)),
         eps=config.eps,
         step=config.step,
         t_start=config.t_start,
@@ -217,8 +280,8 @@ def line_universality(
     TargetFunction, or dict spec).  best_t is the shift-witness candidate."""
     if not 0.5 < sigma < 1.0:
         raise InvalidSpec("sigma must lie in the open interval (1/2, 1)")
-    if not C > 0:
-        raise InvalidSpec("C must be positive")
+    if not 0.0 < C < math.inf:
+        raise InvalidSpec("C must be positive and finite")
     K = Segment(complex(sigma), complex(sigma, C))
     h = grid_h if grid_h is not None else min(DEFAULT_GRID_H, C / 4.0)
     grid = geometry.discretize(K, h)

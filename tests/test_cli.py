@@ -207,6 +207,11 @@ def test_zeta_command_pole_exit_1(capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_zeta_command_infinite_terms_per_unit_t_exit_1(capsys):
+    assert main(["zeta", "--re", "0.75", "--im", "1", "--terms-per-unit-t", "inf"]) == 1
+    assert "terms_per_unit_t" in json.loads(capsys.readouterr().out)["error"]
+
+
 # ---------------------------------------------------------------- errors
 
 # every check that used to raise a class of its own, each caught by the

@@ -16,8 +16,10 @@ from striplab import (
     write_trace_csv,
     zeta_em,
 )
+import striplab.scan as scan_mod
+import striplab.zeta as zeta_mod
 from striplab.errors import InvalidSpec, PrecisionExhausted
-from striplab.zeta import DEFAULT_PARAMS, ZetaParams
+from striplab.zeta import DEFAULT_PARAMS, ZetaParams, zeta_shifted_grid
 
 POINT = PointSet((0.75,))
 
@@ -149,6 +151,10 @@ def test_scan_config_validation():
         ScanConfig(T=10.0, step=0.5, eps=math.inf)
     with pytest.raises(InvalidSpec):
         ScanConfig(T=10.0, step=0.5, eps=math.nan)
+    # 2e9 trace points are refused before anything is allocated
+    with pytest.raises(InvalidSpec, match="trace would have 2000000001 points"):
+        ScanConfig(T=1e8, step=0.05, eps=0.5)
+    assert ScanConfig(T=1e5, step=0.05, eps=0.5).T == 1e5
 
 
 def test_scan_threads_deterministic():
@@ -158,6 +164,58 @@ def test_scan_threads_deterministic():
     assert np.array_equal(serial.ds, parallel.ds)
     assert serial.hit_intervals == parallel.hit_intervals
     assert serial.empirical_density == parallel.empirical_density
+
+
+@pytest.mark.parametrize("with_rows", [True, False])
+def test_trace_does_not_depend_on_the_blocks(monkeypatch, with_rows):
+    # two points share an Im; the trace as one block and one phase table, as
+    # blocks of one shift (1 // 3 pairs rounds up to one shift) with a table
+    # per tau, through the process pool and one discrepancy call per t
+    grid = discretize(PointSet((0.6 + 0.1j, 0.8 + 0.1j, 0.7 + 0.3j)), 0.1)
+    target = resolve_target({"kind": "zeta"}, grid)
+    ts = np.linspace(0.0, 300.0, 61)
+    rows = zeta_mod.shift_rows(grid.points, ts[-1]) if with_rows else None
+    traces = {}
+    for label, budget, threads in (("one block", 1 << 16, 1), ("blocks of one", 1, 1), ("pool", None, 2)):
+        if budget is not None:
+            monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", budget)
+            monkeypatch.setattr(scan_mod, "_BLOCK_PAIRS", budget)
+        ds, errs, truncated = scan_mod._evaluate_trace(grid, target, ts, DEFAULT_PARAMS, threads, rows)
+        monkeypatch.undo()
+        assert not truncated and len(ds) == len(ts)
+        traces[label] = ds
+    per_t = np.array([discrepancy(grid, target, t, DEFAULT_PARAMS, rows) for t in ts])
+    for ds in traces.values():
+        assert np.array_equal(ds, per_t)
+
+
+def test_precision_loss_inside_a_block_truncates_where_the_per_t_path_does():
+    params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
+    cfg = ScanConfig(T=2000.0, step=100.0, eps=0.5)
+    grid = discretize(POINT, 0.1)
+    target = resolve_target({"kind": "zeta"}, grid, params)
+    per_t = []
+    for t in scan_mod._trace_grid(cfg):
+        try:
+            per_t.append(discrepancy(grid, target, t, params))
+        except PrecisionExhausted:
+            break
+    # the whole trace of 21 shifts at one point is one block, and it fails
+    # inside it
+    assert len(scan_mod._trace_grid(cfg)) == 21 <= scan_mod._BLOCK_PAIRS
+    assert 0 < len(per_t) < 20
+    rep = scan_mod.scan_on_grid(grid, target, cfg, params)
+    assert rep.truncated and np.array_equal(rep.ds, per_t)
+
+
+def test_max_zeta_error_is_the_largest_estimate_on_the_trace():
+    grid = discretize(Segment(0.75, 0.75 + 0.2j), 0.05)
+    cfg = ScanConfig(T=60.0, step=0.5, eps=0.5)
+    rep = scan_density(Segment(0.75, 0.75 + 0.2j), {"kind": "zeta"}, cfg, grid_h=0.05)
+    largest = max(float(np.max(zeta_shifted_grid(grid, t)[1])) for t in rep.ts)
+    assert 0.0 < rep.max_zeta_error <= 1e-6
+    assert rep.max_zeta_error == largest
+    assert rep.to_dict()["max_zeta_error"] == largest
 
 
 def test_trace_csv_is_byte_stable(tmp_path):
@@ -199,3 +257,6 @@ def test_line_validates_sigma_and_c():
         line_universality(0.4, 0.2, lambda t: 1.0, cfg)
     with pytest.raises(InvalidSpec):
         line_universality(0.75, -1.0, lambda t: 1.0, cfg)
+    for C in (math.inf, math.nan):
+        with pytest.raises(InvalidSpec, match="C must be positive and finite"):
+            line_universality(0.75, C, lambda t: 1.0, cfg)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import loggamma
 
 import striplab.zeta as zeta_mod
@@ -121,6 +123,9 @@ def test_params_validation():
         ZetaParams(bernoulli_terms=0)
     with pytest.raises(ValueError):
         ZetaParams(bernoulli_terms=31)
+    for per_unit_t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="terms_per_unit_t"):
+            ZetaParams(terms_per_unit_t=per_unit_t)
 
 
 def test_precision_exhausted_at_extreme_params():
@@ -217,14 +222,15 @@ def test_doubling_past_the_rows_leaves_them_at_their_width():
 
 
 def test_one_wide_phase_table_per_distinct_im(monkeypatch):
-    unit_phases = zeta_mod._unit_phases
+    # one phase-table row per distinct tau
+    phase_table = zeta_mod._phase_table
     calls = []
 
-    def recording(tau, ln_values):
-        calls.append(tau)
-        return unit_phases(tau, ln_values)
+    def recording(taus, count):
+        calls.extend(taus)
+        return phase_table(taus, count)
 
-    monkeypatch.setattr(zeta_mod, "_unit_phases", recording)
+    monkeypatch.setattr(zeta_mod, "_phase_table", recording)
     grid = discretize(PointSet((0.6, 0.7, 0.8, 0.6 + 0.1j, 0.7 + 0.1j)), 0.1)
     rows = zeta_mod.shift_rows(grid.points, 50.0)
     assert len(calls) == 2
@@ -241,20 +247,20 @@ def test_shift_rows_over_budget_is_none():
 
 
 def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
-    em_eval = zeta_mod._em_eval
+    em_tail = zeta_mod._em_tail
     used = []
 
-    def recording(s, N, kb, terms):
-        used.append(N)
-        return em_eval(s, N, kb, terms)
+    def recording(s, N, partial, last, kb):
+        used.extend(N.tolist())
+        return em_tail(s, N, partial, last, kb)
 
-    monkeypatch.setattr(zeta_mod, "_em_eval", recording)
+    monkeypatch.setattr(zeta_mod, "_em_tail", recording)
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zeta_em(0.75 + 1e4j)
     assert len(zeta_mod._ln_cache) <= max(used)
-    # N = 2e4 is past the product cut, so the factor plan was built too, at
-    # the log cache's size and with int32 indices
+    # the factor plan was built too, at the log cache's size and with int32
+    # indices
     plan = zeta_mod._plan_cache
     assert len(plan.order) == len(zeta_mod._ln_cache)
     for indices in (plan.primes, plan.factors, plan.cofactors, plan.order):
@@ -288,7 +294,7 @@ def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
 
 def _wide_reference(tau, count):
     # every argument tau * ln n reduced mod 2 pi in wide precision, as the
-    # tables below the product cut are built
+    # phase tables take it at the primes
     dtype = zeta_mod._PHASE_DTYPE
     theta = np.asarray(tau, dtype=dtype) * np.log(np.arange(1.0, count + 1.0, dtype=dtype))
     theta = np.mod(theta, zeta_mod._TWO_PI_WIDE).astype(np.float64)
@@ -300,18 +306,38 @@ def _im_plus_t(im, t):
     return zeta_mod._PHASE_DTYPE(im) + zeta_mod._PHASE_DTYPE(t)
 
 
-@pytest.mark.parametrize("count", [20, 1000, zeta_mod._PRODUCT_CUT - 1])
+@pytest.mark.parametrize("count", [20, 1000, 2047])
 def test_phases_below_the_cut_are_the_wide_table(count):
+    # every table takes the wide phase at n = 1 and at the primes, so there
+    # it is the wide table bit for bit; each composite is a product of
+    # earlier entries and stays within 1e-13 of the wide table
+    sympy = pytest.importorskip("sympy")
+    wide_at = np.array([0] + [p - 1 for p in sympy.primerange(2, count + 1)])
     for tau in (0.0, 14.1, 2e3, 43225.0, _im_plus_t(0.2, 43225.0)):
-        assert np.array_equal(zeta_mod._unit_phases(tau, count), _wide_reference(tau, count))
+        table, wide = zeta_mod._phase_table([tau], count)[0], _wide_reference(tau, count)
+        assert np.array_equal(table[wide_at], wide[wide_at])
+        assert np.max(np.abs(table - wide)) <= 1e-13
 
 
-@pytest.mark.parametrize("count", [zeta_mod._PRODUCT_CUT, 4000, 15480])
+@pytest.mark.parametrize("count", [2048, 4000, 15480])
 def test_phases_past_the_cut_agree_with_the_wide_table(count):
     # up to the criterion-6 shift; at t = 1e5 each table sits about 7e-14
     # from mpmath, so their gap may reach twice that (mpmath test below)
     for tau in (14.1, 2e3, 43225.0, _im_plus_t(0.2, 43225.0)):
-        assert np.max(np.abs(zeta_mod._unit_phases(tau, count) - _wide_reference(tau, count))) <= 1e-13
+        table = zeta_mod._phase_table([tau], count)[0]
+        assert np.max(np.abs(table - _wide_reference(tau, count))) <= 1e-13
+
+
+def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
+    # a plan past the count leaves rows for its extra primes unwritten, or,
+    # when they outnumber the count, moves the composites down
+    taus = [14.1, 2e3, 43225.0]
+    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    own = zeta_mod._phase_table(taus, 1000)
+    for size in (1100, 20000):
+        zeta_mod._ln_table(size)
+        assert np.array_equal(zeta_mod._phase_table(taus, 1000), own)
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
@@ -331,7 +357,7 @@ def test_product_phases_against_mpmath(t, im):
         | set(primes[:20] + primes[-20:] + primes[:: len(primes) // 40])
         | set(range(count - 20, count + 1))
     )
-    product, wide = zeta_mod._unit_phases(tau, count), _wide_reference(tau, count)
+    product, wide = zeta_mod._phase_table([tau], count)[0], _wide_reference(tau, count)
     with mpmath.workdps(40):
         exact_tau = mpmath.mpf(t) + (0 if im is None else mpmath.mpf(im))
         exact = np.array([complex(mpmath.expj(-exact_tau * mpmath.log(n))) for n in ns])
@@ -371,14 +397,14 @@ def test_against_mpmath(t):
 
 def _checked_after_doubling(monkeypatch, t, per_unit_t):
     # the Ns that _check_against_mpmath used at t
-    em_eval = zeta_mod._em_eval
+    em_tail = zeta_mod._em_tail
     used = set()
 
-    def recording(s, N, kb, terms):
-        used.add(N)
-        return em_eval(s, N, kb, terms)
+    def recording(s, N, partial, last, kb):
+        used.update(N.tolist())
+        return em_tail(s, N, partial, last, kb)
 
-    monkeypatch.setattr(zeta_mod, "_em_eval", recording)
+    monkeypatch.setattr(zeta_mod, "_em_tail", recording)
     _check_against_mpmath(t, ZetaParams(terms_per_unit_t=per_unit_t))
     return sorted(used)
 
@@ -390,9 +416,8 @@ def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
 
 
 def test_against_mpmath_after_doubling_past_the_product_cut(monkeypatch):
-    # at t = 1e4 N doubles from 1000 and 2000, below the cut, to 4000 past it
+    # at t = 1e4 N doubles from 1000 and 2000 to 4000
     assert _checked_after_doubling(monkeypatch, 1e4, 0.1) == [1000, 2000, 4000]
-    assert 1000 < zeta_mod._PRODUCT_CUT <= 4000
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
@@ -407,6 +432,25 @@ def test_grid_against_mpmath_at_exact_point(t):
         values, errors = zeta_shifted_grid(grid, t, params, rows)
         for x, v, err in zip(exact, values, errors):
             assert abs(v - x) <= max(err, 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.51, 0.99), st.floats(-5.0, 5.0)), min_size=1, max_size=3
+    ),
+    st.lists(st.floats(0.0, 2e3), min_size=1, max_size=3),
+)
+def test_batches_against_mpmath(points, ts):
+    # one batched evaluation of every (point, shift) pair
+    mpmath = pytest.importorskip("mpmath")
+    points = np.array([complex(sigma, im) for sigma, im in points])
+    values, errors, exhausted = zeta_mod._evaluate(points, ts, DEFAULT_PARAMS)
+    assert values.shape == errors.shape == exhausted.shape == (len(points), len(ts))
+    assert not exhausted.any()
+    for j, z in enumerate(points):
+        for b, t in enumerate(ts):
+            assert abs(values[j, b] - _mpmath_at_shift(mpmath, z, t)) <= max(errors[j, b], 1e-12)
 
 
 # ---------------------------------------------------------------- invariants
