@@ -67,7 +67,8 @@ class ScanConfig:
             raise InvalidSpec("refine_tol must be positive and below step")
         if not 0.0 <= self.eps < math.inf:
             raise InvalidSpec("eps must be nonnegative and finite")
-        points = math.floor((self.T - self.t_start) / self.step) + 1
+        steps, ends_at_T = _trace_steps(self)
+        points = steps + 1 + ends_at_T
         if points > _MAX_TRACE_POINTS:
             raise InvalidSpec(
                 f"the trace would have {points} points, above the cap {_MAX_TRACE_POINTS} (2^24)"
@@ -119,13 +120,19 @@ def discrepancy(
     return float(np.max(np.abs(values - target.samples)))
 
 
+def _trace_steps(config: ScanConfig) -> tuple[int, bool]:
+    """(k, ends_at_T): the trace holds t_start + i * step for i = 0..k, the
+    last within T up to 1e-9 of a step, and then T itself when that last
+    point falls short of T, that is when the step does not divide the span."""
+    steps = math.floor((config.T - config.t_start) / config.step + 1e-9)
+    last = config.t_start + config.step * steps
+    return steps, last < config.T - 1e-9 * max(1.0, abs(config.T))
+
+
 def _trace_grid(config: ScanConfig) -> np.ndarray:
-    span = config.T - config.t_start
-    count = int(np.floor(span / config.step + 1e-9))
-    ts = config.t_start + config.step * np.arange(count + 1)
-    if ts[-1] < config.T - 1e-9 * max(1.0, abs(config.T)):
-        ts = np.append(ts, config.T)
-    return ts
+    steps, ends_at_T = _trace_steps(config)
+    ts = config.t_start + config.step * np.arange(steps + 1)
+    return np.append(ts, config.T) if ends_at_T else ts
 
 
 def _columns(grid, target, ts, params, rows):

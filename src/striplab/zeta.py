@@ -16,15 +16,14 @@ arbitrary-precision arithmetic.  At most _MAX_TERMS terms are summed for any
 point.
 
 One call evaluates a block of (point, shift) pairs z_j + i t_b and returns
-P x B values and estimates.  The phases exp(-i tau ln n) of a block form one
-2-D table, one row per distinct tau, and the product passes along n fill all
-rows at once.  For shifted points the factors n^(-z_j) do not depend on t: a
-scan keeps them as rows (DirichletRows), built once for its horizon, and
-tau = t_b.  Without rows, or past their width, tau = Im z_j + t_b, the sum
-taken in extended precision, times each point's n^(-Re z_j).  Each pair's
-partial sum is one contiguous reduction over its own N - 1 terms, and the
-tail and its estimate are vectorised over the pairs, so a value depends
-only on (z, t, params), never on the block it was evaluated in.  A table
+P x B values and estimates.  A term is n^(-z_j) * exp(-i t_b ln n).  The
+Dirichlet rows n^(-z_j) do not depend on t: a scan keeps them for its
+horizon (DirichletRows), and a call builds those it was not given.  The
+phases exp(-i t_b ln n) form one 2-D table, one row per shift, and the
+product passes along n fill all rows at once.  Each pair's partial sum is
+one contiguous reduction over its own N - 1 terms, and the tail and its
+estimate are vectorised over the pairs, so a value depends only on
+(z, t, params), never on the block or on where its rows came from.  A table
 holds at most _BLOCK_ENTRIES entries (2^13, 128 kB of complex values); a
 larger block is cut into tables of that size, and a pair with more terms
 has a table of its own.
@@ -112,8 +111,8 @@ _WIDE = np.finfo(np.longdouble).eps < 1e-18
 _PHASE_DTYPE = np.longdouble if _WIDE else np.float64
 _TWO_PI_WIDE = 2.0 * np.pi if not _WIDE else 2 * np.arccos(np.longdouble(-1.0))
 
-# the most table entries (points x terms) that a scan keeps as DirichletRows,
-# 64 MB of complex values; a larger scan evaluates every t without rows
+# the most table entries (points x terms) of Dirichlet rows, 64 MB of complex
+# values: a scan past it keeps none, and each call builds rows for its own
 _SCAN_ENTRIES = 1 << 22
 
 # the most terms any evaluation may ask for: the log cache alone holds 16
@@ -253,46 +252,43 @@ def _blocks(counts: list[int]) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index of each key's run of equal neighbours, where each run starts)."""
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return first.cumsum() - 1, first
-
-
-def _partial_sums(factor_rows, f_idx: np.ndarray, row: np.ndarray, taus: np.ndarray, counts: np.ndarray):
+def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, counts: np.ndarray):
     """(sum_{n<N} a_n, a_N) for every pair k, where
-    a_n = factor_rows(f_idx[k])[n - 1] * exp(-i * taus[row[k]] * ln n) and
-    N = counts[k]; the pairs come ordered so that row never decreases.
-    factor_rows(index, width) returns the factor rows at an index array or a
-    slice, cut to width.
+    a_n = table[f_idx[k], n - 1] * exp(-i * ts[shift[k]] * ln n) and
+    N = counts[k]; the pairs come ordered so that shift never decreases.
 
-    _blocks cuts the taus into phase tables, and the pairs of each table
-    again so that their terms fit _BLOCK_ENTRIES.  Each pair's partial sum
-    is one reduction over its own contiguous N - 1 terms, so its value does
-    not depend on the other pairs."""
+    The pairs of a shift share a phase row.  _blocks cuts the rows into
+    phase tables, and the pairs of each table again so that their terms fit
+    _BLOCK_ENTRIES; a table of t = 0 alone is all ones and is not built.
+    Each pair's partial sum is one reduction over its own contiguous N - 1
+    terms, so its value does not depend on the other pairs."""
+    head = np.concatenate(([True], shift[1:] != shift[:-1]))
+    row = head.cumsum() - 1
+    taus = ts[shift[head]]
     starts = np.searchsorted(row, np.arange(len(taus) + 1))
     need = np.maximum.reduceat(counts, starts[:-1])
     partial = np.empty(len(counts), dtype=complex)
     last = np.empty(len(counts), dtype=complex)
     counts = counts.tolist()
     for lo, hi in _blocks(need.tolist()):
-        phase = _phase_table(taus[lo:hi], int(need[lo:hi].max()))
+        phase = _phase_table(taus[lo:hi], int(need[lo:hi].max())) if taus[lo:hi].any() else None
         first = int(starts[lo])
         for a, b in _blocks(counts[first : starts[hi]]):
             a, b = a + first, b + first
             if b - a == 1:
-                # one pair: its rows as views, not as the copies an index
+                # one pair: its row as a view, not as the copy an index
                 # array makes (on line_scan, where every cut is one pair, a
                 # job takes about 10% less); the same reduction either way
                 f, m = int(f_idx[a]), counts[a]
-                terms = factor_rows(slice(f, f + 1), m)[0] * phase[int(row[a]) - lo, :m]
+                terms = table[f, :m] if phase is None else table[f, :m] * phase[int(row[a]) - lo, :m]
                 partial[a] = terms[: m - 1].sum()
                 last[a] = terms[m - 1]
                 continue
             n = counts[a:b]
             longest = max(n)
-            terms = phase[row[a:b] - lo, :longest]
-            np.multiply(factor_rows(f_idx[a:b], longest), terms, out=terms)
+            terms = table[f_idx[a:b], :longest]
+            if phase is not None:
+                np.multiply(terms, phase[row[a:b] - lo, :longest], out=terms)
             # runs of equal N reduce together, row by row
             c = 0
             for d in range(1, b - a + 1):
@@ -304,36 +300,42 @@ def _partial_sums(factor_rows, f_idx: np.ndarray, row: np.ndarray, taus: np.ndar
     return partial, last
 
 
+def _dirichlet_table(points: np.ndarray, width: int) -> np.ndarray:
+    """n^(-z_j) = n^(-Re z_j) * exp(-i Im z_j ln n) for n = 1..width, one row
+    per point, filled in chunks of _BLOCK_ENTRIES; the points of a chunk with
+    equal Im share a phase row."""
+    ln = _ln_table(width).astype(np.float64)
+    table = np.empty((len(points), width), dtype=complex)
+    for lo, hi in _blocks([width] * len(points)):
+        im = points.imag[lo:hi]
+        if hi - lo == 1:
+            phase = _phase_table(im, width)
+        else:
+            taus, inverse = np.unique(im, return_inverse=True)
+            phase = _phase_table(taus, width)[inverse]
+        amp = np.multiply.outer(-points.real[lo:hi], ln)
+        np.multiply(np.exp(amp, out=amp), phase, out=table[lo:hi])
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class DirichletRows:
-    """n^(-z_j) for fixed points z_j and n = 1..width, one row per point:
-    table[j, n-1] = n^(-Re z_j) * exp(-i Im z_j ln n), the phase taken in wide
-    precision.  The table does not depend on a shift t, so zeta(z_j + it)
-    needs one phase row exp(-i t ln n) shared by all points."""
+    """The _dirichlet_table of fixed points z_j.  It does not depend on a
+    shift t, so zeta(z_j + it) needs one phase row exp(-i t ln n) for all."""
 
     points: np.ndarray
     table: np.ndarray
 
 
 def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> DirichletRows | None:
-    """Rows for the points that serve every shift |t| <= t_max, or None when
-    the table would exceed _SCAN_ENTRIES (callers then pass no rows)."""
+    """Rows for the points that serve every shift |t| <= t_max, or None past
+    _SCAN_ENTRIES entries (each call then builds rows for its own points)."""
     points = np.asarray(points, dtype=complex)
     tau = min(abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0)), _MAX_IM)
     count = int(_choose_n(tau, params))
     if len(points) * count > _SCAN_ENTRIES:
         return None
-    ln = _ln_table(count).astype(np.float64)
-    # the points of equal Im share a phase row; the table is filled one
-    # point at a time, so that it is the only points x terms array
-    taus, inverse = np.unique(points.imag.astype(_PHASE_DTYPE), return_inverse=True)
-    table = np.empty((len(points), count), dtype=complex)
-    for lo, hi in _blocks([count] * len(taus)):
-        phase = _phase_table(taus[lo:hi], count)
-        for j in np.flatnonzero((inverse >= lo) & (inverse < hi)):
-            amp = ln * -points[j].real
-            np.multiply(np.exp(amp, out=amp), phase[inverse[j] - lo], out=table[j])
-    return DirichletRows(points, table)
+    return DirichletRows(points, _dirichlet_table(points, count))
 
 
 @lru_cache(maxsize=None)
@@ -393,33 +395,32 @@ def _check_range(shifted: np.ndarray) -> None:
 
 
 def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndarray, rows):
-    """_partial_sums for the flat pair indices b * len(points) + j: from the
-    rows times a phase row at tau = t_b where the rows are wide enough, else
-    from n^(-Re z_j) times a phase row at tau = Im z_j + t_b, the sum taken
-    in wide precision.  Pairs of equal tau share a phase row."""
+    """_partial_sums for the flat pair indices b * len(points) + j: the rows
+    of z_j, the caller's where wide enough, else built for groups of as many
+    points as the call has shifts (at least one _BLOCK_ENTRIES table, at most
+    _SCAN_ENTRIES entries), times the phase row of t_b."""
     b, j = np.divmod(pairs, len(points))
-    from_rows = counts <= (0 if rows is None else rows.table.shape[1])
     partial = np.empty(len(pairs), dtype=complex)
     last = np.empty(len(pairs), dtype=complex)
-
-    def amplitudes(sel, w):
-        return np.exp(np.multiply.outer(-points.real[sel], _ln_table(w).astype(np.float64)))
-
-    for k, factor_rows in (
-        (np.flatnonzero(from_rows), lambda sel, w: rows.table[sel, :w]),
-        (np.flatnonzero(~from_rows), amplitudes),
-    ):
-        if not len(k):
-            continue
-        # the term cap is checked before any table is built
-        _ln_table(int(counts[k].max()))
-        taus = ts[b[k]].astype(_PHASE_DTYPE)
-        if factor_rows is amplitudes:
-            taus += points.imag[j[k]].astype(_PHASE_DTYPE)
-        order = np.argsort(taus, kind="stable")
-        k, taus = k[order], taus[order]
-        row, first = _runs(taus)
-        partial[k], last[k] = _partial_sums(factor_rows, j[k], row, taus[first], counts[k])
+    # the term cap is checked before any table is built
+    longest = int(counts.max())
+    _ln_table(longest)
+    # the pairs run shift by shift, as _partial_sums takes them
+    own = counts > (0 if rows is None else rows.table.shape[1])
+    if not own.all():
+        k = np.flatnonzero(~own)
+        partial[k], last[k] = _partial_sums(rows.table, j[k], b[k], ts, counts[k])
+    k = np.flatnonzero(own)
+    ids = np.flatnonzero(np.bincount(j[k], minlength=len(points)))
+    size = max(1, min(max(len(ts), _BLOCK_ENTRIES // longest), _SCAN_ENTRIES // longest))
+    for lo in range(0, len(ids), size):
+        group = ids[lo : lo + size]
+        sel = k[(j[k] >= group[0]) & (j[k] <= group[-1])]
+        # the group's rows are freed before the next group's are built
+        f_idx = np.searchsorted(group, j[sel])
+        partial[sel], last[sel] = _partial_sums(
+            _dirichlet_table(points[group], int(counts[sel].max())), f_idx, b[sel], ts, counts[sel]
+        )
     return partial, last
 
 
@@ -483,10 +484,9 @@ def zeta_shifted_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, error estimates) of zeta(z_i + i t) for all grid points, as
     arrays.  `rows`, when given, are the shift_rows of grid.points that a
-    scan reuses for every t.  Both ways take the value at the exact point
-    Re z_i + i(Im z_i + t), not at Im z_i + t rounded to a double, and may
-    differ from each other and from a one-point zeta_em(z_i + i t) in the
-    last bits."""
+    scan reuses for every t; they do not change a value.  A value is taken
+    at the exact point Re z_i + i(Im z_i + t), not at Im z_i + t rounded to
+    a double as a one-point zeta_em(z_i + i t) takes it."""
     if rows is not None and not np.array_equal(rows.points, grid.points):
         raise InvalidSpec("rows were built for other points than the grid's")
     return _evaluate_at(grid.points, t, params, rows)

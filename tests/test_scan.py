@@ -157,6 +157,18 @@ def test_scan_config_validation():
     assert ScanConfig(T=1e5, step=0.05, eps=0.5).T == 1e5
 
 
+def test_trace_count_is_the_trace_length():
+    # the step does not divide the span, so T is a trace point of its own
+    cfg = ScanConfig(T=10.5, step=1.0, eps=0.5)
+    assert scan_mod._trace_steps(cfg) == (10, True)
+    assert len(scan_mod._trace_grid(cfg)) == 12
+    # at the cap, before anything is allocated: 2^24 points pass, and the
+    # point T past the last whole step makes 2^24 + 1
+    assert ScanConfig(T=2.0**24 - 1.0, step=1.0, eps=0.5).T == 2.0**24 - 1.0
+    with pytest.raises(InvalidSpec, match="trace would have 16777217 points"):
+        ScanConfig(T=2.0**24 - 0.5, step=1.0, eps=0.5)
+
+
 def test_scan_threads_deterministic():
     cfg = ScanConfig(T=15.0, step=0.25, eps=0.5)
     serial = scan_density(POINT, {"kind": "zeta"}, cfg, threads=1)
@@ -187,6 +199,26 @@ def test_trace_does_not_depend_on_the_blocks(monkeypatch, with_rows):
     per_t = np.array([discrepancy(grid, target, t, DEFAULT_PARAMS, rows) for t in ts])
     for ds in traces.values():
         assert np.array_equal(ds, per_t)
+
+
+def test_scan_past_the_rows_cut_is_the_scan_with_rows(monkeypatch):
+    # the criterion-6 grid to T = 2000: with the cut one entry below its rows
+    # the scan keeps none, and each call builds rows for groups of at most 4
+    # of its 5 points; every figure of the report is the same bit for bit
+    grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
+    target = resolve_target(1.0, grid)
+    cfg = ScanConfig(T=2000.0, step=0.5, eps=0.3)
+    params = ZetaParams(terms_per_unit_t=0.35)
+    cached = scan_mod.scan_on_grid(grid, target, cfg, params)
+    rows = zeta_mod.shift_rows(grid.points, cfg.T, params)
+    monkeypatch.setattr(zeta_mod, "_SCAN_ENTRIES", rows.table.size - 1)
+    assert zeta_mod.shift_rows(grid.points, cfg.T, params) is None
+    past = scan_mod.scan_on_grid(grid, target, cfg, params)
+    assert len(cached.hit_intervals) > 100
+    assert np.array_equal(past.ts, cached.ts) and np.array_equal(past.ds, cached.ds)
+    assert past.hit_intervals == cached.hit_intervals
+    assert (past.best_t, past.best_d) == (cached.best_t, cached.best_d)
+    assert past.max_zeta_error == cached.max_zeta_error
 
 
 def test_precision_loss_inside_a_block_truncates_where_the_per_t_path_does():

@@ -182,7 +182,7 @@ def test_grid_propagates_offending_index():
 
 def test_grid_offending_index_with_rows_past_their_width():
     # the rows hold N = 2; the offender at index 5 doubles past them and
-    # fails in the shared-phase path, with its index in the grid
+    # fails in rows built for it, with its index in the grid
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     grid = discretize(PointSet(tuple(0.75 + 0.1j * k for k in range(5)) + (0.75 + 2e5j, 0.8)), 0.01)
     rows = zeta_mod.shift_rows(grid.points, 0.0, params)
@@ -199,8 +199,7 @@ def test_grid_with_scan_rows_matches_one_shot():
     assert rows.table.shape == (len(grid), math.ceil(0.35 * (2e3 + 0.2)))
     for t in (0.0, 250.0, 1999.5):
         (v, err), (w, err_w) = zeta_shifted_grid(grid, t, params, rows), zeta_shifted_grid(grid, t, params)
-        assert np.all(np.abs(v - w) <= 1e-14 * np.abs(w))
-        assert np.allclose(err, err_w, rtol=1e-12, atol=0.0)
+        assert np.array_equal(v, w) and np.array_equal(err, err_w)
 
 
 def test_grid_rejects_rows_of_other_points():
@@ -212,7 +211,7 @@ def test_grid_rejects_rows_of_other_points():
 
 def test_doubling_past_the_rows_leaves_them_at_their_width():
     # at t = 1e3 N doubles twice (100 -> 400) past the rows' width; the
-    # doubled points take the shared-phase path and the rows do not grow
+    # doubled points get rows built for them and the scan's rows do not grow
     grid = discretize(PointSet(ORACLE_SIGMAS), 0.1)
     params = ZetaParams(terms_per_unit_t=0.1)
     rows = zeta_mod.shift_rows(grid.points, 1e3, params)
@@ -236,8 +235,9 @@ def test_one_wide_phase_table_per_distinct_im(monkeypatch):
     assert len(calls) == 2
     zeta_shifted_grid(grid, 50.0, DEFAULT_PARAMS, rows)
     assert len(calls) == 3
+    # without rows the call builds its own: the 2 Im rows, then the t row
     zeta_shifted_grid(grid, 50.0)
-    assert len(calls) == 5
+    assert calls[3:] == [0.0, 0.1, 50.0]
 
 
 def test_shift_rows_over_budget_is_none():
@@ -302,7 +302,7 @@ def _wide_reference(tau, count):
 
 
 def _im_plus_t(im, t):
-    # the shared-phase path's argument, Im z + t summed in wide precision
+    # a wide-precision tau: Im z + t summed in wide precision
     return zeta_mod._PHASE_DTYPE(im) + zeta_mod._PHASE_DTYPE(t)
 
 
@@ -344,8 +344,8 @@ def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
 @pytest.mark.parametrize("im", [None, 0.2])
 def test_product_phases_against_mpmath(t, im):
     # the longest product chains (2^k, 3^k), primes and the largest n,
-    # against 40 digits; im None is the rows path's float t, 0.2 the
-    # shared-phase path's Im z + t in wide precision
+    # against 40 digits; im None is a float shift t, 0.2 a wide tau
+    # Im z + t
     mpmath = pytest.importorskip("mpmath")
     sympy = pytest.importorskip("sympy")
     count = math.ceil(0.35 * (t + 0.2))
