@@ -179,8 +179,8 @@ def approximate(
     the least sufficient degree.  Raises BudgetNotMet carrying the best
     attempt if the cap is reached.
     """
-    if not budget > 0:
-        raise InvalidSpec("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise InvalidSpec("budget must be positive and finite")
     if max_degree < 0:
         raise InvalidSpec("max_degree must be >= 0")
 

@@ -9,6 +9,7 @@ the set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import geometry
@@ -94,8 +95,8 @@ def repair_nonvanishing(
     recomputed bound clears the budget.  The zero polynomial is replaced by
     the constant budget/2, the only nonvanishing choice available.
     """
-    if not budget > 0:
-        raise InvalidSpec("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise InvalidSpec("budget must be positive and finite")
 
     if P.degree == 0:
         if P.is_zero():
@@ -170,8 +171,8 @@ def approximate_nonvanishing(
 ) -> tuple[FactoredPolynomial, FitResult, RepairCertificate]:
     """Full pipeline: fit to eps/2 on the set, then repair the roots with the
     remaining eps/2, so that fit error + perturbation bound < eps."""
-    if not eps > 0:
-        raise InvalidSpec("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidSpec("eps must be positive and finite")
     fit = approximate(K, target_spec, eps / 2.0, max_degree)
     fp, cert = repair_nonvanishing(fit.polynomial, K, eps / 2.0)
     return fp, fit, cert

@@ -110,13 +110,11 @@ def discrepancy(
     target: TargetFunction,
     t: float,
     params: ZetaParams = DEFAULT_PARAMS,
-    rows: zeta.DirichletRows | None = None,
 ) -> float:
-    """max over grid points of |zeta(z_i + it) - f_i|; `rows` are the
-    grid's zeta.shift_rows when the caller reuses them across t."""
+    """max over grid points of |zeta(z_i + it) - f_i|."""
     if len(target.samples) != len(grid):
         raise InvalidSpec("target and grid lengths differ")
-    values, _ = zeta_shifted_grid(grid, t, params, rows=rows)
+    values, _ = zeta_shifted_grid(grid, t, params)
     return float(np.max(np.abs(values - target.samples)))
 
 

@@ -18,7 +18,8 @@ point.
 One call evaluates a block of (point, shift) pairs z_j + i t_b and returns
 P x B values and estimates.  A term is n^(-z_j) * exp(-i t_b ln n).  The
 Dirichlet rows n^(-z_j) do not depend on t: a scan keeps them for its
-horizon (DirichletRows), and a call builds those it was not given.  The
+horizon (shift_rows) for as many of its first points as fit, and a call
+builds every row it was not given, or was given too narrow.  The
 phases exp(-i t_b ln n) form one 2-D table, one row per shift, and the
 product passes along n fill all rows at once.  Each pair's partial sum is
 one contiguous reduction over its own N - 1 terms, and the tail and its
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +46,10 @@ from .errors import InvalidSpec, PrecisionExhausted
 _ERR_THRESHOLD = 1e-6
 _MAX_IM = 1e8
 
+# the most terms any evaluation may ask for: the log cache alone holds 16
+# bytes per term, and |Im s| near the 1e8 guard would ask for 2e8 terms
+_MAX_TERMS = 1 << 26
+
 
 @dataclass(frozen=True)
 class ZetaParams:
@@ -52,10 +58,12 @@ class ZetaParams:
     bernoulli_terms: int = 12
 
     def __post_init__(self):
-        if self.min_terms < 2:
-            raise ValueError("min_terms must be >= 2")
-        if not 1 <= self.bernoulli_terms <= 30:
-            raise ValueError("bernoulli_terms must be in 1..30")
+        # N = min_terms stays within the term cap, and the Bernoulli
+        # recurrence takes an integer count
+        for name, lo, hi in (("min_terms", 2, _MAX_TERMS), ("bernoulli_terms", 1, 30)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+                raise ValueError(f"{name} must be an integer in {lo}..{hi}")
         if not 0 < self.terms_per_unit_t < math.inf:
             raise ValueError("terms_per_unit_t must be positive and finite")
 
@@ -111,13 +119,10 @@ _WIDE = np.finfo(np.longdouble).eps < 1e-18
 _PHASE_DTYPE = np.longdouble if _WIDE else np.float64
 _TWO_PI_WIDE = 2.0 * np.pi if not _WIDE else 2 * np.arccos(np.longdouble(-1.0))
 
-# the most table entries (points x terms) of Dirichlet rows, 64 MB of complex
-# values: a scan past it keeps none, and each call builds rows for its own
+# the most table entries (points x terms) of the Dirichlet rows a scan keeps,
+# 64 MB of complex values: rows for as many of its first points as fit, and
+# each call builds rows for the rest
 _SCAN_ENTRIES = 1 << 22
-
-# the most terms any evaluation may ask for: the log cache alone holds 16
-# bytes per term, and |Im s| near the 1e8 guard would ask for 2e8 terms
-_MAX_TERMS = 1 << 26
 
 # the most entries of one phase table or one array of terms (128 kB of
 # complex values); a pair with more terms has a table of its own.  On the
@@ -318,24 +323,14 @@ def _dirichlet_table(points: np.ndarray, width: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class DirichletRows:
-    """The _dirichlet_table of fixed points z_j.  It does not depend on a
-    shift t, so zeta(z_j + it) needs one phase row exp(-i t ln n) for all."""
-
-    points: np.ndarray
-    table: np.ndarray
-
-
-def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> DirichletRows | None:
-    """Rows for the points that serve every shift |t| <= t_max, or None past
-    _SCAN_ENTRIES entries (each call then builds rows for its own points)."""
+def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> np.ndarray:
+    """The _dirichlet_table, wide enough for every shift |t| <= t_max, of as
+    many of the first points as fit _SCAN_ENTRIES entries: all of them
+    inside the cut, none when one row is already wider."""
     points = np.asarray(points, dtype=complex)
     tau = min(abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0)), _MAX_IM)
     count = int(_choose_n(tau, params))
-    if len(points) * count > _SCAN_ENTRIES:
-        return None
-    return DirichletRows(points, _dirichlet_table(points, count))
+    return _dirichlet_table(points[: _SCAN_ENTRIES // count], count)
 
 
 @lru_cache(maxsize=None)
@@ -395,10 +390,11 @@ def _check_range(shifted: np.ndarray) -> None:
 
 
 def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndarray, rows):
-    """_partial_sums for the flat pair indices b * len(points) + j: the rows
-    of z_j, the caller's where wide enough, else built for groups of as many
-    points as the call has shifts (at least one _BLOCK_ENTRIES table, at most
-    _SCAN_ENTRIES entries), times the phase row of t_b."""
+    """_partial_sums for the flat pair indices b * len(points) + j: the row
+    of z_j from rows, the shift_rows of the first points, where they hold
+    one wide enough, else built for groups of as many points as the call has
+    shifts (at least one _BLOCK_ENTRIES table, at most _SCAN_ENTRIES
+    entries), times the phase row of t_b."""
     b, j = np.divmod(pairs, len(points))
     partial = np.empty(len(pairs), dtype=complex)
     last = np.empty(len(pairs), dtype=complex)
@@ -406,11 +402,13 @@ def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndar
     longest = int(counts.max())
     _ln_table(longest)
     # the pairs run shift by shift, as _partial_sums takes them
-    own = counts > (0 if rows is None else rows.table.shape[1])
-    if not own.all():
-        k = np.flatnonzero(~own)
-        partial[k], last[k] = _partial_sums(rows.table, j[k], b[k], ts, counts[k])
-    k = np.flatnonzero(own)
+    if rows is None:
+        rows = np.empty((0, 0), dtype=complex)
+    cached = (j < len(rows)) & (counts <= rows.shape[1])
+    if cached.any():
+        k = np.flatnonzero(cached)
+        partial[k], last[k] = _partial_sums(rows, j[k], b[k], ts, counts[k])
+    k = np.flatnonzero(~cached)
     ids = np.flatnonzero(np.bincount(j[k], minlength=len(points)))
     size = max(1, min(max(len(ts), _BLOCK_ENTRIES // longest), _SCAN_ENTRIES // longest))
     for lo in range(0, len(ids), size):
@@ -424,12 +422,13 @@ def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndar
     return partial, last
 
 
-def _evaluate(points, ts, params: ZetaParams, rows: DirichletRows | None = None):
+def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
     """(values, error estimates, exhausted), each len(points) x len(ts), of
-    zeta at z_j + i t_b.  N is doubled, at most twice, only for the pairs
-    whose estimate is above threshold or whose value is not finite; a pair
-    that still is keeps its last value and estimate and is marked
-    exhausted, and the caller decides."""
+    zeta at z_j + i t_b; rows, when given, are the points' shift_rows.  N
+    is doubled, at most twice, only for the pairs whose estimate is above
+    threshold or whose value is not finite; a pair that still is keeps its
+    last value and estimate and is marked exhausted, and the caller
+    decides."""
     points = np.asarray(points, dtype=complex)
     ts = np.asarray(ts, dtype=np.float64)
     # pairs run shift by shift
@@ -458,10 +457,10 @@ def _evaluate(points, ts, params: ZetaParams, rows: DirichletRows | None = None)
     return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
 
 
-def _evaluate_at(points: np.ndarray, t: float, params: ZetaParams, rows: DirichletRows | None = None):
+def _evaluate_at(points: np.ndarray, t: float, params: ZetaParams):
     """_evaluate at one shift; a point that exhausts precision raises
     PrecisionExhausted carrying its index."""
-    values, errors, exhausted = _evaluate(points, [t], params, rows)
+    values, errors, exhausted = _evaluate(points, [t], params)
     if exhausted.any():
         i = int(np.argmax(exhausted[:, 0]))
         s = complex(points[i].real, points[i].imag + t)
@@ -480,13 +479,10 @@ def zeta_em(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> ZetaValue:
 
 
 def zeta_shifted_grid(
-    grid, t: float, params: ZetaParams = DEFAULT_PARAMS, rows: DirichletRows | None = None
+    grid, t: float, params: ZetaParams = DEFAULT_PARAMS
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, error estimates) of zeta(z_i + i t) for all grid points, as
-    arrays.  `rows`, when given, are the shift_rows of grid.points that a
-    scan reuses for every t; they do not change a value.  A value is taken
-    at the exact point Re z_i + i(Im z_i + t), not at Im z_i + t rounded to
-    a double as a one-point zeta_em(z_i + i t) takes it."""
-    if rows is not None and not np.array_equal(rows.points, grid.points):
-        raise InvalidSpec("rows were built for other points than the grid's")
-    return _evaluate_at(grid.points, t, params, rows)
+    arrays.  A value is taken at the exact point Re z_i + i(Im z_i + t), not
+    at Im z_i + t rounded to a double as a one-point zeta_em(z_i + i t)
+    takes it."""
+    return _evaluate_at(grid.points, t, params)

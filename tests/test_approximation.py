@@ -296,8 +296,9 @@ def test_approximate_raises_when_fewest_samples_exceed_cap():
 
 
 def test_approximate_rejects_bad_budget():
-    with pytest.raises(InvalidSpec):
-        approximate(ARC, {"kind": "builtin", "name": "conj"}, 0.0, 10)
+    for budget in (0.0, math.inf):
+        with pytest.raises(InvalidSpec):
+            approximate(ARC, {"kind": "builtin", "name": "conj"}, budget, 10)
 
 
 def test_polynomial_targets_recovered_exactly():

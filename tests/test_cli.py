@@ -110,6 +110,13 @@ def test_approx_negative_max_degree_exits_1(segment_set, capsys):
     assert "max_degree" in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_approx_infinite_eps_exits_1(segment_set, capsys):
+    # an infinite budget used to certify any fit and print "budget": Infinity
+    code = main(["approx", "--set", segment_set, "--target", "abs", "--eps", "inf"])
+    assert code == 1
+    assert "eps must be positive and finite" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_missing_required_flag_exits_1(segment_set, capsys):
     assert main(["approx", "--set", segment_set]) == 1
 
@@ -210,6 +217,11 @@ def test_zeta_command_pole_exit_1(capsys):
 def test_zeta_command_infinite_terms_per_unit_t_exit_1(capsys):
     assert main(["zeta", "--re", "0.75", "--im", "1", "--terms-per-unit-t", "inf"]) == 1
     assert "terms_per_unit_t" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_zeta_command_min_terms_past_the_term_cap_exit_1(capsys):
+    assert main(["zeta", "--re", "0.75", "--im", "1", "--min-terms", str(10**20)]) == 1
+    assert "min_terms" in json.loads(capsys.readouterr().out)["error"]
 
 
 # ---------------------------------------------------------------- errors

@@ -79,8 +79,11 @@ def test_repair_nonzero_constant_untouched():
 
 
 def test_repair_budget_validation():
-    with pytest.raises(InvalidSpec):
-        repair_nonvanishing(Polynomial((0, 1)), Segment(-0.1, 0.1), 0.0)
+    for budget in (0.0, math.inf):
+        with pytest.raises(InvalidSpec):
+            repair_nonvanishing(Polynomial((0, 1)), Segment(-0.1, 0.1), budget)
+        with pytest.raises(InvalidSpec):
+            approximate_nonvanishing(Segment(-0.1, 0.1), {"kind": "builtin", "name": "identity"}, budget)
 
 
 def test_repair_degenerate_origin_point_set():

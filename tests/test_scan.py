@@ -182,7 +182,7 @@ def test_scan_threads_deterministic():
 def test_trace_does_not_depend_on_the_blocks(monkeypatch, with_rows):
     # two points share an Im; the trace as one block and one phase table, as
     # blocks of one shift (1 // 3 pairs rounds up to one shift) with a table
-    # per tau, through the process pool and one discrepancy call per t
+    # per tau, through the process pool and one zeta call per t
     grid = discretize(PointSet((0.6 + 0.1j, 0.8 + 0.1j, 0.7 + 0.3j)), 0.1)
     target = resolve_target({"kind": "zeta"}, grid)
     ts = np.linspace(0.0, 300.0, 61)
@@ -196,23 +196,29 @@ def test_trace_does_not_depend_on_the_blocks(monkeypatch, with_rows):
         monkeypatch.undo()
         assert not truncated and len(ds) == len(ts)
         traces[label] = ds
-    per_t = np.array([discrepancy(grid, target, t, DEFAULT_PARAMS, rows) for t in ts])
+    per_t = []
+    for t in ts:
+        values = zeta_mod._evaluate(grid.points, [t], DEFAULT_PARAMS, rows)[0][:, 0]
+        per_t.append(np.max(np.abs(values - target.samples)))
     for ds in traces.values():
         assert np.array_equal(ds, per_t)
 
 
-def test_scan_past_the_rows_cut_is_the_scan_with_rows(monkeypatch):
-    # the criterion-6 grid to T = 2000: with the cut one entry below its rows
-    # the scan keeps none, and each call builds rows for groups of at most 4
-    # of its 5 points; every figure of the report is the same bit for bit
+@pytest.mark.parametrize("kept", [2, 1, 0])
+def test_scan_past_the_rows_cut_is_the_scan_with_rows(monkeypatch, kept):
+    # the criterion-6 grid to T = 2000: with the cut one entry short of
+    # kept + 1 rows the scan keeps the rows of the first `kept` of its 3
+    # points, and each call builds rows for the others; every figure of the
+    # report is the same bit for bit
     grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
     target = resolve_target(1.0, grid)
     cfg = ScanConfig(T=2000.0, step=0.5, eps=0.3)
     params = ZetaParams(terms_per_unit_t=0.35)
     cached = scan_mod.scan_on_grid(grid, target, cfg, params)
     rows = zeta_mod.shift_rows(grid.points, cfg.T, params)
-    monkeypatch.setattr(zeta_mod, "_SCAN_ENTRIES", rows.table.size - 1)
-    assert zeta_mod.shift_rows(grid.points, cfg.T, params) is None
+    assert len(rows) == len(grid) == 3
+    monkeypatch.setattr(zeta_mod, "_SCAN_ENTRIES", (kept + 1) * rows.shape[1] - 1)
+    assert np.array_equal(zeta_mod.shift_rows(grid.points, cfg.T, params), rows[:kept])
     past = scan_mod.scan_on_grid(grid, target, cfg, params)
     assert len(cached.hit_intervals) > 100
     assert np.array_equal(past.ts, cached.ts) and np.array_equal(past.ds, cached.ds)

@@ -123,6 +123,12 @@ def test_params_validation():
         ZetaParams(bernoulli_terms=0)
     with pytest.raises(ValueError):
         ZetaParams(bernoulli_terms=31)
+    # N past the term cap, or not an integer, used to fail inside _choose_n
+    for min_terms in (10**20, 2**26 + 1, math.inf, math.nan, 20.5):
+        with pytest.raises(ValueError, match="min_terms"):
+            ZetaParams(min_terms=min_terms)
+    with pytest.raises(ValueError, match="bernoulli_terms"):
+        ZetaParams(bernoulli_terms=2.5)
     for per_unit_t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="terms_per_unit_t"):
             ZetaParams(terms_per_unit_t=per_unit_t)
@@ -182,31 +188,24 @@ def test_grid_propagates_offending_index():
 
 def test_grid_offending_index_with_rows_past_their_width():
     # the rows hold N = 2; the offender at index 5 doubles past them and
-    # fails in rows built for it, with its index in the grid
+    # fails in rows built for it, at its index in the grid
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     grid = discretize(PointSet(tuple(0.75 + 0.1j * k for k in range(5)) + (0.75 + 2e5j, 0.8)), 0.01)
     rows = zeta_mod.shift_rows(grid.points, 0.0, params)
-    assert rows.table.shape == (7, 2)
-    with pytest.raises(PrecisionExhausted) as excinfo:
-        zeta_shifted_grid(grid, 0.0, params, rows)
-    assert excinfo.value.index == 5
+    assert rows.shape == (7, 2)
+    _, _, exhausted = zeta_mod._evaluate(grid.points, [0.0], params, rows)
+    assert np.flatnonzero(exhausted[:, 0]).tolist() == [5]
 
 
 def test_grid_with_scan_rows_matches_one_shot():
     grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
     params = ZetaParams(terms_per_unit_t=0.35)
     rows = zeta_mod.shift_rows(grid.points, 2e3, params)
-    assert rows.table.shape == (len(grid), math.ceil(0.35 * (2e3 + 0.2)))
+    assert rows.shape == (len(grid), math.ceil(0.35 * (2e3 + 0.2)))
     for t in (0.0, 250.0, 1999.5):
-        (v, err), (w, err_w) = zeta_shifted_grid(grid, t, params, rows), zeta_shifted_grid(grid, t, params)
-        assert np.array_equal(v, w) and np.array_equal(err, err_w)
-
-
-def test_grid_rejects_rows_of_other_points():
-    grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
-    rows = zeta_mod.shift_rows(grid.points + 0.1, 1e2)
-    with pytest.raises(InvalidSpec):
-        zeta_shifted_grid(grid, 1.0, DEFAULT_PARAMS, rows)
+        v, err, _ = zeta_mod._evaluate(grid.points, [t], params, rows)
+        w, err_w = zeta_shifted_grid(grid, t, params)
+        assert np.array_equal(v[:, 0], w) and np.array_equal(err[:, 0], err_w)
 
 
 def test_doubling_past_the_rows_leaves_them_at_their_width():
@@ -215,9 +214,9 @@ def test_doubling_past_the_rows_leaves_them_at_their_width():
     grid = discretize(PointSet(ORACLE_SIGMAS), 0.1)
     params = ZetaParams(terms_per_unit_t=0.1)
     rows = zeta_mod.shift_rows(grid.points, 1e3, params)
-    for a, b in zip(zeta_shifted_grid(grid, 1e3, params), zeta_shifted_grid(grid, 1e3, params, rows)):
-        assert np.array_equal(a, b)
-    assert rows.table.shape == (3, 100)
+    for a, b in zip(zeta_shifted_grid(grid, 1e3, params), zeta_mod._evaluate(grid.points, [1e3], params, rows)):
+        assert np.array_equal(a, b[:, 0])
+    assert rows.shape == (3, 100)
 
 
 def test_one_wide_phase_table_per_distinct_im(monkeypatch):
@@ -233,17 +232,21 @@ def test_one_wide_phase_table_per_distinct_im(monkeypatch):
     grid = discretize(PointSet((0.6, 0.7, 0.8, 0.6 + 0.1j, 0.7 + 0.1j)), 0.1)
     rows = zeta_mod.shift_rows(grid.points, 50.0)
     assert len(calls) == 2
-    zeta_shifted_grid(grid, 50.0, DEFAULT_PARAMS, rows)
+    zeta_mod._evaluate(grid.points, [50.0], DEFAULT_PARAMS, rows)
     assert len(calls) == 3
     # without rows the call builds its own: the 2 Im rows, then the t row
     zeta_shifted_grid(grid, 50.0)
     assert calls[3:] == [0.0, 0.1, 50.0]
 
 
-def test_shift_rows_over_budget_is_none():
-    points = np.full(100, 0.75 + 0j)
-    assert zeta_mod.shift_rows(points, 1e6) is None
-    assert zeta_mod.shift_rows(points, 1e2) is not None
+def test_shift_rows_keep_the_first_points_that_fit():
+    # N = 2e5 at t = 1e5: the 2^22-entry cut holds the rows of the first 20
+    # of 100 points, the same rows as the table of those points alone
+    points = 0.5 + 0.004 * np.arange(100) + 0j
+    rows = zeta_mod.shift_rows(points, 1e5)
+    assert rows.shape == ((1 << 22) // 200_000, 200_000) == (20, 200_000)
+    assert np.array_equal(rows[19], zeta_mod._dirichlet_table(points[19:20], 200_000)[0])
+    assert zeta_mod.shift_rows(points, 1e2).shape == (100, 200)
 
 
 def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
@@ -274,7 +277,8 @@ def test_term_cap_raises_before_allocating(monkeypatch):
     with pytest.raises(InvalidSpec, match="term cap 67108864"):
         zeta_em(0.75 + 5e7j)
     grid = discretize(PointSet((0.75,)), 0.1)
-    assert zeta_mod.shift_rows(grid.points, 5e7) is None
+    with pytest.raises(InvalidSpec, match="term cap"):
+        zeta_mod.shift_rows(grid.points, 5e7)
     with pytest.raises(InvalidSpec, match="term cap"):
         zeta_shifted_grid(grid, 5e7)
     assert len(zeta_mod._ln_cache) == 63 and zeta_mod._plan_cache is None
@@ -429,8 +433,8 @@ def test_grid_against_mpmath_at_exact_point(t):
     params = ZetaParams(terms_per_unit_t=0.35)
     exact = [_mpmath_at_shift(mpmath, z, t) for z in grid.points]
     for rows in (None, zeta_mod.shift_rows(grid.points, t, params)):
-        values, errors = zeta_shifted_grid(grid, t, params, rows)
-        for x, v, err in zip(exact, values, errors):
+        values, errors, _ = zeta_mod._evaluate(grid.points, [t], params, rows)
+        for x, v, err in zip(exact, values[:, 0], errors[:, 0]):
             assert abs(v - x) <= max(err, 1e-12)
 
 
