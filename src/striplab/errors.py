@@ -20,11 +20,8 @@ class ResolutionExhausted(StriplabError):
 
 
 class NoConvergence(StriplabError):
-    """Simultaneous root iteration failed to meet its residual tolerance."""
-
-    def __init__(self, iterations):
-        super().__init__(f"root iteration did not converge after {iterations} sweeps")
-        self.iterations = iterations
+    """Root finding failed: the eigenvalue solve did not converge, or a root
+    missed the backward-error tolerance."""
 
 
 class BudgetNotMet(StriplabError):

@@ -1,5 +1,5 @@
-"""Complex polynomial arithmetic, simultaneous root finding, and the two
-certified bounds used by the nonvanishing repair."""
+"""Complex polynomial arithmetic, roots as companion-matrix eigenvalues, and
+the two certified bounds used by the nonvanishing repair."""
 
 from __future__ import annotations
 
@@ -13,13 +13,12 @@ from . import geometry
 from .errors import InvalidSpec, NoConvergence
 
 _ROOT_TOL = 1e-12
-_MAX_SWEEPS = 1000
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """sum_k coeffs[k] * ((z - center) / scale)**k: ascending powers of the
-    frame variable, trailing zeros trimmed.
+    frame variable, finite, trailing zeros trimmed.
 
     The default frame (center 0, scale 1) is plain coefficient form in z.
     A frame fitted to a set keeps the variable of order one on it, which is
@@ -39,6 +38,8 @@ class Polynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "scale", float(self.scale))
+        if not all(cmath.isfinite(c) for c in cs):
+            raise ValueError("polynomial coefficients must be finite")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("polynomial frame scale must be positive and finite")
 
@@ -74,10 +75,11 @@ class Polynomial:
 class FactoredPolynomial:
     """leading * prod_k ((z - roots[k]) / scale); the numerically stable view.
 
-    The roots are in z.  The scale is that of the frame the polynomial was
-    fitted in (1 for plain coefficient form), so leading is the frame's
-    leading coefficient: the z-leading coefficient leading / scale**m
-    overflows or underflows for large or thin sets at high degree.
+    The roots are finite and in z.  The scale is that of the frame the
+    polynomial was fitted in (1 for plain coefficient form), so leading is
+    the frame's leading coefficient: the z-leading coefficient
+    leading / scale**m overflows or underflows for large or thin sets at
+    high degree.
     """
 
     leading: complex
@@ -90,6 +92,8 @@ class FactoredPolynomial:
         object.__setattr__(self, "scale", float(self.scale))
         if not (self.leading != 0 and cmath.isfinite(self.leading)):
             raise ValueError("factored polynomial needs a finite nonzero leading coefficient")
+        if not all(cmath.isfinite(r) for r in self.roots):
+            raise ValueError("factored polynomial roots must be finite")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("factored polynomial scale must be positive and finite")
 
@@ -149,8 +153,11 @@ def from_roots(leading: complex, roots) -> Polynomial:
     The expansion's round-off is not negligible at high degree: for 60 roots
     on |z| = 1.3 the roots of the expanded polynomial lie up to 3.2e-3 from
     the given ones, and for random rings of 60 roots up to 2.8e-3 at radius
-    0.5 and 9.4e-2 at radius 5, although ``roots`` finds each at backward
-    error <= 1e-12.  Keep a FactoredPolynomial where the roots matter.
+    0.5 and 9.4e-2 at radius 5.  For one random ring of 60 roots at radius
+    1e4 even the exact roots of the expansion (mpmath, 80 digits) lie up to
+    4% of the radius away.  ``roots`` finds each root of the expansion at
+    backward error <= 1e-12 but cannot undo the expansion's error.  Keep a
+    FactoredPolynomial where the roots matter.
     """
     leading = complex(leading)
     if leading == 0:
@@ -162,82 +169,44 @@ def from_roots(leading: complex, roots) -> Polynomial:
     return Polynomial(tuple(cs))
 
 
-def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
 def roots(p: Polynomial) -> tuple[complex, ...]:
-    """All roots, in z, via simultaneous (Aberth-Ehrlich) iteration.
+    """All roots, in z, as the eigenvalues of a companion matrix.
 
-    The iteration runs on the coefficients in the frame variable; its roots
-    are mapped back by z = center + scale * root.  Deterministic start: a
-    ring at the Fujiwara bound 2 * max_k |c_{m-k} / c_m|**(1/k), which holds
-    every root (radius 1 for c_m z**m), angles offset by 0.4 rad to break
-    symmetry.  A root is accepted when |p(root)| <= 1e-12 * sum_k |c_k| |root|**k
-    in the frame variable, a backward-error test that holds its meaning at
-    every root scale; sweeps continue until corrections stagnate so
-    clustered roots reach their attainable accuracy.  Raises NoConvergence
-    when the test still fails after 1000 sweeps.
+    The solve runs on the coefficients c_k in the frame variable w, after
+    the substitution w = s * u with s = |c_low / c_m|**(1/(m - low)), c_low
+    the lowest nonzero coefficient: s is the geometric mean of the nonzero
+    root moduli, so the monic polynomial in u has roots of order one and
+    the eigenvalues are backward stable (Edelman & Murakami, Math. Comp. 64,
+    1995).  One Newton step then refines each root, kept only where it
+    lowers |p|.  A root is accepted when |p(w)| <= 1e-12 * sum_k |c_k| |w|**k,
+    a backward-error test that holds its meaning at every root scale; it is
+    evaluated on the scaled coefficients, where both sides carry the same
+    factor and stay representable.  Raises NoConvergence when LAPACK fails
+    or a root misses the test.  The roots are mapped back by
+    z = center + scale * w.
     """
-    return tuple(p.center + p.scale * np.array(_frame_roots(p)))
-
-
-def _frame_roots(p: Polynomial) -> tuple[complex, ...]:
     m = p.degree
     if m == 0:
         raise InvalidSpec("constant polynomials have no roots to extract")
     coeffs = np.array(p.coeffs, dtype=complex)
-    if m == 1:
-        return (-coeffs[0] / coeffs[1],)
-
-    # the Fujiwara bound scales with the roots, so |z|**m on the start ring
-    # stays representable at degree 60
-    ratios = np.abs(coeffs[-2::-1] / coeffs[-1]) ** (1.0 / np.arange(1, m + 1))
-    radius = 2.0 * float(np.max(ratios)) or 1.0  # 0 only for p = c_m z**m
-    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4))
-    abs_desc = np.abs(coeffs[::-1])
-
-    def resid_ok(pv, z):
-        return bool(np.all(np.abs(pv) <= _ROOT_TOL * np.polyval(abs_desc, np.abs(z))))
-
-    best_rel = math.inf
-    stall = 0
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        pv, dpv = _horner_pair(coeffs, z)
-        converging = resid_ok(pv, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = pv / dpv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            delta = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))
-        bad = ~np.isfinite(delta)
-        if np.any(bad):
-            kick = 0.1 * (1.0 + np.abs(z[bad])) * np.exp(1j * sweep)
-            delta[bad] = np.where(np.isfinite(newton[bad]), newton[bad], kick)
-        z = z - delta
-        rel = float(np.max(np.abs(delta) / (1.0 + np.abs(z))))
-        if converging:
-            if rel <= 4e-16:
-                return tuple(z)
-            if rel < 0.5 * best_rel:
-                best_rel = rel
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 6:
-                    return tuple(z)
-        else:
-            stall = 0
-            best_rel = math.inf
-    pv, _ = _horner_pair(coeffs, z)
-    if resid_ok(pv, z):
-        return tuple(z)
-    raise NoConvergence(_MAX_SWEEPS)
+    low = int(np.flatnonzero(coeffs)[0])
+    # p = c_m w**m (low = m) has only the root 0 and any s serves; this gives 1
+    s = abs(coeffs[low] / coeffs[m]) ** (1.0 / max(m - low, 1))
+    desc = (coeffs / coeffs[m] * s ** (np.arange(m + 1) - m))[::-1]
+    try:
+        u = np.roots(desc)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues failed: {exc}") from exc
+    pv = np.polyval(desc, u)
+    with np.errstate(all="ignore"):
+        step = u - pv / np.polyval(np.polyder(desc), u)
+        step_pv = np.polyval(desc, step)
+    better = np.abs(step_pv) < np.abs(pv)
+    u = np.where(better, step, u)
+    pv = np.where(better, step_pv, pv)
+    if not np.all(np.abs(pv) <= _ROOT_TOL * np.polyval(np.abs(desc), np.abs(u))):
+        raise NoConvergence("a root misses the backward-error test |p| <= 1e-12 * sum_k |c_k| |w|**k")
+    return tuple(p.center + p.scale * (s * u))
 
 
 def perturbation_bound(

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -19,7 +19,8 @@ from striplab import (
     perturbation_bound,
     roots,
 )
-from striplab.errors import InvalidSpec
+from striplab import polynomial
+from striplab.errors import InvalidSpec, NoConvergence
 
 
 def match_error(found, expected):
@@ -96,6 +97,15 @@ def test_scalar_evaluation_is_the_array_evaluation(coeffs, leading, roots_, cent
         assert value == values[0]
 
 
+@pytest.mark.parametrize(
+    "coeffs, scale",
+    [((1, 2), 0.0), ((1, 2), float("inf")), ((float("inf"), 1), 1.0), ((1, float("nan"), 1), 1.0)],
+)
+def test_polynomial_rejects_non_finite_or_bad_scale(coeffs, scale):
+    with pytest.raises(ValueError):
+        Polynomial(coeffs, 0j, scale)
+
+
 def test_trailing_zero_trim():
     p = Polynomial((1, 2, 0, 0))
     assert p.degree == 1 and p.coeffs == (1 + 0j, 2 + 0j)
@@ -160,6 +170,40 @@ def test_roots_accepted_only_at_small_backward_error(radius, m):
     expected = radius * np.exp(2j * np.pi * rng.uniform(size=m))
     found = roots(from_roots(1, expected))
     assert match_error(found, expected) <= 1e-2 * radius
+
+
+def test_roots_raise_no_convergence_when_a_root_misses_the_test(monkeypatch):
+    # with a zero tolerance only an exact floating-point root would pass
+    p = from_roots(1, (0.3, 0.7j, -0.45 + 0.2j, 1.1 - 0.6j, -0.8j))
+    monkeypatch.setattr(polynomial, "_ROOT_TOL", 0.0)
+    with pytest.raises(NoConvergence):
+        roots(p)
+
+
+# 60 roots at random angles on |z| = 1e4, where |z|**60 reaches 1e240.  The
+# expansion of this ring is ill-conditioned: the exact roots of
+# from_roots(1, ring) lie up to 400 from the given ones (mpmath at 80
+# digits), so only the backward error can be asked of any root finder.
+RING_1E4 = [(4.0, a, 1) for a in 2 * np.pi * np.random.default_rng(2024).uniform(size=60)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(clusters=RING_1E4)
+@given(
+    clusters=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2 * np.pi), st.integers(1, 4)),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_roots_meet_the_backward_error_test(clusters):
+    # moduli over six decades and clusters of up to four equal roots
+    expected = [10.0**e * np.exp(1j * a) for e, a, k in clusters for _ in range(k)][:60]
+    p = from_roots(1, expected)
+    desc = np.array(p.coeffs[::-1])
+    found = np.array(roots(p))
+    assert len(found) == len(expected)
+    assert np.all(np.abs(np.polyval(desc, found)) <= 1e-12 * np.polyval(np.abs(desc), np.abs(found)))
 
 
 def test_roots_degree_zero_raises():
@@ -349,6 +393,8 @@ def test_scaled_factored_form_matches_framed_polynomial():
     assert "scale" not in FactoredPolynomial(lead, fp.roots).to_spec()
     with pytest.raises(ValueError):
         FactoredPolynomial(complex("inf"), fp.roots, rho)
+    with pytest.raises(ValueError):
+        FactoredPolynomial(1, (complex("nan"),), rho)
 
     # each factor carries 1 / rho, so both certificates pick up rho**-6
     plain = FactoredPolynomial(lead, fp.roots)

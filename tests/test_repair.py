@@ -9,6 +9,7 @@ from striplab import (
     FactoredPolynomial,
     Polynomial,
     Segment,
+    approximate,
     approximate_nonvanishing,
     bounding_radius,
     discretize,
@@ -19,6 +20,7 @@ from striplab import (
     original_roots,
     perturbation_bound,
     repair_nonvanishing,
+    roots,
 )
 from striplab.errors import BudgetNotMet, InvalidSpec
 
@@ -226,6 +228,18 @@ def test_pipeline_arc_conj_feasible_eps():
     values = evaluate_factored(fp, audit.points)
     assert float(np.max(np.abs(values - np.conj(audit.points)))) < eps
     assert float(np.min(np.abs(values))) >= cert.min_modulus_lower_bound
+
+
+@pytest.mark.parametrize("K, name, gap", [(ARC, "conj", 2.2e-11), (Segment(-0.5, 0.5), "abs", 6.1e-8)])
+def test_factored_form_of_a_fit_matches_it_on_the_audit_grid(K, name, gap):
+    # the criterion-1 fit and the benchmark's |z| fit, which the repair
+    # starts from; each bound is twice the gap the Aberth solver left
+    # (1.1e-11 and 3.0e-8), and the bare eigenvalues miss the second (2.3e-7)
+    fit = approximate(K, {"kind": "builtin", "name": name}, 5e-3, 60)
+    P = fit.polynomial
+    fp = FactoredPolynomial(P.leading, roots(P), P.scale)
+    z = discretize(K, fit.grid_covering_radius / 10.0).points
+    assert float(np.max(np.abs(evaluate(P, z) - evaluate_factored(fp, z)))) <= gap
 
 
 def test_pipeline_arc_conj_tight_eps_is_out_of_reach():
