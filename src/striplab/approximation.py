@@ -16,7 +16,9 @@ conversion loss is measured, never hidden.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,12 @@ from .targets import TargetFunction
 
 _LAWSON_WEIGHT_FLOOR = 1e-14
 _LAWSON_ITERS = 10
+# relative slack on the budget before a weighted residual settles "no": it
+# covers the rounding between that residual and the least sup error on the
+# samples, that is the weights' sum missing 1, the basis missing
+# orthonormality (below 1e-15 in Q^H W Q, see _weighted_basis) and the
+# recomputed sup errors' own evaluation rounding, all far below 1e-6
+_LOWER_BOUND_MARGIN = 1e-6
 # most samples ``approximate`` puts on a set
 _GRID_CAP = 20_000
 
@@ -95,15 +103,36 @@ def set_frame(K: CompactSet) -> tuple[complex, float]:
     return center, (rho if rho > 0 else 1.0)
 
 
-def _validate_fit_args(grid: SampleGrid, target: TargetFunction, degree: int):
-    if degree < 0:
-        raise InvalidSpec("degree must be >= 0")
+def _count(name: str, value) -> int:
+    """value as an integer >= 0 (numpy integers pass), else InvalidSpec."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise InvalidSpec(f"{name} must be >= 0")
+    return count
+
+
+def _validate_fit_args(
+    grid: SampleGrid, target: TargetFunction, degree, max_iters, center, scale, budget
+) -> tuple[int, int]:
+    """The checked degree and max_iters, as ints."""
+    degree = _count("degree", degree)
+    max_iters = _count("max_iters", max_iters)
+    if not cmath.isfinite(center):
+        raise InvalidSpec("center must be finite")
+    if not 0 < scale < math.inf:
+        raise InvalidSpec("scale must be positive and finite")
+    if budget is not None and not 0 < budget < math.inf:
+        raise InvalidSpec("budget must be None or positive and finite")
     if len(target.samples) != len(grid):
         raise InvalidSpec("target and grid lengths differ")
     if len(grid) < degree + 1:
         raise InvalidSpec(
             f"degree {degree} needs at least {degree + 1} samples, grid has {len(grid)}"
         )
+    return degree, max_iters
 
 
 def lawson_refine(
@@ -113,6 +142,8 @@ def lawson_refine(
     max_iters: int = _LAWSON_ITERS,
     center: complex = 0j,
     scale: float = 1.0,
+    *,
+    budget: float | None = None,
 ) -> FitResult:
     """Iteratively reweighted least squares toward the sup-norm objective,
     in the frame variable (z - center) / scale.
@@ -120,9 +151,21 @@ def lawson_refine(
     Weights update as w_i <- w_i * |residual_i| (then normalized, floored at
     1e-14 so no point is dropped).  The best iterate by recomputed sup error
     is returned, so the result is never worse than plain least squares;
-    max_iters = 0 returns the plain fit verbatim.
+    max_iters = 0 returns the plain fit verbatim.  ``iterations`` counts the
+    weighted fits made, the plain one included.
+
+    With a budget the loop only answers whether some iterate's sup error
+    beats it, and stops at the first fit that settles that: yes once an
+    iterate's sup error is below the budget, no once a fit's weighted
+    residual (sum_i w_i |f_i - p_w(z_i)|^2)^(1/2), with weights summing to
+    1, exceeds it.  That residual is at most the least sup error any
+    polynomial of this degree reaches on the samples (Lawson's lower
+    bound), so no iterate of the full loop could beat the budget either.
+    The result is then the best iterate so far, and ``iterations`` counts
+    the fits made until the answer was known; the full loop, run without a
+    budget, starts with the same fits.
     """
-    _validate_fit_args(grid, target, degree)
+    degree, max_iters = _validate_fit_args(grid, target, degree, max_iters, center, scale, budget)
     n = len(grid)
     z = grid.points
     zeta = (z - center) / scale
@@ -130,19 +173,26 @@ def lawson_refine(
     w = np.full(n, 1.0 / n)
 
     def fit(w):
-        # the weighted least-squares polynomial and |residual| at the
-        # samples, recomputed from its coefficients
+        # the weighted least-squares polynomial, |residual| at the samples
+        # recomputed from its coefficients, and (with a budget) the weighted
+        # residual of its basis values, which no coefficient rounding enters
         Q, P = _weighted_basis(zeta, w, degree)
         a = np.conj(np.conj(w * f) @ Q)
         poly = Polynomial(tuple(P @ a), center, scale)
-        return poly, np.abs(evaluate(poly, z) - f)
+        lower = 0.0 if budget is None else math.sqrt(float(np.sum(w * np.abs(f - Q @ a) ** 2)))
+        return poly, np.abs(evaluate(poly, z) - f), lower
 
-    best_poly, r = fit(w)
+    def settled(best_sup, lower):
+        return budget is not None and (
+            best_sup < budget or lower > budget * (1.0 + _LOWER_BOUND_MARGIN)
+        )
+
+    best_poly, r, lower = fit(w)
     best_sup = float(np.max(r))
     iterations = 1
     f_scale = max(1.0, float(np.max(np.abs(f))))
     for _ in range(max_iters):
-        if best_sup <= 1e-15 * f_scale:
+        if best_sup <= 1e-15 * f_scale or settled(best_sup, lower):
             break
         w = w * r
         total = float(np.sum(w))
@@ -150,7 +200,7 @@ def lawson_refine(
             break
         w = np.maximum(w / total, _LAWSON_WEIGHT_FLOOR)
         w = w / float(np.sum(w))
-        poly, r = fit(w)
+        poly, r, lower = fit(w)
         sup = float(np.max(r))
         iterations += 1
         if sup < best_sup:
@@ -177,12 +227,14 @@ def approximate(
 
     Degree escalation doubles (1, 2, 4, ...) up to the cap, then bisects for
     the least sufficient degree.  Raises BudgetNotMet carrying the best
-    attempt if the cap is reached.
+    attempt if the cap is reached.  Each attempt stops as soon as it knows
+    whether it meets the budget (``lawson_refine`` with ``budget``); the fit
+    returned, or carried by BudgetNotMet, is re-run without one, so its
+    ``iterations`` counts the fits of the full loop.
     """
     if not 0 < budget < math.inf:
         raise InvalidSpec("budget must be positive and finite")
-    if max_degree < 0:
-        raise InvalidSpec("max_degree must be >= 0")
+    max_degree = _count("max_degree", max_degree)
 
     center, scale = set_frame(K)
     h0 = min(0.01, budget / 10.0)
@@ -221,12 +273,19 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
     """Search for the least degree whose fit beats the budget: 1, 2, 4, ...
     below the cap, then the cap, then bisection.  Returns (fit, True) for
     that degree, or (best, False) with best the first attempt of least sup
-    error when even the cap fails."""
+    error when even the cap fails.
+
+    Each attempt runs Lawson with the budget, so it stops as soon as its
+    yes/no is known; the fits returned are then re-run in full, so they are
+    the ones a search of full attempts returns."""
     cap = min(max_degree, len(grid) - 1)
     fits: dict[int, FitResult] = {}
 
+    def full(d):
+        return lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale)
+
     def met(d):
-        fits[d] = lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale)
+        fits[d] = lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale, budget=budget)
         return fits[d].sup_error_on_samples < budget
 
     d, lo = 1, -1
@@ -236,7 +295,9 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
             break
         lo, d = d, 2 * d
     if lo == cap:
-        return min(fits.values(), key=lambda fit: fit.sup_error_on_samples), False
+        # an attempt that made all its fits is already the full one
+        attempts = [fit if fit.iterations > _LAWSON_ITERS else full(d) for d, fit in fits.items()]
+        return min(attempts, key=lambda fit: fit.sup_error_on_samples), False
     hi = d
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -244,4 +305,4 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
             hi = mid
         else:
             lo = mid
-    return fits[hi], True
+    return full(hi), True

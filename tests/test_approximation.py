@@ -162,6 +162,71 @@ def test_lawson_zero_iters_is_plain_ls():
     assert lw.iterations == 1
 
 
+def discrete_minimax(x, f, degree):
+    """E*_d = min over real polynomials p of degree <= d of max_i |f_i - p(x_i)|,
+    as a linear program in the Chebyshev coefficients and the level e:
+    minimise e subject to -e <= f_i - p(x_i) <= e.  Returns the recomputed sup
+    error of the optimal polynomial, which bounds E*_d from above."""
+    from scipy.optimize import linprog
+
+    V = np.polynomial.chebyshev.chebvander(x, degree)
+    ones = np.ones((len(x), 1))
+    res = linprog(
+        np.r_[np.zeros(degree + 1), 1.0],
+        A_ub=np.block([[V, -ones], [-V, -ones]]),
+        b_ub=np.r_[f, -f],
+        bounds=[(None, None)] * (degree + 1) + [(0, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(np.max(np.abs(f - V @ res.x[:-1])))
+
+
+@pytest.mark.parametrize(
+    "fn", [pytest.param(np.abs, id="abs"), pytest.param(lambda x: np.sin(8 * x), id="sin8x")]
+)
+@pytest.mark.parametrize("degree", [2, 4, 8])
+def test_lawson_lower_bound_against_the_discrete_minimax(fn, degree):
+    # for real samples on a real segment the best complex polynomial is no
+    # better than its real part, so the real LP gives the minimax error E*_d
+    g = segment_grid(201)
+    x = g.points.real
+    f = fn(x)
+    target = TargetFunction(f)
+    e_star = discrete_minimax(x, f, degree)
+    # any weights summing to 1: the weighted LS residual is at most E*_d
+    rng = np.random.default_rng(1961 + degree)
+    for _ in range(10):
+        w = 10.0 ** rng.uniform(-14, 0, len(x))
+        w /= w.sum()
+        Q, _ = _weighted_basis(g.points, w, degree)
+        a = np.conj(np.conj(w * f) @ Q)
+        assert math.sqrt(np.sum(w * np.abs(f - Q @ a) ** 2)) <= e_star
+    # every polynomial's sup error is at least E*_d, Lawson's best included
+    fit = lawson_refine(g, target, degree)
+    assert fit.iterations == 11
+    assert e_star <= fit.sup_error_on_samples
+    # below E*_d no iterate can meet the budget, and the residual says so early
+    budget = 0.9 * e_star
+    stopped = lawson_refine(g, target, degree, budget=budget)
+    assert stopped.iterations < 11
+    assert stopped.sup_error_on_samples >= budget
+
+
+def test_lawson_with_a_budget_stops_at_the_first_iterate_below_it():
+    g = discretize(ARC, 0.005)
+    target = resolve_target({"kind": "builtin", "name": "abs"}, g)
+    full = lawson_refine(g, target, 8)
+    # any budget above the plain fit's sup error is met by the first fit
+    first = lawson_refine(g, target, 8, 0)
+    met = lawson_refine(g, target, 8, budget=first.sup_error_on_samples * 1.01)
+    assert met.iterations == 1
+    assert met == first
+    # a budget the full loop only just meets is met at the full loop's best
+    met = lawson_refine(g, target, 8, budget=full.sup_error_on_samples * (1 + 1e-12))
+    assert met.sup_error_on_samples == full.sup_error_on_samples
+
+
 # ---------------------------------------------------------------- escalation
 
 
@@ -204,14 +269,19 @@ def test_approximate_arc_tight_budget_not_met():
 
 
 def _recorded_search(monkeypatch, sups, max_degree, budget=0.5):
-    """Degrees `approximate` fits, in order, with lawson_refine stubbed to
-    the sup error sups(d) and a zero polynomial (no derivative re-fit);
-    returns (degrees, fit or BudgetNotMet)."""
-    degrees = []
+    """Degrees `approximate` tries with the budget, in order, with
+    lawson_refine stubbed to the sup error sups(d) and a zero polynomial (no
+    derivative re-fit); returns (degrees, fit or BudgetNotMet, full) with
+    full the fits of the calls made without a budget."""
+    degrees, full = [], []
 
-    def stub(grid, target, d, iters, center, scale):
-        degrees.append(d)
-        return FitResult(Polynomial((0j,), center, scale), sups(d), d, 1, grid.covering_radius)
+    def stub(grid, target, d, iters, center, scale, *, budget=None):
+        fit = FitResult(Polynomial((0j,), center, scale), sups(d), d, 1, grid.covering_radius)
+        if budget is None:
+            full.append(fit)
+        else:
+            degrees.append(d)
+        return fit
 
     monkeypatch.setattr(approximation, "lawson_refine", stub)
     try:
@@ -219,7 +289,11 @@ def _recorded_search(monkeypatch, sups, max_degree, budget=0.5):
         out = approximate(Segment(-1.0, 1.0), {"kind": "builtin", "name": "abs"}, budget, max_degree)
     except BudgetNotMet as exc:
         out = exc
-    return degrees, out
+    return degrees, out, full
+
+
+def _from_full_call(fit, full):
+    return any(fit is f for f in full)
 
 
 @pytest.mark.parametrize(
@@ -227,27 +301,120 @@ def _recorded_search(monkeypatch, sups, max_degree, budget=0.5):
     [(0, [0]), (1, [1]), (5, [1, 2, 4, 5]), (8, [1, 2, 4, 8]), (60, [1, 2, 4, 8, 16, 32, 60])],
 )
 def test_degree_search_order_when_never_met(monkeypatch, cap, expected):
-    degrees, out = _recorded_search(monkeypatch, lambda d: 1.0, cap)
+    degrees, out, full = _recorded_search(monkeypatch, lambda d: 1.0, cap)
     assert degrees == expected
     assert isinstance(out, BudgetNotMet)
+    assert _from_full_call(out.best, full)
 
 
 def test_degree_search_bisects_to_the_least_sufficient_degree(monkeypatch):
-    degrees, fit = _recorded_search(monkeypatch, lambda d: 0.1 if d >= 3 else 1.0, 60)
+    degrees, fit, full = _recorded_search(monkeypatch, lambda d: 0.1 if d >= 3 else 1.0, 60)
     assert degrees == [1, 2, 4, 3]
     assert fit.degree_used == 3
+    assert _from_full_call(fit, full)
 
 
 def test_degree_search_best_failure_is_earliest_on_a_tie(monkeypatch):
     sups = {1: 0.9, 2: 0.8, 4: 0.8, 5: 0.85}
-    degrees, out = _recorded_search(monkeypatch, sups.get, 5)
+    degrees, out, full = _recorded_search(monkeypatch, sups.get, 5)
     assert degrees == [1, 2, 4, 5]
     assert out.best.degree_used == 2
+    assert _from_full_call(out.best, full)
+
+
+def _full_search(grid, target, budget, max_degree, center, scale):
+    # reference degree search: the same doubling and bisection, with full
+    # Lawson at every degree it tries
+    cap = min(max_degree, len(grid) - 1)
+    fits = {}
+
+    def met(d):
+        fits[d] = lawson_refine(grid, target, d, approximation._LAWSON_ITERS, center, scale)
+        return fits[d].sup_error_on_samples < budget
+
+    d, lo = 1, -1
+    while lo < cap:
+        d = min(d, cap)
+        if met(d):
+            break
+        lo, d = d, 2 * d
+    if lo == cap:
+        return min(fits.values(), key=lambda fit: fit.sup_error_on_samples), False
+    hi = d
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if met(mid):
+            hi = mid
+        else:
+            lo = mid
+    return fits[hi], True
+
+
+@pytest.mark.parametrize(
+    "K, spec, budget, max_degree",
+    [
+        (ARC, {"kind": "builtin", "name": "conj"}, 5e-3, 60),  # criterion 1's fit
+        (Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 2e-2, 60),
+        (Segment(-0.5, 0.5), lambda z: np.sin(8 * z), 1e-2, 60),
+        (Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 1e-4, 12),  # BudgetNotMet
+    ],
+)
+def test_degree_search_returns_the_fit_of_a_search_of_full_attempts(monkeypatch, K, spec, budget, max_degree):
+    def search():
+        try:
+            return approximate(K, spec, budget, max_degree), True
+        except BudgetNotMet as exc:
+            return exc.best, False
+
+    out = search()
+    monkeypatch.setattr(approximation, "_escalate", _full_search)
+    assert search() == out
 
 
 def test_approximate_rejects_negative_max_degree():
     with pytest.raises(InvalidSpec, match="max_degree"):
         approximate(ARC, {"kind": "builtin", "name": "conj"}, 0.1, -1)
+
+
+@pytest.mark.parametrize("max_degree", [math.nan, 2.5, "3"])
+def test_approximate_rejects_a_max_degree_that_is_not_an_integer(max_degree):
+    with pytest.raises(InvalidSpec, match="max_degree"):
+        approximate(Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 1e-2, max_degree)
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        ("degree", 2.5),
+        ("degree", -1),
+        ("max_iters", 2.5),
+        ("max_iters", -1),
+        ("center", complex(math.nan, 0.0)),
+        ("center", math.inf),
+        ("scale", 0.0),
+        ("scale", -1.0),
+        ("scale", math.nan),
+        ("scale", math.inf),
+        ("budget", 0.0),
+        ("budget", -1.0),
+        ("budget", math.nan),
+        ("budget", math.inf),
+    ],
+)
+def test_lawson_refine_rejects_bad_arguments(arg, value):
+    g = segment_grid(20)
+    target = resolve_target({"kind": "builtin", "name": "abs"}, g)
+    with pytest.raises(InvalidSpec, match=arg):
+        lawson_refine(g, target, **{"degree": 2, arg: value})
+
+
+def test_fit_counts_accept_numpy_integers():
+    g = segment_grid(20)
+    target = resolve_target({"kind": "builtin", "name": "abs"}, g)
+    fit = lawson_refine(g, target, np.int64(2), np.int64(3))
+    assert fit == lawson_refine(g, target, 2, 3)
+    fit = approximate(Segment(-0.5, 0.5), {"kind": "builtin", "name": "identity"}, 1e-6, np.int64(4))
+    assert fit.degree_used == 1
 
 
 def test_approximate_fits_in_the_set_frame():
