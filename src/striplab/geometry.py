@@ -9,7 +9,9 @@ validation is attempted.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,6 +41,8 @@ class Segment:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
+            raise InvalidSpec("segment endpoints must be finite")
         if self.a == self.b:
             raise InvalidSpec("segment endpoints coincide; use the points variant")
 
@@ -55,8 +59,10 @@ class Arc:
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "angle_start", float(self.angle_start))
         object.__setattr__(self, "angle_end", float(self.angle_end))
-        if not self.radius > 0:
-            raise InvalidSpec("arc radius must be positive")
+        if not cmath.isfinite(self.center):
+            raise InvalidSpec("arc center must be finite")
+        if not 0 < self.radius < math.inf:
+            raise InvalidSpec("arc radius must be positive and finite")
         span = self.angle_end - self.angle_start
         if not 0.0 < span < _TWO_PI:
             raise InvalidSpec("arc span must lie strictly between 0 and 2*pi (no full circles)")
@@ -75,6 +81,8 @@ class Polyline:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise InvalidSpec("polyline needs at least 2 vertices")
+        if not all(map(cmath.isfinite, verts)):
+            raise InvalidSpec("polyline vertices must be finite")
         for u, v in zip(verts, verts[1:]):
             if u == v:
                 raise InvalidSpec("polyline has duplicate consecutive vertices")
@@ -92,6 +100,8 @@ class PointSet:
         pts = tuple(complex(p) for p in self.points)
         if not pts:
             raise InvalidSpec("point set must be nonempty")
+        if not all(map(cmath.isfinite, pts)):
+            raise InvalidSpec("points must be finite")
         object.__setattr__(self, "points", pts)
 
 
@@ -117,6 +127,8 @@ class CantorProduct:
         iv = np.asarray(self.intervals, dtype=float)
         if iv.ndim != 2 or iv.shape[1] != 2 or iv.shape[0] == 0:
             raise InvalidSpec("cantor_product needs a nonempty list of [lo, hi] intervals")
+        if not np.isfinite(iv).all():
+            raise InvalidSpec("cantor_product intervals must be finite")
         if np.any(iv[:, 0] > iv[:, 1]):
             raise InvalidSpec("cantor_product interval with lo > hi")
         if np.any(iv[1:, 0] <= iv[:-1, 1]):
@@ -128,10 +140,12 @@ class CantorProduct:
         object.__setattr__(self, "y_hi", float(self.y_hi))
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset", complex(self.offset))
+        if not all(map(cmath.isfinite, (self.y_lo, self.y_hi, self.offset))):
+            raise InvalidSpec("cantor_product y bounds and offset must be finite")
         if self.y_lo > self.y_hi:
             raise InvalidSpec("cantor_product needs y_lo <= y_hi")
-        if not self.scale > 0:
-            raise InvalidSpec("cantor_product scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise InvalidSpec("cantor_product scale must be positive and finite")
 
     def rects(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """World-coordinate rectangles as (x_lo[], x_hi[], y_lo, y_hi)."""
@@ -187,7 +201,7 @@ def fat_cantor(depth: int) -> np.ndarray:
     All endpoints are dyadic rationals, exact in double precision for
     depth <= 25.
     """
-    depth = int(depth)
+    depth = operator.index(depth)
     if depth < 0 or depth > 30:
         raise InvalidSpec("fat_cantor depth must be in 0..30")
     lo = np.array([0.0])
@@ -247,7 +261,7 @@ def build_set(spec: dict) -> CompactSet:
             if "intervals" in spec:
                 intervals = np.asarray(spec["intervals"], dtype=float)
             elif "depth" in spec:
-                intervals = fat_cantor(int(spec["depth"]))
+                intervals = fat_cantor(spec["depth"])
             else:
                 raise InvalidSpec("cantor_product needs 'intervals' or 'depth'")
             return CantorProduct(
@@ -259,7 +273,7 @@ def build_set(spec: dict) -> CompactSet:
             )
     except KeyError as exc:
         raise InvalidSpec(f"missing field {exc} for variant {variant!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"malformed field in variant {variant!r}: {exc}") from exc
     raise InvalidSpec(f"unknown set variant {variant!r}")
 
@@ -436,8 +450,8 @@ def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
     (curve variants), then 16 equally spaced directions, at radii
     delta, delta/2, delta/4, ... down to the verification margin.
     """
-    if not delta > 0:
-        raise InvalidSpec("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise InvalidSpec("delta must be positive and finite")
     z = complex(z)
     margin = delta * 1e-6
     if distance(K, z) >= margin:

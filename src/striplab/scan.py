@@ -141,38 +141,34 @@ def _columns(grid, target, ts, params, rows):
     return d, np.max(errors, axis=0), exhausted.any(axis=0)
 
 
-def _trace_chunk(payload):
-    """(D, largest zeta error estimate per trace point, truncated) along
-    the chunk's ts, cut before the first point that exhausts precision."""
-    grid, target, ts, params, rows = payload
-    ds, errs = [], []
-    # zeta cuts each block's phase tables to its entry budget by their term
-    # counts; the block size only bounds the per-pair arrays
-    step = max(1, _BLOCK_PAIRS // len(grid.points))
-    for lo in range(0, len(ts), step):
-        d, err, failed = _columns(grid, target, ts[lo : lo + step], params, rows)
-        stop = int(np.argmax(failed)) if failed.any() else len(d)
-        ds.append(d[:stop])
-        errs.append(err[:stop])
-        if stop < len(d):
-            return np.concatenate(ds), np.concatenate(errs), True
-    return np.concatenate(ds), np.concatenate(errs), False
+def _trace_block(payload):
+    """_columns of one block of the trace; top-level, so that a process pool
+    can map it."""
+    return _columns(*payload)
 
 
 def _evaluate_trace(grid, target, ts, params, threads, rows):
-    """(D, error estimates, truncated) along ts, cut at the first point that
-    exhausts precision; chunks run in a process pool when threads > 1, else
-    in-process."""
-    chunks = np.array_split(ts, min(len(ts), threads * 4)) if threads > 1 else [ts]
-    payloads = [(grid, target, chunk, params, rows) for chunk in chunks]
+    """(D, error estimates, truncated) along ts, cut before the first point
+    that exhausts precision.  The trace is cut once into blocks of at most
+    _BLOCK_PAIRS pairs (at least one shift); they run in-process, or with
+    threads > 1 in a process pool that takes them in 4 chunks per worker,
+    so that the rows are pickled once per chunk."""
+    step = max(1, _BLOCK_PAIRS // len(grid.points))
+    payloads = [(grid, target, ts[lo : lo + step], params, rows) for lo in range(0, len(ts), step)]
+    chunksize = -(-len(payloads) // (4 * threads))
     ds, errs = [], []
     with (ProcessPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()) as pool:
-        for d, err, failed in (pool.map if pool else map)(_trace_chunk, payloads):
-            ds.append(d)
-            errs.append(err)
-            if failed:
-                return np.concatenate(ds), np.concatenate(errs), True
-    return np.concatenate(ds), np.concatenate(errs), False
+        if pool:
+            blocks = pool.map(_trace_block, payloads, chunksize=chunksize)
+        else:
+            blocks = map(_trace_block, payloads)
+        for d, err, failed in blocks:
+            stop = int(np.argmax(failed)) if failed.any() else len(d)
+            ds.append(d[:stop])
+            errs.append(err[:stop])
+            if stop < len(d):
+                break
+    return np.concatenate(ds), np.concatenate(errs), stop < len(d)
 
 
 def _refine_crossings(t_out, t_in, eps, d_eval, refine_tol):
@@ -193,28 +189,19 @@ def _refine_crossings(t_out, t_in, eps, d_eval, refine_tol):
 
 
 def _assemble_intervals(ts, ds, eps, d_eval, refine_tol):
-    # runs [i, j] of trace points below eps; an end inside the trace is a
-    # crossing between a point outside and the run's end point
-    hits = ds < eps
-    runs = []
-    i = 0
-    n = len(ts)
-    while i < n:
-        if not hits[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and hits[j + 1]:
-            j += 1
-        runs.append((i, j))
-        i = j + 1
-    outside = [k for i, j in runs for k in (i - 1, j + 1) if 0 <= k < n]
-    inside = [k for i, j in runs for k, m in ((i, i - 1), (j, j + 1)) if 0 <= m < n]
-    refined = iter(_refine_crossings(ts[outside], ts[inside], eps, d_eval, refine_tol).tolist())
-    return tuple(
-        (float(ts[0]) if i == 0 else next(refined), float(ts[-1]) if j == n - 1 else next(refined))
-        for i, j in runs
+    # runs [first, last] of trace points below eps, from the edges of the
+    # hit mask; an end inside the trace is a crossing between the point
+    # outside and the run's end point, refined run by run, lower end first
+    hits = np.concatenate(([False], ds < eps, [False]))
+    edges = np.flatnonzero(hits[1:] != hits[:-1])
+    inside = np.column_stack((edges[0::2], edges[1::2] - 1))
+    outside = inside + [-1, 1]
+    crossing = (outside >= 0) & (outside < len(ts))
+    ends = ts[inside]
+    ends[crossing] = _refine_crossings(
+        ts[outside[crossing]], ends[crossing], eps, d_eval, refine_tol
     )
+    return tuple(map(tuple, ends.tolist()))
 
 
 def scan_on_grid(grid, target, config, params=DEFAULT_PARAMS, threads=1) -> ScanReport:

@@ -242,19 +242,12 @@ def _choose_n(tau, params: ZetaParams) -> np.ndarray:
     return np.maximum(params.min_terms, n).astype(np.int64)
 
 
-def _blocks(counts: list[int]) -> list[tuple[int, int]]:
-    """Consecutive runs [lo, hi) of counts, each at least one long and
-    otherwise no longer than keeps (hi - lo) * max(counts[lo:hi]) within
-    _BLOCK_ENTRIES."""
-    bounds = [0]
-    peak = 0
-    for i, count in enumerate(counts):
-        peak = max(peak, count)
-        if i > bounds[-1] and (i + 1 - bounds[-1]) * peak > _BLOCK_ENTRIES:
-            bounds.append(i)
-            peak = count
-    bounds.append(len(counts))
-    return list(zip(bounds[:-1], bounds[1:]))
+def _blocks(count: int, longest: int) -> list[tuple[int, int]]:
+    """Consecutive runs [lo, hi) of count items, max(1, _BLOCK_ENTRIES //
+    longest) long but the last: a run of items of at most longest entries
+    each holds at most _BLOCK_ENTRIES entries, or is one item."""
+    step = max(1, _BLOCK_ENTRIES // longest)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, counts: np.ndarray):
@@ -263,22 +256,24 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
     N = counts[k]; the pairs come ordered so that shift never decreases.
 
     The pairs of a shift share a phase row.  _blocks cuts the rows into
-    phase tables, and the pairs of each table again so that their terms fit
-    _BLOCK_ENTRIES; a table of t = 0 alone is all ones and is not built.
-    Each pair's partial sum is one reduction over its own contiguous N - 1
-    terms, so its value does not depend on the other pairs."""
+    phase tables by the call's longest pair, each table as wide as its own
+    longest pair, and the pairs of each table again by that width, so that
+    no table and no array of terms holds more than _BLOCK_ENTRIES entries;
+    a table of t = 0 alone is all ones and is not built.  Each pair's partial sum is one reduction over
+    its own contiguous N - 1 terms, so its value does not depend on the
+    other pairs."""
     head = np.concatenate(([True], shift[1:] != shift[:-1]))
     row = head.cumsum() - 1
     taus = ts[shift[head]]
-    starts = np.searchsorted(row, np.arange(len(taus) + 1))
-    need = np.maximum.reduceat(counts, starts[:-1])
+    starts = np.append(np.flatnonzero(head), len(counts)).tolist()
     partial = np.empty(len(counts), dtype=complex)
     last = np.empty(len(counts), dtype=complex)
     counts = counts.tolist()
-    for lo, hi in _blocks(need.tolist()):
-        phase = _phase_table(taus[lo:hi], int(need[lo:hi].max())) if taus[lo:hi].any() else None
-        first = int(starts[lo])
-        for a, b in _blocks(counts[first : starts[hi]]):
+    for lo, hi in _blocks(len(taus), max(counts)):
+        first, end = starts[lo], starts[hi]
+        width = max(counts[first:end])
+        phase = _phase_table(taus[lo:hi], width) if taus[lo:hi].any() else None
+        for a, b in _blocks(end - first, width):
             a, b = a + first, b + first
             if b - a == 1:
                 # one pair: its row as a view, not as the copy an index
@@ -311,7 +306,7 @@ def _dirichlet_table(points: np.ndarray, width: int) -> np.ndarray:
     equal Im share a phase row."""
     ln = _ln_table(width).astype(np.float64)
     table = np.empty((len(points), width), dtype=complex)
-    for lo, hi in _blocks([width] * len(points)):
+    for lo, hi in _blocks(len(points), width):
         im = points.imag[lo:hi]
         if hi - lo == 1:
             phase = _phase_table(im, width)
@@ -356,10 +351,9 @@ def _em_tail(s: np.ndarray, N: np.ndarray, partial: np.ndarray, last: np.ndarray
     N = N.astype(np.float64)
     values = np.empty(len(s), dtype=complex)
     errors = np.empty(len(s))
-    step = max(1, _BLOCK_ENTRIES // (kb + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(s), step):
-            cut = slice(lo, lo + step)
+        for lo, hi in _blocks(len(s), kb + 1):
+            cut = slice(lo, hi)
             z, n, w = s[cut], N[cut], last[cut]
             # s N^(-s-1), then the factors (s + 2k + 1)(s + 2k + 2) N^-2
             steps = np.empty((len(z), kb + 1), dtype=complex)

@@ -88,6 +88,15 @@ def test_approx_malformed_set_exits_1(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_approx_non_finite_set_exits_1(tmp_path, capsys):
+    # json.load reads Infinity; discretize used to die with an OverflowError
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"variant": "segment", "a": [0, 0], "b": [Infinity, 0]}', encoding="utf-8")
+    code = main(["approx", "--set", str(bad), "--target", "identity", "--eps", "0.1"])
+    assert code == 1
+    assert "finite" in json.loads(capsys.readouterr().out)["error"]
+
+
 MALFORMED_TARGETS = {
     "samples_not_pairs": {"kind": "samples", "values": [1, 2]},
     "samples_without_values": {"kind": "samples"},

@@ -76,6 +76,23 @@ def test_build_polyline_duplicate_vertex_rejected():
         {"variant": "points", "points": []},
         {"variant": "segment", "a": [0.3, 0.3], "b": [0.3, 0.3]},  # degenerate
         {"variant": "nonsense"},
+        # non-finite input, as json.load reads Infinity and NaN
+        {"variant": "segment", "a": [0, 0], "b": [math.inf, 0]},
+        {"variant": "segment", "a": [0, math.nan], "b": [1, 0]},
+        {"variant": "segment", "a": [0, 0], "b": [10**400, 0]},
+        {"variant": "arc", "center": [0, 0], "radius": math.inf, "angle_start": 0.0,
+         "angle_end": 1.0},
+        {"variant": "arc", "center": [math.nan, 0], "radius": 1.0, "angle_start": 0.0,
+         "angle_end": 1.0},
+        {"variant": "polyline", "vertices": [[0, 0], [1, math.nan], [2, 0]]},
+        {"variant": "points", "points": [[0.75, 0], [math.nan, 0]]},
+        {"variant": "cantor_product", "intervals": [[0, math.nan]], "y_lo": 0, "y_hi": 1},
+        {"variant": "cantor_product", "intervals": [[0, 1]], "y_lo": 0, "y_hi": math.inf},
+        {"variant": "cantor_product", "intervals": [[0, 1]], "y_lo": 0, "y_hi": 1,
+         "scale": math.inf},
+        {"variant": "cantor_product", "intervals": [[0, 1]], "y_lo": 0, "y_hi": 1,
+         "offset": [math.nan, 0]},
+        {"variant": "cantor_product", "depth": 2.7, "y_lo": 0, "y_hi": 1},
     ],
 )
 def test_build_rejects_bad_specs(spec):
@@ -222,6 +239,13 @@ def test_nearest_exterior_cantor_interior_point():
     w = nearest_exterior(cp, z, 1e-3)
     assert abs(w - z) <= 1e-3
     assert distance(cp, w) > 0.0
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1e-3])
+def test_nearest_exterior_rejects_a_delta_that_is_not_finite_and_positive(delta):
+    # an infinite delta used to probe at radius inf forever
+    with pytest.raises(InvalidSpec):
+        nearest_exterior(Segment(0, 1), 0.5, delta)
 
 
 def test_nearest_exterior_deep_interior_exhausts():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from striplab import (
     PointSet,
@@ -244,6 +246,56 @@ def test_precision_loss_inside_a_block_truncates_where_the_per_t_path_does():
     assert 0 < len(per_t) < 20
     rep = scan_mod.scan_on_grid(grid, target, cfg, params)
     assert rep.truncated and np.array_equal(rep.ds, per_t)
+
+
+def _point_by_point_intervals(ts, ds, eps, d_eval, refine_tol):
+    # the reference: runs [i, j] of trace points below eps found by walking
+    # the trace point by point, each run's crossings refined lower end first
+    hits = ds < eps
+    runs = []
+    i = 0
+    n = len(ts)
+    while i < n:
+        if not hits[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and hits[j + 1]:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    outside = [k for i, j in runs for k in (i - 1, j + 1) if 0 <= k < n]
+    inside = [k for i, j in runs for k, m in ((i, i - 1), (j, j + 1)) if 0 <= m < n]
+    refined = iter(scan_mod._refine_crossings(ts[outside], ts[inside], eps, d_eval, refine_tol).tolist())
+    return tuple(
+        (float(ts[0]) if i == 0 else next(refined), float(ts[-1]) if j == n - 1 else next(refined))
+        for i, j in runs
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=1, max_size=40))
+@example([0.2])  # one point, a hit
+@example([0.8])  # one point, no hit
+@example([0.0] * 7)  # all hits
+@example([1.0] * 7)  # no hits
+@example([0.2, 0.8, 0.2, 0.8, 0.5, 0.0])  # one-point runs, at the first and the last point
+def test_intervals_are_the_runs_of_a_point_by_point_scan(levels):
+    ts = 0.5 * np.arange(len(levels))
+    ds = np.array(levels)
+    calls = []
+
+    def d_eval(mids):
+        calls.append(mids.copy())
+        return np.interp(mids, ts, ds)
+
+    got = scan_mod._assemble_intervals(ts, ds, 0.5, d_eval, 1e-3)
+    got_calls, calls[:] = calls[:], []
+    assert got == _point_by_point_intervals(ts, ds, 0.5, d_eval, 1e-3)
+    assert all(type(end) is float for interval in got for end in interval)
+    # the same midpoints, in the same order, at each bisection step
+    assert len(got_calls) == len(calls)
+    assert all(np.array_equal(a, b) for a, b in zip(got_calls, calls))
 
 
 def test_max_zeta_error_is_the_largest_estimate_on_the_trace():

@@ -239,6 +239,26 @@ def test_one_wide_phase_table_per_distinct_im(monkeypatch):
     assert calls[3:] == [0.0, 0.1, 50.0]
 
 
+def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
+    # N runs from 20 to 200 along the segment at t = 0, and from 20 to about
+    # 1000 across the shuffled shifts of one call, so the pairs of one block
+    # have very different N; as blocks of one pair, at the default budget
+    # and as a few large blocks the values and estimates are the same floats
+    grid = discretize(Segment(0.75, 0.75 + 100j), 0.05)
+    points = np.array([0.6 + 0.1j, 0.8 + 0.1j, 0.7 + 3.0j])
+    shifts = np.random.default_rng(5).permutation(np.linspace(0.0, 500.0, 41))
+    results = []
+    for budget in (1, zeta_mod._BLOCK_ENTRIES, 1 << 16):
+        monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", budget)
+        results.append(zeta_shifted_grid(grid, 0.0) + zeta_mod._evaluate(points, shifts, DEFAULT_PARAMS))
+    counts = zeta_mod._choose_n(grid.points.imag, DEFAULT_PARAMS)
+    assert (counts.min(), counts.max()) == (20, 200)
+    assert not results[0][4].any()
+    for result in results[1:]:
+        for a, b in zip(results[0], result):
+            assert np.array_equal(a, b)
+
+
 def test_shift_rows_keep_the_first_points_that_fit():
     # N = 2e5 at t = 1e5: the 2^22-entry cut holds the rows of the first 20
     # of 100 points, the same rows as the table of those points alone
