@@ -347,6 +347,16 @@ def distance(K: CompactSet, z: complex) -> float:
 # discretization
 
 
+def _intervals(length: float, spacing: float) -> int:
+    """max(1, ceil(length / spacing)), or InvalidSpec when the quotient
+    overflows: a set wider than a float holds, or a spacing so small that no
+    sample count could be written down."""
+    ratio = length / spacing
+    if not math.isfinite(ratio):
+        raise InvalidSpec(f"sampling an extent of {length:g} at spacing {spacing:g} overflows")
+    return max(1, math.ceil(ratio))
+
+
 def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) -> SampleGrid:
     """Sample the set with covering radius <= h_target.
 
@@ -362,7 +372,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
 
     if isinstance(K, Arc):
         length = K.radius * K.span
-        n_int = max(1, math.ceil(length / (2.0 * h_target)))
+        n_int = _intervals(length, 2.0 * h_target)
         if n_int + 1 > cap:
             raise BudgetExceeded(f"arc discretization needs {n_int + 1} > {cap} samples")
         ts = np.linspace(0.0, 1.0, n_int + 1)
@@ -376,7 +386,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
         total = 0
         for u, v in zip(verts, verts[1:]):
             length = abs(v - u)
-            n_int = max(1, math.ceil(length / (2.0 * h_target)))
+            n_int = _intervals(length, 2.0 * h_target)
             total += n_int
             if total + 1 > cap:
                 raise BudgetExceeded(f"polyline discretization exceeds {cap} samples")
@@ -392,8 +402,12 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
         height = y_hi - y_lo
         # lattice cell half-diagonal <= h_target
         cell = h_target * math.sqrt(2.0)
+        ny = _intervals(height, cell) if height > 0 else 1
+        # the widest interval alone at cap intervals is past the cap; stopping
+        # there keeps every count within the integer cast below
+        if _intervals(float(np.max(widths)), cell) >= cap:
+            raise BudgetExceeded(f"cantor_product discretization needs more than {cap} samples")
         nx = np.maximum(1, np.ceil(widths / cell).astype(int))
-        ny = max(1, math.ceil(height / cell)) if height > 0 else 1
         # a degenerate interval builds one column, a zero height one row
         columns = np.where(x_hi > x_lo, nx + 1, 1)
         rows = ny + 1 if height > 0 else 1

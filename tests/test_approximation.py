@@ -19,7 +19,7 @@ from striplab import (
     resolve_target,
 )
 from striplab import approximation
-from striplab.approximation import TargetFunction, _weighted_basis, set_frame
+from striplab.approximation import TargetFunction, _gram_fit, _weighted_basis, set_frame
 from striplab.errors import BudgetExceeded, BudgetNotMet, InvalidSpec
 
 ARC = Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
@@ -115,6 +115,69 @@ def test_weighted_basis_orthonormal_under_lawson_weights():
     assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
 
 
+@pytest.mark.parametrize(
+    "K, h",
+    [
+        (ARC, 5e-4),  # criterion 1's grid
+        (Segment(-1.0, 1.0), 1e-3),
+        (CantorProduct(fat_cantor(2), 0.0, 0.1, 0.4, 0.55), 0.01),
+    ],
+)
+def test_weighted_basis_leading_columns_are_the_lower_degree_build(K, h):
+    # the degree search builds the uniform-weight basis once at the highest
+    # degree it has tried and fits lower degrees in its leading columns; a
+    # search of full attempts, which builds at every degree, must give the
+    # same fits bit for bit
+    g = discretize(K, h)
+    c, rho = set_frame(K)
+    zeta = (g.points - c) / rho
+    w = np.full(len(g), 1.0 / len(g))
+    Q, P = _weighted_basis(zeta, w, 60)
+    for d in range(60):
+        Qd, Pd = _weighted_basis(zeta, w, d)
+        assert np.array_equal(Q[:, : d + 1], Qd)
+        assert np.array_equal(P[: d + 1, : d + 1], Pd)
+
+
+def lawson_weights(Q, f, steps):
+    # the weights of `steps` Lawson reweightings, floored as lawson_refine does
+    w = np.full(len(f), 1.0 / len(f))
+    for _ in range(steps):
+        w = w * np.abs(f - Q @ _gram_fit(Q, w, f))
+        w = np.maximum(w / w.sum(), approximation._LAWSON_WEIGHT_FLOOR)
+        w /= w.sum()
+    return w
+
+
+@pytest.mark.parametrize("weights", ["lawson", "random"])
+def test_gram_fit_matches_the_fit_in_a_weighted_basis(weights):
+    # degree 60 on the criterion-1 arc: the Gram solve in the uniform-weight
+    # basis against the fit in a basis orthonormal for the weights
+    # themselves, built one vector at a time, under ten Lawson steps'
+    # weights for conj(z) and under weights spread over 14 decades
+    # (cond(W^(1/2) Q) 4 and 670).  Found: values 1e-15 and 5e-14 of max|f|,
+    # monomial coefficients 6e-14 and 2e-13 of the largest
+    g = discretize(ARC, 1e-3)
+    c, rho = set_frame(ARC)
+    zeta = (g.points - c) / rho
+    f = np.conj(g.points)
+    n = len(g)
+    Q, P = _weighted_basis(zeta, np.full(n, 1.0 / n), 60)
+    if weights == "lawson":
+        w = lawson_weights(Q, f, 10)
+    else:
+        w = 10.0 ** np.random.default_rng(2005).uniform(-14, 0, n)
+        w /= w.sum()
+    a = _gram_fit(Q, w, f)
+    Q_ref, P_ref = mgs2_basis(zeta, w, 60)
+    a_ref = Q_ref.conj().T @ (w * f)
+    assert np.max(np.abs(Q @ a - Q_ref @ a_ref)) <= 1e-12 * np.max(np.abs(f))
+    coeffs_ref = P_ref @ a_ref
+    assert np.max(np.abs(P @ a - coeffs_ref)) <= 1e-12 * np.max(np.abs(coeffs_ref))
+    residual = math.sqrt(np.sum(w * np.abs(f - Q @ a) ** 2))
+    assert residual == pytest.approx(math.sqrt(np.sum(w * np.abs(f - Q_ref @ a_ref) ** 2)), rel=1e-12)
+
+
 def test_weighted_basis_rank_deficient_past_the_distinct_points():
     # three distinct points carry no fourth basis polynomial (lawson_refine
     # stops this case earlier with its sample-count check)
@@ -194,13 +257,14 @@ def test_lawson_lower_bound_against_the_discrete_minimax(fn, degree):
     f = fn(x)
     target = TargetFunction(f)
     e_star = discrete_minimax(x, f, degree)
-    # any weights summing to 1: the weighted LS residual is at most E*_d
+    # any weights summing to 1: the weighted LS residual is at most E*_d,
+    # here of the Gram solve the fits make in the uniform-weight basis
     rng = np.random.default_rng(1961 + degree)
+    Q, _ = _weighted_basis(g.points, np.full(len(x), 1.0 / len(x)), degree)
     for _ in range(10):
         w = 10.0 ** rng.uniform(-14, 0, len(x))
         w /= w.sum()
-        Q, _ = _weighted_basis(g.points, w, degree)
-        a = np.conj(np.conj(w * f) @ Q)
+        a = _gram_fit(Q, w, f)
         assert math.sqrt(np.sum(w * np.abs(f - Q @ a) ** 2)) <= e_star
     # every polynomial's sup error is at least E*_d, Lawson's best included
     fit = lawson_refine(g, target, degree)
@@ -272,10 +336,11 @@ def _recorded_search(monkeypatch, sups, max_degree, budget=0.5):
     """Degrees `approximate` tries with the budget, in order, with
     lawson_refine stubbed to the sup error sups(d) and a zero polynomial (no
     derivative re-fit); returns (degrees, fit or BudgetNotMet, full) with
-    full the fits of the calls made without a budget."""
+    full the fits of the calls made without a budget.  The stub takes the
+    private keywords the search passes (its shared basis) and ignores them."""
     degrees, full = [], []
 
-    def stub(grid, target, d, iters, center, scale, *, budget=None):
+    def stub(grid, target, d, iters, center, scale, *, budget=None, **private):
         fit = FitResult(Polynomial((0j,), center, scale), sups(d), d, 1, grid.covering_radius)
         if budget is None:
             full.append(fit)

@@ -146,6 +146,16 @@ def test_scan_self_similarity_exit_0(tmp_path, strip_point_set):
     assert out_csv.read_text().startswith("t,D\n")
 
 
+def test_scan_grid_h_too_small_to_count_exits_1(tmp_path, capsys):
+    # a segment's length over 2e-310 overflows; math.ceil used to raise an
+    # uncaught OverflowError and print a traceback
+    seg = write_json(tmp_path / "seg.json", {"variant": "segment", "a": [0.6, 0.0], "b": [0.9, 0.0]})
+    code = main(["scan", "--set", seg, "--target", "constant:1", "--T", "10", "--step", "0.5",
+                 "--eps", "0.5", "--grid-h", "1e-310"])
+    assert code == 1
+    assert "overflows" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_scan_eps_zero_exit_3_with_outputs(tmp_path, strip_point_set):
     out_json = tmp_path / "report.json"
     out_csv = tmp_path / "trace.csv"

@@ -181,6 +181,33 @@ def test_discretize_budget_cap():
         discretize(Segment(0, 1), 1e-9, cap=1000)
 
 
+@pytest.mark.parametrize(
+    "K, h",
+    [
+        (Segment(-1e308, 1e308), 0.1),  # the length itself overflows
+        (Segment(0, 1), 1e-310),
+        (Polyline((0, 1, 1 + 1j)), 1e-310),
+        (Arc(0.75, 0.1, 0.0, THREE_QUARTER), 1e-310),
+        (CantorProduct(fat_cantor(2), y_lo=0.0, y_hi=0.3), 1e-310),  # the rows
+        (CantorProduct(fat_cantor(2), y_lo=0.0, y_hi=0.0), 1e-310),  # the columns
+    ],
+)
+def test_discretize_overflowing_sample_count_is_invalid_spec(K, h):
+    # math.ceil of an infinite quotient used to escape as OverflowError
+    with pytest.raises(InvalidSpec, match="overflows"):
+        discretize(K, h)
+
+
+def test_discretize_flat_product_column_count_past_the_cap():
+    # some 1e299 columns per interval used to wrap in the integer cast and
+    # come back as one column: a 4-sample grid of covering radius 0.075
+    K = CantorProduct(fat_cantor(1), y_lo=0.0, y_hi=0.0, scale=0.4, offset=0.55)
+    with pytest.raises(BudgetExceeded):
+        discretize(K, 1e-300)
+    with pytest.raises(BudgetExceeded):
+        discretize(K, 1e-3, cap=20)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     depth=st.integers(0, 6),
