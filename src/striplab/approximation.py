@@ -4,16 +4,22 @@ Least squares runs in a basis orthonormal for the discrete sample inner
 product, never in raw monomial normal equations.  The basis is Vandermonde
 with Arnoldi (Brubeck, Nakatsukasa & Trefethen, SIAM Review 63, 2021), each
 degree one classical Gram-Schmidt step run twice, built once per grid with
-uniform weights: the polynomial space does not change when Lawson's weights
-do.  Each iteratively reweighted (Lawson) fit then solves its small Gram
-system G = Q^H W Q in that basis, one BLAS-3 product and two (degree+1)-size
+uniform weights and grown column by column as the degree search climbs: the
+polynomial space does not change when Lawson's weights do.  Each
+iteratively reweighted (Lawson) fit then solves its small Gram system
+G = Q^H W Q in that basis, one BLAS-3 product and two (degree+1)-size
 solves, with one corrected semi-normal step (Bjorck, Linear Algebra Appl.
 88/89, 1987).  ``approximate`` fits in the centred, scaled variable
 (z - c) / rho of the set's frame, in which the set lies in the unit disk;
-the sample grid stays in world units.  The returned polynomial is always
-coefficient form in its frame variable after basis back-substitution, and
-its reported sup error is recomputed from those coefficients, so
-conversion loss is measured, never hidden.
+the sample grid stays in world units.  When the frame points lie on the
+real or the imaginary axis (a horizontal or vertical segment, a collinear
+point set, one row of a Cantor product) the basis is built on their real
+coordinate and every fit runs in real arithmetic, the target's real and
+imaginary parts as two right-hand sides; every other set keeps the complex
+basis.  The returned polynomial is always coefficient form in its frame
+variable after basis back-substitution, and its reported sup error is
+recomputed from those coefficients, so conversion loss is measured, never
+hidden.
 """
 
 from __future__ import annotations
@@ -55,11 +61,12 @@ class FitResult:
     grid_covering_radius: float = float("nan")
 
 
-def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int):
+def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int, held=None):
     """Orthonormal polynomial basis for the inner product sum_i w_i conj(u_i) v_i.
 
     Returns the basis values Q (n x (degree+1)) and the matrix P whose column
-    k holds the ascending monomial coefficients of basis polynomial k.
+    k holds the ascending monomial coefficients of basis polynomial k, both
+    of z's dtype: real points give a real basis (``_line_coordinate``).
 
     Column k starts as z * Q[:, k-1] and is orthogonalized against all
     earlier columns by classical Gram-Schmidt: two matrix-vector products
@@ -72,18 +79,27 @@ def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int):
 
     Column k depends only on the columns before it, so the leading columns
     of a build at one degree equal a build at any lower degree, bit for bit
-    in the tests.  The fits build it once per grid with uniform weights and
+    in the tests.  ``held``, a build (Q, P) of the same points and weights
+    at a lower degree, is continued: its columns are copied and only the
+    columns past them are orthogonalized.  The fits build the basis once per
+    grid with uniform weights, grow it as the degree search climbs, and
     solve in it (``_gram_fit``).
     """
     n = len(z)
-    Q = np.zeros((n, degree + 1), dtype=complex, order="F")
-    P = np.zeros((degree + 1, degree + 1), dtype=complex)
-    norm0 = math.sqrt(float(np.sum(w)))
-    Q[:, 0] = 1.0 / norm0
-    P[0, 0] = 1.0 / norm0
-    for k in range(1, degree + 1):
+    Q = np.zeros((n, degree + 1), dtype=z.dtype, order="F")
+    P = np.zeros((degree + 1, degree + 1), dtype=z.dtype)
+    if held is None:
+        norm0 = math.sqrt(float(np.sum(w)))
+        Q[:, 0] = 1.0 / norm0
+        P[0, 0] = 1.0 / norm0
+        start = 1
+    else:
+        start = held[0].shape[1]
+        Q[:, :start] = held[0]
+        P[:start, :start] = held[1]
+    for k in range(start, degree + 1):
         q = z * Q[:, k - 1]
-        pk = np.zeros(degree + 1, dtype=complex)
+        pk = np.zeros(degree + 1, dtype=z.dtype)
         pk[1:] = P[:-1, k - 1]
         Qk, Pk = Q[:, :k], P[:, :k]
         for _ in range(2):
@@ -101,10 +117,33 @@ def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int):
     return Q, P
 
 
+def _line_coordinate(zeta: np.ndarray) -> tuple[np.ndarray, complex]:
+    """The points to build the basis on, y, and the unit u with zeta = u * y.
+
+    Frame points on the real axis (every Im zeta exactly 0) give y = Re zeta
+    and u = 1; points on the imaginary axis (every Re zeta exactly 0) give
+    y = Im zeta and u = 1j.  Then y is real, and so are the basis and every
+    fit in it.  Any other set keeps y = zeta, u = 1.  A coefficient b_k of
+    y^k is b_k * (-i)^k of zeta^k when u = 1j: multiplying by 0 and +-1
+    rounds nothing.  A segment in another direction would need its samples
+    rotated, which rounds them, so it keeps the complex basis.
+    """
+    if not np.any(zeta.imag):
+        return np.ascontiguousarray(zeta.real), 1
+    if not np.any(zeta.real):
+        return np.ascontiguousarray(zeta.imag), 1j
+    return zeta, 1
+
+
 def _gram_fit(Q: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Coefficients a that minimize sum_i w_i |f_i - (Q a)_i|^2, for a basis
     Q orthogonal for uniform weights (Q^H Q = n I, from ``_weighted_basis``
     with weights 1/n) and weights w summing to 1.
+
+    f is one column of n samples, or for a real Q an n x m real array whose
+    m columns are fitted at once; a complex target on a real basis comes as
+    its n x 2 float view, (Re f, Im f), and a as the matching (d+1) x 2
+    array, so no complex copy of Q is made and every product is real.
 
     Solves the Gram system G a = Q^H W f with G = Q^H W Q, then takes one
     corrected step a += G^-1 Q^H W (f - Q a) with the residual recomputed
@@ -114,10 +153,11 @@ def _gram_fit(Q: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     criterion-1 arc cond(W^(1/2) Q) was at most 10.2, while max w / min w
     reached 2.4e13.  With uniform weights G is I up to rounding.
     """
-    QH = Q.conj().T
+    QH = Q.conj().T if np.iscomplexobj(Q) else Q.T
+    wf = w if f.ndim == 1 else w[:, None]
     G = QH @ (w[:, None] * Q)
-    a = np.linalg.solve(G, QH @ (w * f))
-    return a + np.linalg.solve(G, QH @ (w * (f - Q @ a)))
+    a = np.linalg.solve(G, QH @ (wf * f))
+    return a + np.linalg.solve(G, QH @ (wf * (f - Q @ a)))
 
 
 def set_frame(K: CompactSet) -> tuple[complex, float]:
@@ -171,7 +211,7 @@ def lawson_refine(
     scale: float = 1.0,
     *,
     budget: float | None = None,
-    _basis: tuple[np.ndarray, np.ndarray] | None = None,
+    _basis: tuple[np.ndarray, np.ndarray, complex] | None = None,
 ) -> FitResult:
     """Iteratively reweighted least squares toward the sup-norm objective,
     in the frame variable (z - center) / scale.
@@ -194,9 +234,11 @@ def lawson_refine(
     budget, starts with the same fits.
 
     Every fit solves in one basis orthogonal for uniform weights
-    (``_gram_fit``).  ``_basis`` is private: the degree search passes the
-    ``_weighted_basis`` of (z - center) / scale with weights 1/n, of at least
-    this degree, so its attempts share one build and use its leading columns.
+    (``_gram_fit``), built on ``_line_coordinate`` of the frame points: in
+    real arithmetic when they lie on an axis.  ``_basis`` is private: the
+    degree search passes (Q, P, u), the ``_weighted_basis`` of that
+    coordinate with weights 1/n, of at least this degree, and its unit u, so
+    its attempts share one build and use its leading columns.
     """
     degree, max_iters = _validate_fit_args(grid, target, degree, max_iters, center, scale, budget)
     n = len(grid)
@@ -204,16 +246,28 @@ def lawson_refine(
     f = target.samples
     w = np.full(n, 1.0 / n)
     if _basis is None:
-        _basis = _weighted_basis((z - center) / scale, w, degree)
-    Q, P = _basis[0][:, : degree + 1], _basis[1][: degree + 1, : degree + 1]
+        y, unit = _line_coordinate((z - center) / scale)
+        _basis = (*_weighted_basis(y, w, degree), unit)
+    Q, P, unit = _basis
+    Q, P = Q[:, : degree + 1], P[: degree + 1, : degree + 1]
+    # on a real basis the target's real and imaginary parts are two real
+    # right-hand sides, read through a float view of the samples
+    rhs = f if np.iscomplexobj(Q) else f.view(float).reshape(n, 2)
+    turns = np.array([1, -1j, -1, 1j])[np.arange(degree + 1) % 4] if unit == 1j else None
 
     def fit(w):
         # the weighted least-squares polynomial, |residual| at the samples
         # recomputed from its coefficients, and (with a budget) the weighted
         # residual of its basis values, which no coefficient rounding enters
-        a = _gram_fit(Q, w, f)
-        poly = Polynomial(tuple(P @ a), center, scale)
-        lower = 0.0 if budget is None else math.sqrt(float(np.sum(w * np.abs(f - Q @ a) ** 2)))
+        a = _gram_fit(Q, w, rhs)
+        coeffs = P @ a
+        if coeffs.ndim == 2:
+            coeffs = coeffs.view(complex)[:, 0]
+        if turns is not None:
+            coeffs = coeffs * turns
+        poly = Polynomial(tuple(coeffs), center, scale)
+        # (the transpose lines the columns of a real basis's residual up with w)
+        lower = 0.0 if budget is None else math.sqrt(float(np.sum(w * np.abs(rhs - Q @ a).T ** 2)))
         return poly, np.abs(evaluate(poly, z) - f), lower
 
     def settled(best_sup, lower):
@@ -271,13 +325,18 @@ def approximate(
     max_degree = _count("max_degree", max_degree)
 
     center, scale = set_frame(K)
-    h0 = min(0.01, budget / 10.0)
+    # positive even where budget / 10 underflows to 0
+    h0 = max(min(0.01, budget / 10.0), math.ulp(0.0))
     while True:
         try:
             grid = geometry.discretize(K, h0, cap=_GRID_CAP)
             break
-        except BudgetExceeded:
-            if h0 > 2.0 * scale:
+        except (BudgetExceeded, InvalidSpec):
+            # set_frame has accepted K, so at a positive spacing discretize
+            # raises InvalidSpec only when the sample count overflows, which
+            # is past the cap too; a set too wide for any finite spacing
+            # keeps that error once the spacing itself would overflow
+            if h0 > 2.0 * scale or not math.isfinite(8.0 * h0):
                 raise
             h0 *= 8.0
     target = targets.resolve_target(target_spec, grid)
@@ -313,20 +372,22 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
     yes/no is known; the fits returned are then re-run in full, so they are
     the ones a search of full attempts returns.
 
-    All attempts share one uniform-weight basis of the grid: an attempt at
-    a degree above the one held builds it at that degree, every other one
-    uses its leading columns, which equal a build at the lower degree."""
+    All attempts share one uniform-weight basis of the grid, on its
+    ``_line_coordinate``: an attempt at a degree above the one held grows it
+    to that degree, every other one uses its leading columns, which equal a
+    build at the lower degree."""
     cap = min(max_degree, len(grid) - 1)
     fits: dict[int, FitResult] = {}
-    zeta = (grid.points - center) / scale
+    y, unit = _line_coordinate((grid.points - center) / scale)
+    w = np.full(len(grid), 1.0 / len(grid))
     basis = None
 
     def attempt(d, budget=None):
         # without a budget, the full Lawson loop
         nonlocal basis
         if basis is None or basis[0].shape[1] <= d:
-            basis = _weighted_basis(zeta, np.full(len(grid), 1.0 / len(grid)), d)
-        return lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale, budget=budget, _basis=basis)
+            basis = _weighted_basis(y, w, d, basis)
+        return lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale, budget=budget, _basis=(*basis, unit))
 
     def met(d):
         fits[d] = attempt(d, budget)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +156,15 @@ def _evaluate_trace(grid, target, ts, params, threads, rows):
     payloads = [(grid, target, ts[lo : lo + step], params, rows) for lo in range(0, len(ts), step)]
     chunksize = -(-len(payloads) // (4 * threads))
     ds, errs = [], []
-    with (ProcessPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()) as pool:
+    if threads > 1:
+        # imported here, not at the top: multiprocessing and logging add
+        # about 30 ms to every process that imports striplab
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=threads)
+    else:
+        executor = contextlib.nullcontext()
+    with executor as pool:
         if pool:
             blocks = pool.map(_trace_block, payloads, chunksize=chunksize)
         else:
@@ -296,6 +303,7 @@ def _warn_if_outside_strip(grid: SampleGrid):
 def write_trace_csv(report: ScanReport, path) -> None:
     """CSV trace `t,D`, 17 significant digits, byte-stable across reruns."""
     lines = ["t,D"]
-    lines.extend(f"{t:.17g},{d:.17g}" for t, d in zip(report.ts, report.ds))
+    # Python floats format faster than numpy scalars, to the same bytes
+    lines.extend(f"{t:.17g},{d:.17g}" for t, d in zip(report.ts.tolist(), report.ds.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ from striplab import (
     Polynomial,
     Segment,
     approximate,
+    derivative_bound,
     discretize,
     evaluate,
     fat_cantor,
@@ -19,7 +20,7 @@ from striplab import (
     resolve_target,
 )
 from striplab import approximation
-from striplab.approximation import TargetFunction, _gram_fit, _weighted_basis, set_frame
+from striplab.approximation import TargetFunction, _gram_fit, _line_coordinate, _weighted_basis, set_frame
 from striplab.errors import BudgetExceeded, BudgetNotMet, InvalidSpec
 
 ARC = Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
@@ -115,28 +116,70 @@ def test_weighted_basis_orthonormal_under_lawson_weights():
     assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
 
 
-@pytest.mark.parametrize(
-    "K, h",
-    [
-        (ARC, 5e-4),  # criterion 1's grid
-        (Segment(-1.0, 1.0), 1e-3),
-        (CantorProduct(fat_cantor(2), 0.0, 0.1, 0.4, 0.55), 0.01),
-    ],
-)
-def test_weighted_basis_leading_columns_are_the_lower_degree_build(K, h):
-    # the degree search builds the uniform-weight basis once at the highest
-    # degree it has tried and fits lower degrees in its leading columns; a
-    # search of full attempts, which builds at every degree, must give the
-    # same fits bit for bit
+BASIS_GRIDS = [
+    (ARC, 5e-4),  # criterion 1's grid
+    (Segment(-1.0, 1.0), 1e-3),  # a real basis
+    (CantorProduct(fat_cantor(2), 0.0, 0.1, 0.4, 0.55), 0.01),
+    (Segment(0.75, 0.75 + 1j), 1e-3),  # a real basis, zeta = i y
+    (Segment(-1.0 - 1.0j, 1.0 + 1.0j), 1e-3),
+]
+
+
+def search_basis_points(K, h):
+    # the points the degree search builds its basis on, and the weights
     g = discretize(K, h)
     c, rho = set_frame(K)
-    zeta = (g.points - c) / rho
-    w = np.full(len(g), 1.0 / len(g))
-    Q, P = _weighted_basis(zeta, w, 60)
+    y, _ = _line_coordinate((g.points - c) / rho)
+    return y, np.full(len(g), 1.0 / len(g))
+
+
+@pytest.mark.parametrize("K, h", BASIS_GRIDS)
+def test_weighted_basis_leading_columns_are_the_lower_degree_build(K, h):
+    # the degree search fits lower degrees in the leading columns of the
+    # basis it holds; a search of full attempts, which builds at every
+    # degree, must give the same fits bit for bit
+    y, w = search_basis_points(K, h)
+    Q, P = _weighted_basis(y, w, 60)
     for d in range(60):
-        Qd, Pd = _weighted_basis(zeta, w, d)
+        Qd, Pd = _weighted_basis(y, w, d)
         assert np.array_equal(Q[:, : d + 1], Qd)
         assert np.array_equal(P[: d + 1, : d + 1], Pd)
+
+
+@pytest.mark.parametrize("K, h", BASIS_GRIDS)
+def test_weighted_basis_grown_from_a_held_build_is_the_fresh_build(K, h):
+    # the degree search grows the basis it holds through 1, 2, 4, ... 60;
+    # every step must equal a fresh build at that degree bit for bit
+    y, w = search_basis_points(K, h)
+    held = _weighted_basis(y, w, 1)
+    for d in (2, 4, 8, 16, 32, 60):
+        held = _weighted_basis(y, w, d, held)
+        fresh = _weighted_basis(y, w, d)
+        assert held[0].dtype == y.dtype
+        assert np.array_equal(held[0], fresh[0])
+        assert np.array_equal(held[1], fresh[1])
+
+
+def test_degree_search_orthogonalizes_each_column_once(monkeypatch):
+    # |z| on [-1/2, 1/2] at 5e-3 climbs to degree 32, then bisects to 30:
+    # the basis grows 1 -> 2 -> 4 -> ... -> 32, and no column is built twice
+    builds = []
+    build = approximation._weighted_basis
+
+    def spy(z, w, degree, held=None):
+        builds.append((len(z), 1 if held is None else held[0].shape[1], degree))
+        return build(z, w, degree, held)
+
+    monkeypatch.setattr(approximation, "_weighted_basis", spy)
+    fit = approximate(Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 5e-3)
+    assert fit.degree_used == 30
+    for n in {n for n, _, _ in builds}:
+        ranges = [(first, last) for m, first, last in builds if m == n]
+        # columns first..last are orthogonalized, each range starting where
+        # the last one ended
+        assert ranges[0][0] == 1
+        assert all(b[0] == a[1] + 1 for a, b in zip(ranges, ranges[1:]))
+    assert builds[-1][2] == 32
 
 
 def lawson_weights(Q, f, steps):
@@ -436,6 +479,63 @@ def test_degree_search_returns_the_fit_of_a_search_of_full_attempts(monkeypatch,
     assert search() == out
 
 
+# ---------------------------------------------------------------- sets on a line
+
+
+def _wave(z):
+    return np.exp(1j * z) * np.sin(4.0 * z)
+
+
+LINE_SETS = [
+    pytest.param(Segment(0.2 + 0.3j, 0.9 + 0.3j), 1, id="horizontal segment"),
+    pytest.param(Segment(0.75, 0.75 + 1j), 1j, id="vertical segment"),
+    pytest.param(PointSet(tuple(complex(x, -0.2) for x in np.linspace(-1.0, 2.0, 61))), 1, id="horizontal points"),
+    pytest.param(PointSet(tuple(complex(0.6, y) for y in np.linspace(0.0, 3.0, 61))), 1j, id="vertical points"),
+    pytest.param(CantorProduct(fat_cantor(2), 0.5, 0.5, 0.4, 0.55), 1, id="cantor row"),
+]
+
+
+@pytest.mark.parametrize("K, unit", LINE_SETS)
+def test_a_set_on_a_line_is_fitted_on_a_real_basis(monkeypatch, K, unit):
+    # the real basis of the line coordinate gives the complex basis's fits
+    # up to rounding: the same degree and fits, sup errors to rel 1e-8
+    c, rho = set_frame(K)
+    g = discretize(K, 2e-3)
+    y, u = _line_coordinate((g.points - c) / rho)
+    assert y.dtype == np.float64 and u == unit
+    target = resolve_target(_wave, g)
+    n = len(g)
+    for d in (1, 6, 12, 24):
+        fit = lawson_refine(g, target, d, center=c, scale=rho)
+        complex_basis = (*_weighted_basis((g.points - c) / rho, np.full(n, 1.0 / n), d), 1)
+        ref = lawson_refine(g, target, d, center=c, scale=rho, _basis=complex_basis)
+        assert fit.iterations == ref.iterations
+        assert fit.sup_error_on_samples == pytest.approx(ref.sup_error_on_samples, rel=1e-8)
+    budget = 1e-8
+    fit = approximate(K, _wave, budget, 40)
+    assert fit.sup_error_on_samples < budget
+    # the whole search on the complex basis
+    monkeypatch.setattr(approximation, "_line_coordinate", lambda zeta: (zeta, 1))
+    ref = approximate(K, _wave, budget, 40)
+    assert (fit.degree_used, fit.iterations) == (ref.degree_used, ref.iterations)
+    assert fit.sup_error_on_samples == pytest.approx(ref.sup_error_on_samples, rel=1e-8)
+    # on a 10x finer grid the fit keeps its between-samples statement
+    audit = discretize(K, max(fit.grid_covering_radius / 10.0, 1e-5))
+    audit_err = float(np.max(np.abs(evaluate(fit.polynomial, audit.points) - _wave(audit.points))))
+    slack = derivative_bound(fit.polynomial, rho, c) * fit.grid_covering_radius
+    assert audit_err <= fit.sup_error_on_samples + slack
+
+
+@pytest.mark.parametrize(
+    "K", [pytest.param(Segment(-0.5 - 0.5j, 0.5 + 0.5j), id="45 degrees"), pytest.param(ARC, id="arc")]
+)
+def test_a_set_off_the_axes_keeps_the_complex_basis(K):
+    c, rho = set_frame(K)
+    zeta = (discretize(K, 0.01).points - c) / rho
+    y, unit = _line_coordinate(zeta)
+    assert y is zeta and unit == 1
+
+
 def test_approximate_rejects_negative_max_degree():
     with pytest.raises(InvalidSpec, match="max_degree"):
         approximate(ARC, {"kind": "builtin", "name": "conj"}, 0.1, -1)
@@ -531,6 +631,21 @@ def test_approximate_rejects_bad_budget():
     for budget in (0.0, math.inf):
         with pytest.raises(InvalidSpec):
             approximate(ARC, {"kind": "builtin", "name": "conj"}, budget, 10)
+
+
+@pytest.mark.parametrize("K, name", [(ARC, "conj"), (Segment(0.75, 0.75 + 1j), "abs")])
+def test_approximate_subnormal_budget_is_not_met(K, name):
+    # at h = budget / 10 = 1e-321 the sample count overflows; the grid is
+    # relaxed as past the cap, and the search carries its best attempt
+    with pytest.raises(BudgetNotMet) as excinfo:
+        approximate(K, {"kind": "builtin", "name": name}, 1e-320, 2)
+    assert excinfo.value.best.sup_error_on_samples > 1e-320
+
+
+def test_approximate_set_too_wide_to_sample_is_invalid_spec():
+    # the length overflows at every spacing, so relaxing the grid cannot help
+    with pytest.raises(InvalidSpec, match="overflows"):
+        approximate(Segment(-1e308, 1e308), {"kind": "builtin", "name": "abs"}, 1e-2)
 
 
 def test_polynomial_targets_recovered_exactly():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -319,6 +320,23 @@ def test_trace_csv_is_byte_stable(tmp_path):
     assert b1 == b2
     assert b1.startswith(b"t,D\n")
     assert len(b1.splitlines()) == len(rep.ts) + 1
+
+
+def test_trace_csv_bytes_equal_the_numpy_scalar_format(tmp_path):
+    # the rows are formatted from Python floats; numpy scalars, as the rows
+    # were once formatted, must give the same bytes on edge values
+    values = np.array([5e-324, 1e308, 0.1 + 0.2, -0.0, math.nan, 1.0])
+    rep = scan_density(POINT, 1.0, ScanConfig(T=10.0, step=1.0, eps=0.5))
+    rep = dataclasses.replace(rep, ts=values, ds=values[::-1])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(rep, path)
+    rows = [f"{t:.17g},{d:.17g}" for t, d in zip(rep.ts, rep.ds)]
+    assert path.read_bytes() == ("\n".join(["t,D", *rows]) + "\n").encode("ascii")
+    assert path.read_bytes().splitlines()[1:4] == [
+        b"4.9406564584124654e-324,1",
+        b"1e+308,nan",
+        b"0.30000000000000004,-0",
+    ]
 
 
 # ---------------------------------------------------------------- line mode
