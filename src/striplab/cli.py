@@ -1,8 +1,11 @@
 """Command-line surface: approx, scan, zeta, cantor.
 
-Exit codes: 0 success, 1 malformed input, 2 budget not met / infeasible
-(best attempt still written), 3 scan found no hit interval (outputs still
-written).  Every failure payload is valid JSON carrying an "error" field.
+Each command writes one JSON record ending in a manifest (see _record).
+Exit codes: 0 success; 1 malformed input (only {"error": ...} on stdout);
+2 budget not met or infeasible in approx or scan --via-polynomial (the
+record carries "fit" or "required_delta"); 3 scan found no hit interval
+(report and CSV still written).  Every failure payload is valid JSON
+carrying an "error" field.
 """
 
 from __future__ import annotations
@@ -51,29 +54,39 @@ def _load_target(arg: str):
         re = float(parts[0])
         im = float(parts[1]) if len(parts) > 1 else 0.0
         return {"kind": "builtin", "name": "constant", "value": [re, im]}, None
-    raise StriplabError(
+    raise InvalidSpec(
         f"target {arg!r} is neither a file nor one of "
         f"{', '.join(_BUILTIN_TARGETS)} nor constant:re[,im]"
     )
 
 
-def _manifest(command: str, config: dict, digests: dict, started: float) -> dict:
-    return {
-        "command": command,
+def _record(args, config: dict, digests: dict, body, K=None) -> int:
+    """Run body() -> (payload, exit code) and write the command's one record
+    to its output path (stdout when none is given): a fit that misses its
+    budget becomes exit 2 with the best attempt as "fit", a repair that
+    cannot meet its budget exit 2 with "required_delta", and every record
+    ends with the run's manifest.  Other errors reach main (exit 1)."""
+    try:
+        payload, code = body()
+    except BudgetNotMet as exc:
+        payload, code = {"error": f"budget not met: {exc}", "fit": _fit_payload(exc.best, K)}, 2
+    except BudgetInfeasible as exc:
+        payload = {"error": f"repair budget infeasible: {exc}", "required_delta": exc.required_delta}
+        code = 2
+    payload["manifest"] = {
+        "command": args.command,
         "config": config,
         "version": __version__,
-        "wall_time_s": time.monotonic() - started,
+        "wall_time_s": time.monotonic() - args.started,
         "input_digests": digests,
     }
-
-
-def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return code
 
 
 def _zeta_params(args) -> zeta_mod.ZetaParams:
@@ -109,7 +122,6 @@ def _fit_payload(fit, K) -> dict:
 
 
 def cmd_approx(args) -> int:
-    started = time.monotonic()
     K, set_spec, set_digest = _load_set(args.set)
     target_spec, target_digest = _load_target(args.target)
     config = {
@@ -118,38 +130,20 @@ def cmd_approx(args) -> int:
         "eps": args.eps,
         "max_degree": args.max_degree,
     }
-    digests = {"set": set_digest, "target": target_digest}
-    try:
+
+    def body():
         fp, fit, cert = approximate_nonvanishing(K, target_spec, args.eps, args.max_degree)
-    except BudgetNotMet as exc:
-        payload = {
-            "error": f"budget not met: {exc}",
-            "fit": _fit_payload(exc.best, K),
-            "manifest": _manifest("approx", config, digests, started),
-        }
-        _emit(payload, args.out)
-        return 2
-    except BudgetInfeasible as exc:
-        payload = {
-            "error": f"repair budget infeasible: {exc}",
-            "required_delta": exc.required_delta,
-            "manifest": _manifest("approx", config, digests, started),
-        }
-        _emit(payload, args.out)
-        return 2
-    payload = {
-        "fit": _fit_payload(fit, K),
-        "factored_polynomial": fp.to_spec(),
-        "certificate": cert.to_spec(),
-        "certified_total_error": fit.sup_error_on_samples + cert.perturbation_bound_value,
-        "manifest": _manifest("approx", config, digests, started),
-    }
-    _emit(payload, args.out)
-    return 0
+        return {
+            "fit": _fit_payload(fit, K),
+            "factored_polynomial": fp.to_spec(),
+            "certificate": cert.to_spec(),
+            "certified_total_error": fit.sup_error_on_samples + cert.perturbation_bound_value,
+        }, 0
+
+    return _record(args, config, {"set": set_digest, "target": target_digest}, body, K)
 
 
 def cmd_scan(args) -> int:
-    started = time.monotonic()
     K, set_spec, set_digest = _load_set(args.set)
     target_spec, target_digest = _load_target(args.target)
     config = scan_mod.ScanConfig(
@@ -168,79 +162,71 @@ def cmd_scan(args) -> int:
         "via_polynomial": args.via_polynomial,
         "zeta_params": dataclasses.asdict(params),
     }
-    payload: dict = {}
-    if args.via_polynomial:
-        # replace the raw target by its certified nonvanishing polynomial and
-        # scan against that surrogate at half the threshold
-        fp, fit, cert = approximate_nonvanishing(K, target_spec, args.eps / 2.0, args.max_degree)
-        grid = geometry.discretize(K, args.grid_h)
-        surrogate = TargetFunction(evaluate_factored(fp, grid.points))
-        config = dataclasses.replace(config, eps=args.eps / 2.0)
-        report = scan_mod.scan_on_grid(grid, surrogate, config, params)
-        payload["via_polynomial"] = {
-            "fit": _fit_payload(fit, K),
-            "factored_polynomial": fp.to_spec(),
-            "certificate": cert.to_spec(),
-            "scan_eps": args.eps / 2.0,
-        }
-    else:
-        report = scan_mod.scan_density(K, target_spec, config, params, grid_h=args.grid_h)
-    if args.out_csv:
-        scan_mod.write_trace_csv(report, args.out_csv)
-    payload["report"] = report.to_dict()
-    exit_code = 0 if report.hit_intervals else 3
-    if exit_code == 3:
+
+    def body():
+        payload = {}
+        if args.via_polynomial:
+            # replace the raw target by its certified nonvanishing polynomial
+            # and scan against that surrogate at half the threshold
+            fp, fit, cert = approximate_nonvanishing(K, target_spec, args.eps / 2.0, args.max_degree)
+            grid = geometry.discretize(K, args.grid_h)
+            surrogate = TargetFunction(evaluate_factored(fp, grid.points))
+            half = dataclasses.replace(config, eps=args.eps / 2.0)
+            report = scan_mod.scan_on_grid(grid, surrogate, half, params)
+            payload["via_polynomial"] = {
+                "fit": _fit_payload(fit, K),
+                "factored_polynomial": fp.to_spec(),
+                "certificate": cert.to_spec(),
+                "scan_eps": args.eps / 2.0,
+            }
+        else:
+            report = scan_mod.scan_density(K, target_spec, config, params, grid_h=args.grid_h)
+        if args.out_csv:
+            scan_mod.write_trace_csv(report, args.out_csv)
+        payload["report"] = report.to_dict()
+        if report.hit_intervals:
+            return payload, 0
         payload["error"] = "no hit intervals below eps in the scanned range"
-    payload["manifest"] = _manifest(
-        "scan", config_echo, {"set": set_digest, "target": target_digest}, started
-    )
-    _emit(payload, args.out_json)
-    return exit_code
+        return payload, 3
+
+    return _record(args, config_echo, {"set": set_digest, "target": target_digest}, body, K)
 
 
 def cmd_zeta(args) -> int:
-    started = time.monotonic()
     params = _zeta_params(args)
-    zv = zeta_mod.zeta_em(complex(args.re, args.im), params)
-    payload = {
-        "s": [args.re, args.im],
-        "value": [zv.value.real, zv.value.imag],
-        "error_estimate": zv.error_estimate,
-        "manifest": _manifest(
-            "zeta",
-            {"re": args.re, "im": args.im, **dataclasses.asdict(params)},
-            {},
-            started,
-        ),
-    }
-    _emit(payload, args.out)
-    return 0
+
+    def body():
+        zv = zeta_mod.zeta_em(complex(args.re, args.im), params)
+        return {
+            "s": [args.re, args.im],
+            "value": [zv.value.real, zv.value.imag],
+            "error_estimate": zv.error_estimate,
+        }, 0
+
+    return _record(args, {"re": args.re, "im": args.im, **dataclasses.asdict(params)}, {}, body)
 
 
 def cmd_cantor(args) -> int:
-    started = time.monotonic()
     if (args.y_lo is None) != (args.y_hi is None):
         raise InvalidSpec("a product set needs both --y-lo and --y-hi")
-    intervals = geometry.fat_cantor(args.depth)
-    payload = {
-        "depth": args.depth,
-        "count": int(intervals.shape[0]),
-        "total_length": float((intervals[:, 1] - intervals[:, 0]).sum()),
-        "intervals": intervals.tolist(),
-    }
-    if args.y_lo is not None:
-        payload["set"] = geometry.to_spec(geometry.CantorProduct(
-            intervals, args.y_lo, args.y_hi, args.scale, complex(args.offset_re, args.offset_im)
-        ))
-    payload["manifest"] = _manifest(
-        "cantor",
-        {"depth": args.depth, "y_lo": args.y_lo, "y_hi": args.y_hi,
-         "scale": args.scale, "offset": [args.offset_re, args.offset_im]},
-        {},
-        started,
-    )
-    _emit(payload, args.out)
-    return 0
+    config = {"depth": args.depth, "y_lo": args.y_lo, "y_hi": args.y_hi,
+              "scale": args.scale, "offset": [args.offset_re, args.offset_im]}
+
+    def body():
+        intervals = geometry.fat_cantor(args.depth)
+        payload = {
+            "depth": args.depth,
+            "count": int(intervals.shape[0]),
+            "total_length": float((intervals[:, 1] - intervals[:, 0]).sum()),
+            "intervals": intervals.tolist(),
+        }
+        if args.y_lo is not None:
+            payload["set"] = geometry.to_spec(geometry.CantorProduct(
+                intervals, args.y_lo, args.y_hi, args.scale, complex(args.offset_re, args.offset_im)
+            ))
+        return payload, 0
+
+    return _record(args, config, {}, body)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="scan against the certified nonvanishing polynomial at eps/2")
     p.add_argument("--max-degree", type=int, default=60)
     p.add_argument("--out-csv", default=None)
-    p.add_argument("--out-json", default=None)
+    p.add_argument("--out-json", dest="out", default=None)
     _add_zeta_flags(p)
     p.set_defaults(func=cmd_scan)
 
@@ -302,9 +288,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    args.started = time.monotonic()
     try:
         return args.func(args)
-    except (StriplabError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (StriplabError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
 

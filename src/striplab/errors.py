@@ -5,10 +5,12 @@ class StriplabError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidSpec(StriplabError):
-    """An input violates a documented constraint: a malformed set, target or
-    config, a fit the grid cannot carry, roots of a constant, unpaired root
-    lists, or a zeta argument at the pole or outside the supported range."""
+class InvalidSpec(StriplabError, ValueError):
+    """An input violates a documented constraint: a malformed set, target,
+    polynomial or config, a fit the grid cannot carry, roots of a constant,
+    unpaired root lists, zeta parameters out of range, or a zeta argument at
+    the pole or outside the supported range.  It is a ValueError too, so
+    callers that catch ValueError keep working."""
 
 
 class BudgetExceeded(StriplabError):

@@ -273,6 +273,9 @@ def build_set(spec: dict) -> CompactSet:
             )
     except KeyError as exc:
         raise InvalidSpec(f"missing field {exc} for variant {variant!r}") from exc
+    except InvalidSpec:
+        # a ValueError too, but already worded by the check that raised it
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"malformed field in variant {variant!r}: {exc}") from exc
     raise InvalidSpec(f"unknown set variant {variant!r}")

@@ -39,9 +39,9 @@ class Polynomial:
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "scale", float(self.scale))
         if not all(cmath.isfinite(c) for c in cs):
-            raise ValueError("polynomial coefficients must be finite")
+            raise InvalidSpec("polynomial coefficients must be finite")
         if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("polynomial frame scale must be positive and finite")
+            raise InvalidSpec("polynomial frame scale must be positive and finite")
 
     @property
     def degree(self) -> int:
@@ -91,11 +91,11 @@ class FactoredPolynomial:
         object.__setattr__(self, "roots", tuple(complex(r) for r in self.roots))
         object.__setattr__(self, "scale", float(self.scale))
         if not (self.leading != 0 and cmath.isfinite(self.leading)):
-            raise ValueError("factored polynomial needs a finite nonzero leading coefficient")
+            raise InvalidSpec("factored polynomial needs a finite nonzero leading coefficient")
         if not all(cmath.isfinite(r) for r in self.roots):
-            raise ValueError("factored polynomial roots must be finite")
+            raise InvalidSpec("factored polynomial roots must be finite")
         if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("factored polynomial scale must be positive and finite")
+            raise InvalidSpec("factored polynomial scale must be positive and finite")
 
     def to_spec(self) -> dict:
         spec = {
@@ -161,7 +161,7 @@ def from_roots(leading: complex, roots) -> Polynomial:
     """
     leading = complex(leading)
     if leading == 0:
-        raise ValueError("leading coefficient must be nonzero")
+        raise InvalidSpec("leading coefficient must be nonzero")
     cs = np.array([leading], dtype=complex)
     for r in roots:
         shifted = np.concatenate([[0j], cs])
@@ -229,7 +229,7 @@ def perturbation_bound(
     if len(old) != len(new):
         raise InvalidSpec(f"root lists differ in length: {len(old)} vs {len(new)}")
     if R < 0:
-        raise ValueError("R must be nonnegative")
+        raise InvalidSpec("R must be nonnegative")
     m = len(old)
     if m == 0:
         return 0.0

@@ -4,11 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from striplab import PointSet, Polynomial, discretize, lawson_refine, perturbation_bound, roots, zeta_em
+from striplab import (
+    FactoredPolynomial,
+    PointSet,
+    Polynomial,
+    discretize,
+    from_roots,
+    lawson_refine,
+    perturbation_bound,
+    roots,
+    zeta_em,
+)
 from striplab.approximation import _weighted_basis
 from striplab.cli import main
 from striplab.errors import InvalidSpec
 from striplab.targets import TargetFunction
+from striplab.zeta import ZetaParams, bernoulli_table
 
 
 def write_json(path, payload):
@@ -79,6 +90,23 @@ def test_approx_arc_conj_small_eps_budget_failure(tmp_path, arc_set):
     assert code == 2
     payload = read_json(out)
     assert "error" in payload and 5e-3 < payload["fit"]["sup_error_on_samples"] < 2e-2
+
+
+def test_approx_infeasible_repair_exits_2_with_required_delta(tmp_path):
+    # the samples interpolate z - 1e6 exactly, so the fit meets eps / 2 with
+    # its root on the set; every displacement below eps / 4 is under the
+    # 4 ulp(1e6) resolution of nearest_exterior, so no halving moves it
+    pts = write_json(tmp_path / "pts.json", {"variant": "points", "points": [[1e6, 0], [1e6 + 1, 0]]})
+    target = write_json(tmp_path / "target.json", {"kind": "samples", "values": [[0, 0], [1, 0]]})
+    out = tmp_path / "out.json"
+    code = main(["approx", "--set", pts, "--target", target, "--eps", "1e-9", "--out", str(out)])
+    assert code == 2
+    payload = read_json(out)
+    assert list(payload) == ["error", "required_delta", "manifest"]
+    assert payload["error"].startswith("repair budget infeasible: perturbation bound stayed")
+    assert 0 < payload["required_delta"] < 1e-20
+    assert payload["manifest"]["command"] == "approx"
+    assert payload["manifest"]["input_digests"]["target"]
 
 
 def test_approx_malformed_set_exits_1(tmp_path, capsys):
@@ -194,6 +222,30 @@ def test_scan_via_polynomial(tmp_path, strip_point_set):
     assert payload["report"]["hit_intervals"][0][0] == 0.0
 
 
+def test_scan_via_polynomial_budget_not_met_exits_2_with_the_fit(tmp_path, arc_set):
+    # conj on the criterion-1 arc needs far more than degree 8 for a fit
+    # within eps / 4 = 2.5e-4; the scan writes approx's failure record and
+    # neither a report nor a trace
+    out_json, out_csv = tmp_path / "report.json", tmp_path / "trace.csv"
+    code = main(["scan", "--set", arc_set, "--target", "conj", "--T", "10", "--step", "0.5",
+                 "--eps", "1e-3", "--via-polynomial", "--max-degree", "8",
+                 "--out-json", str(out_json), "--out-csv", str(out_csv)])
+    assert code == 2
+    payload = read_json(out_json)
+    assert list(payload) == ["error", "fit", "manifest"]
+    assert payload["error"].startswith("budget not met: no degree <= cap reached budget 0.00025")
+    assert payload["fit"]["degree_used"] <= 8
+    assert payload["fit"]["sup_error_on_samples"] > 2.5e-4
+    assert payload["manifest"]["command"] == "scan"
+    assert payload["manifest"]["config"]["via_polynomial"] is True
+    assert not out_csv.exists()
+
+    approx_out = tmp_path / "approx.json"
+    assert main(["approx", "--set", arc_set, "--target", "conj", "--eps", "5e-4",
+                 "--max-degree", "8", "--out", str(approx_out)]) == 2
+    assert payload["fit"] == read_json(approx_out)["fit"]
+
+
 def test_scan_constant_target(tmp_path, strip_point_set):
     out_json = tmp_path / "r.json"
     code = main(["scan", "--set", strip_point_set, "--target", "constant:1.0",
@@ -277,6 +329,47 @@ def test_former_error_classes_raise_invalid_spec(site, capsys):
     if zeta_args is not None:
         assert main(["zeta", "--re", zeta_args[0], "--im", zeta_args[1]]) == 1
         assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+# every check that raised a bare ValueError, with its message word for word
+FORMER_VALUE_ERROR_SITES = {
+    "polynomial_coefficients": (
+        lambda: Polynomial((1, math.inf)), "polynomial coefficients must be finite"
+    ),
+    "polynomial_scale": (
+        lambda: Polynomial((1, 2), 0j, 0.0), "polynomial frame scale must be positive and finite"
+    ),
+    "factored_leading": (
+        lambda: FactoredPolynomial(0, ()),
+        "factored polynomial needs a finite nonzero leading coefficient",
+    ),
+    "factored_roots": (
+        lambda: FactoredPolynomial(1, (complex("nan"),)), "factored polynomial roots must be finite"
+    ),
+    "factored_scale": (
+        lambda: FactoredPolynomial(1, (), -1.0),
+        "factored polynomial scale must be positive and finite",
+    ),
+    "from_roots_leading": (lambda: from_roots(0, (1.0,)), "leading coefficient must be nonzero"),
+    "negative_radius": (
+        lambda: perturbation_bound(1.0, (0.0,), (1.0,), -1.0), "R must be nonnegative"
+    ),
+    "zeta_min_terms": (lambda: ZetaParams(min_terms=1), "min_terms must be an integer in 2..67108864"),
+    "zeta_terms_per_unit_t": (
+        lambda: ZetaParams(terms_per_unit_t=0.0), "terms_per_unit_t must be positive and finite"
+    ),
+    "bernoulli_table": (lambda: bernoulli_table(32), "bernoulli_table supports n in 0..31"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FORMER_VALUE_ERROR_SITES))
+def test_former_value_errors_raise_invalid_spec(site):
+    call, message = FORMER_VALUE_ERROR_SITES[site]
+    with pytest.raises(InvalidSpec) as info:
+        call()
+    assert str(info.value) == message
+    # still a ValueError for callers that catch that
+    assert isinstance(info.value, ValueError)
 
 
 # ---------------------------------------------------------------- cantor

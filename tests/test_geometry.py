@@ -100,6 +100,35 @@ def test_build_rejects_bad_specs(spec):
         build_set(spec)
 
 
+def test_build_keeps_the_message_of_the_check_that_rejects():
+    # InvalidSpec is a ValueError too; build_set passes it on as raised,
+    # not reworded as a malformed field
+    with pytest.raises(InvalidSpec) as info:
+        build_set({"variant": "segment", "a": [0.3, 0.3], "b": [0.3, 0.3]})
+    assert str(info.value) == "segment endpoints coincide; use the points variant"
+    with pytest.raises(InvalidSpec) as info:
+        build_set({"variant": "cantor_product", "depth": 31, "y_lo": 0, "y_hi": 1})
+    assert str(info.value) == "fat_cantor depth must be in 0..30"
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        (0, 1, 0.5),  # the second edge runs back along the first
+        (0, 1, 1 + 1j, 3, 0.5),  # the last edge lies on the first and overlaps it
+    ],
+)
+def test_polyline_rejects_collinear_overlaps(vertices):
+    with pytest.raises(InvalidSpec, match="self-intersecting"):
+        Polyline(vertices)
+
+
+def test_polyline_accepts_collinear_edges_that_do_not_overlap():
+    # the last edge lies on the line of the first, past its end
+    K = Polyline((0, 1, 1 + 1j, 3, 2))
+    assert distance(K, 1.5) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_spec_round_trip():
     for K in sample_sets():
         K2 = build_set(to_spec(K))

@@ -22,7 +22,7 @@ from striplab import (
     repair_nonvanishing,
     roots,
 )
-from striplab.errors import BudgetNotMet, InvalidSpec
+from striplab.errors import BudgetInfeasible, BudgetNotMet, InvalidSpec
 
 ARC = Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
 
@@ -113,6 +113,32 @@ def test_repair_on_cantor_fiber_edges():
     assert cert.min_modulus_lower_bound > 0
     for r in fp.roots:
         assert distance(K, r) > 0
+
+
+def test_repair_infeasible_when_the_first_displacement_underflows():
+    # budget / (2 * growth) rounds to 0 for the least subnormal budget
+    with pytest.raises(BudgetInfeasible, match="even an infinitesimal move") as info:
+        repair_nonvanishing(Polynomial((0, 1)), Segment(-1, 1), 5e-324)
+    assert info.value.required_delta == 0.0
+
+
+def test_repair_infeasible_when_no_displacement_resolves():
+    # a root on the set near 1e6: every displacement from budget / 2 down is
+    # below the 4 ulp(1e6) that nearest_exterior can resolve, so each
+    # halving meets ResolutionExhausted until the halvings run out
+    with pytest.raises(BudgetInfeasible, match="stayed at or above budget") as info:
+        repair_nonvanishing(Polynomial((-1e6, 1)), Segment(1e6 - 1, 1e6 + 1), 1e-10)
+    assert 0 < info.value.required_delta < 1e-20
+
+
+def test_repair_infeasible_when_the_modulus_floor_underflows():
+    # leading 1e-300 and 30 roots on the set, in a frame of scale 100: the
+    # moved roots are within 2 of the set, so the certified floor
+    # 1e-300 * prod(clearance / 100) rounds to 0
+    P = Polynomial(from_roots(1e-300, np.linspace(-0.009, 0.009, 30)).coeffs, 0j, 100.0)
+    with pytest.raises(BudgetInfeasible, match="modulus certificate collapsed") as info:
+        repair_nonvanishing(P, Segment(-1, 1), 1e-3)
+    assert info.value.required_delta > 0
 
 
 def test_repair_idempotent():

@@ -139,6 +139,28 @@ def test_scan_truncates_on_precision_loss():
     assert rep.hit_intervals and rep.hit_intervals[0][0] == 0.0
 
 
+def test_scan_raises_when_the_first_trace_point_exhausts_precision():
+    # N = 2, doubled to 8, leaves an estimate above 1e-6 already at t = 0
+    params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=1)
+    cfg = ScanConfig(T=10.0, step=1.0, eps=0.5)
+    with pytest.raises(PrecisionExhausted, match="before the first trace point"):
+        scan_density(POINT, {"kind": "builtin", "name": "constant", "value": 1.0}, cfg, params)
+
+
+def test_scan_raises_when_refinement_exhausts_precision():
+    # with N = ceil(t) the estimate saws: at 10.51 (N = 11) it is above 1e-6
+    # at Re s = 0.95 while the trace points 10.01 (N = 11) and 11.01 (N = 12)
+    # stay below, so the crossing between them fails at its first midpoint
+    params = ZetaParams(terms_per_unit_t=1.0, min_terms=2, bernoulli_terms=1)
+    grid = discretize(PointSet((0.95,)), 0.1)
+    _, errors, exhausted = zeta_mod._evaluate(grid.points, [10.01, 10.51, 11.01], params)
+    assert exhausted[0].tolist() == [False, True, False]
+    target = TargetFunction(zeta_mod._evaluate(grid.points, [11.01], params)[0][:, 0])
+    cfg = ScanConfig(T=20.0, step=1.0, eps=1e-3, t_start=10.01)
+    with pytest.raises(PrecisionExhausted, match="while refining at t = 10.51"):
+        scan_mod.scan_on_grid(grid, target, cfg, params)
+
+
 def test_scan_config_validation():
     with pytest.raises(InvalidSpec):
         ScanConfig(T=10.0, step=2.0, eps=0.5)  # step > T/10
