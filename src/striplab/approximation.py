@@ -15,8 +15,10 @@ the sample grid stays in world units.  When the frame points lie on the
 real or the imaginary axis (a horizontal or vertical segment, a collinear
 point set, one row of a Cantor product) the basis is built on their real
 coordinate and every fit runs in real arithmetic, the target's real and
-imaginary parts as two right-hand sides; every other set keeps the complex
-basis.  The returned polynomial is always coefficient form in its frame
+imaginary parts as two right-hand sides, and so does the recomputation of
+each iterate's residuals (``polynomial.evaluate`` runs two real recurrences
+on such points); every other set keeps the complex basis and the complex
+Horner loop.  The returned polynomial is always coefficient form in its frame
 variable after basis back-substitution, and its reported sup error is
 recomputed from those coefficients, so conversion loss is measured, never
 hidden.
@@ -154,7 +156,10 @@ def _gram_fit(Q: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     reached 2.4e13.  With uniform weights G is I up to rounding.
     """
     QH = Q.conj().T if np.iscomplexobj(Q) else Q.T
-    wf = w if f.ndim == 1 else w[:, None]
+    # the weights of every column as a contiguous array of f's shape: the
+    # broadcast w[:, None] gives the same products in inner loops of m
+    # elements, one row at a time
+    wf = w if f.ndim == 1 else np.repeat(w, f.shape[1]).reshape(f.shape)
     G = QH @ (w[:, None] * Q)
     a = np.linalg.solve(G, QH @ (wf * f))
     return a + np.linalg.solve(G, QH @ (wf * (f - Q @ a)))

@@ -44,7 +44,8 @@ class BudgetNotMet(StriplabError):
 class BudgetInfeasible(StriplabError):
     """Root relocation cannot stay under the perturbation budget.
 
-    ``required_delta`` reports the displacement scale that was still too large.
+    ``required_delta`` reports the displacement scale the repair stopped at:
+    still too large for the budget, or too small to resolve around a root.
     """
 
     def __init__(self, message, required_delta=None):

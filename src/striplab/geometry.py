@@ -459,6 +459,13 @@ def _normal_directions(K: CompactSet, z: complex) -> list[complex]:
 _RING = tuple(complex(math.cos(_TWO_PI * k / 16), math.sin(_TWO_PI * k / 16)) for k in range(16))
 
 
+def exterior_resolution(z: complex) -> float:
+    """The rounding allowance 4 ulp(|z|) that ``nearest_exterior`` takes off
+    every probe radius around z: it probes no point around z for a delta at
+    or below it."""
+    return 4.0 * 2.220446049250313e-16 * abs(z)
+
+
 def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
     """A point w with |w - z| <= delta lying strictly outside the set.
 
@@ -476,7 +483,7 @@ def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
     normals = _normal_directions(K, z)
     # probing a hair inside each radius keeps |w - z| <= delta after the
     # rounding of z + rho * direction
-    shrink = delta * 1e-12 + 4.0 * 2.220446049250313e-16 * abs(z)
+    shrink = delta * 1e-12 + exterior_resolution(z)
     rho = delta
     while rho >= margin:
         rho_eff = rho - shrink

@@ -116,14 +116,35 @@ def evaluate(p: Polynomial, z):
     sum, as Python's complex arithmetic rounds it (degree one gives exactly
     c1 * z + c0): numpy's complex loops fuse multiply-adds on FMA hardware,
     and their last bits would depend on the loops picked for the host.
+
+    When every frame point w lies on the real or the imaginary axis, the
+    loop runs as two real recurrences without the products by the zero part
+    of w.  Those products are exact zeros, so the values equal the complex
+    loop's (a zero may come out with the other sign, so moduli are the same
+    floats); a result that is not finite, where a product by zero would
+    have made NaN instead, is recomputed by the complex loop.
     """
     if not isinstance(z, np.ndarray):
         return complex(evaluate(p, np.array([z], dtype=complex))[0])
     w = (z - p.center) / p.scale
-    wr, wi = w.real.copy(), w.imag.copy()
-    re = np.zeros(w.shape)
-    im = np.zeros(w.shape)
-    for c in reversed(p.coeffs):
+    re = im = None
+    if not np.any(w.imag):
+        re, im = _horner_on_axis(p.coeffs, w.real.copy(), 1)
+    elif not np.any(w.real):
+        re, im = _horner_on_axis(p.coeffs, w.imag.copy(), 1j)
+    if re is None or not (np.isfinite(re).all() and np.isfinite(im).all()):
+        re, im = _horner(p.coeffs, w.real.copy(), w.imag.copy())
+    acc = np.empty(w.shape, dtype=complex)
+    acc.real, acc.imag = re, im
+    return acc
+
+
+def _horner(coeffs, wr: np.ndarray, wi: np.ndarray):
+    """(Re p(w), Im p(w)) for w = wr + i wi, each complex product rounded as
+    two real products and their sum."""
+    re = np.zeros(wr.shape)
+    im = np.zeros(wr.shape)
+    for c in reversed(coeffs):
         t = im * wi
         im *= wr
         im += re * wi
@@ -131,9 +152,31 @@ def evaluate(p: Polynomial, z):
         re *= wr
         re -= t
         re += c.real
-    acc = np.empty(w.shape, dtype=complex)
-    acc.real, acc.imag = re, im
-    return acc
+    return re, im
+
+
+def _horner_on_axis(coeffs, y: np.ndarray, unit: complex):
+    """(Re p(w), Im p(w)) for w = unit * y, y real and unit 1 or 1j: the
+    steps of ``_horner`` with the products by the zero part of w left out.
+    re and im are two contiguous arrays, not one n x 2 array, whose inner
+    loops would be two elements long."""
+    re = np.zeros(y.shape)
+    im = np.zeros(y.shape)
+    if unit == 1:
+        for c in reversed(coeffs):
+            re *= y
+            re += c.real
+            im *= y
+            im += c.imag
+        return re, im
+    t = np.empty(y.shape)
+    for c in reversed(coeffs):
+        # (re, im) <- (Re c - im * y, Im c + re * y)
+        np.multiply(im, y, out=t)
+        np.multiply(re, y, out=im)
+        im += c.imag
+        np.subtract(c.real, t, out=re)
+    return re, im
 
 
 def evaluate_factored(fp: FactoredPolynomial, z):
@@ -188,7 +231,11 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     m = p.degree
     if m == 0:
         raise InvalidSpec("constant polynomials have no roots to extract")
-    coeffs = np.array(p.coeffs, dtype=complex)
+    # the coefficients over the power of two that brings |c_m| into
+    # [1/2, 1): exact for normal coefficients, and it keeps the divisions
+    # below from overflowing on subnormal ones
+    e = math.frexp(abs(p.leading))[1]
+    coeffs = np.ldexp(np.array(p.coeffs, dtype=complex).view(float), -e).view(complex)
     low = int(np.flatnonzero(coeffs)[0])
     # p = c_m w**m (low = m) has only the root 0 and any s serves; this gives 1
     s = abs(coeffs[low] / coeffs[m]) ** (1.0 / max(m - low, 1))

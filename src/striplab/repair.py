@@ -92,7 +92,9 @@ def repair_nonvanishing(
     tau = max(1e-9, budget*1e-3 / (m * (M/rho)**(m-1) * |a| / rho))
     are kept in place (paired to themselves); the displacement for the rest
     starts at half its telescoping-bound allowance and halves until the
-    recomputed bound clears the budget.  The zero polynomial is replaced by
+    recomputed bound clears the budget; it stops with BudgetInfeasible once
+    it is at or below ``geometry.exterior_resolution`` of a root on the set
+    that no probe could move.  The zero polynomial is replaced by
     the constant budget/2, the only nonvanishing choice available.
     """
     if not 0 < budget < math.inf:
@@ -140,6 +142,15 @@ def repair_nonvanishing(
             for i in flagged:
                 new[i] = geometry.nearest_exterior(K, old[i], delta)
         except ResolutionExhausted:
+            # a root on the set stays there for every delta at or below the
+            # resolution; above it, or off the set, a smaller delta may work
+            limit = geometry.exterior_resolution(old[i])
+            if clearances[i] == 0 and delta <= limit:
+                raise BudgetInfeasible(
+                    f"budget {budget:g} allows displacement {delta:g}, at or below the "
+                    f"resolution {limit:g} of exterior points near the root {old[i]} on the set",
+                    required_delta=delta,
+                ) from None
             delta *= 0.5
             continue
         bound = perturbation_bound(P.leading, old, new, R, center, rho)

@@ -302,15 +302,39 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
 
 def _dirichlet_table(points: np.ndarray, width: int) -> np.ndarray:
     """n^(-z_j) = n^(-Re z_j) * exp(-i Im z_j ln n) for n = 1..width, one row
-    per point, filled in chunks of _BLOCK_ENTRIES; the points of a chunk with
-    equal Im share a phase row."""
+    per point.  The points that share Im share a phase row: the distinct Im
+    go into phase tables of at most _BLOCK_ENTRIES entries, or of one row
+    when a row is wider, and the rows of each table's points are filled in
+    chunks of that size.  A phase row does not depend on the other rows of
+    its table, so neither does a point's row."""
     ln = _ln_table(width).astype(np.float64)
     table = np.empty((len(points), width), dtype=complex)
-    for lo, hi in _blocks(len(points), width):
-        taus, inverse = np.unique(points.imag[lo:hi], return_inverse=True)
-        phase = _phase_table(taus, width)[inverse]
-        amp = np.multiply.outer(-points.real[lo:hi], ln)
-        np.multiply(np.exp(amp, out=amp), phase, out=table[lo:hi])
+    # the points sorted by Im, where each distinct Im starts, and the index
+    # of each sorted point's Im among them (np.unique and a stable argsort
+    # of its inverse raised the line_scan benchmark's peak RSS from 41.3 to
+    # 41.8 MB on a 2-core x86-64 host: the stable sort's numpy code pages,
+    # which nothing else there touches)
+    order = np.argsort(points.imag)
+    im = points.imag[order]
+    head = np.ones(len(im), dtype=bool)
+    head[1:] = im[1:] != im[:-1]
+    starts = np.append(np.flatnonzero(head), len(im)).tolist()
+    row = head.cumsum() - 1
+    taus = im[head]
+    for lo, hi in _blocks(len(taus), width):
+        phase = _phase_table(taus[lo:hi], width)
+        first = starts[lo]
+        for a, b in _blocks(starts[hi] - first, width):
+            a, b = a + first, b + first
+            sel = order[a:b]
+            amp = np.multiply.outer(-points.real[sel], ln)
+            np.exp(amp, out=amp)
+            if b - a == 1:
+                # one row, as every row wider than a table is: its product
+                # goes in place, not through the copies an index array makes
+                np.multiply(amp[0], phase[row[a] - lo], out=table[sel[0]])
+            else:
+                table[sel] = amp * phase[row[a:b] - lo]
     return table
 
 

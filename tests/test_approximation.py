@@ -221,6 +221,26 @@ def test_gram_fit_matches_the_fit_in_a_weighted_basis(weights):
     assert residual == pytest.approx(math.sqrt(np.sum(w * np.abs(f - Q_ref @ a_ref) ** 2)), rel=1e-12)
 
 
+def test_gram_fit_weights_each_column_as_the_broadcast_does():
+    # a real basis with the real and imaginary parts of a target as two
+    # right-hand sides: the contiguous weight array makes the products of
+    # the broadcast w[:, None], so the coefficients are the same floats
+    x = discretize(Segment(-0.5, 0.5), 1e-3).points.real
+    n = len(x)
+    Q, _ = _weighted_basis(x, np.full(n, 1.0 / n), 30)
+    f = (np.abs(x) + 1j * np.sin(8.0 * x)).view(float).reshape(n, 2)
+    w = 10.0 ** np.random.default_rng(2021).uniform(-10, 0, n)
+    w /= w.sum()
+
+    def broadcast_fit(Q, w, f):
+        G = Q.T @ (w[:, None] * Q)
+        a = np.linalg.solve(G, Q.T @ (w[:, None] * f))
+        return a + np.linalg.solve(G, Q.T @ (w[:, None] * (f - Q @ a)))
+
+    for weights in (np.full(n, 1.0 / n), w):
+        assert np.array_equal(_gram_fit(Q, weights, f), broadcast_fit(Q, weights, f))
+
+
 def test_weighted_basis_rank_deficient_past_the_distinct_points():
     # three distinct points carry no fourth basis polynomial (lawson_refine
     # stops this case earlier with its sample-count check)

@@ -94,8 +94,9 @@ def test_approx_arc_conj_small_eps_budget_failure(tmp_path, arc_set):
 
 def test_approx_infeasible_repair_exits_2_with_required_delta(tmp_path):
     # the samples interpolate z - 1e6 exactly, so the fit meets eps / 2 with
-    # its root on the set; every displacement below eps / 4 is under the
-    # 4 ulp(1e6) resolution of nearest_exterior, so no halving moves it
+    # its root on the set; the displacement eps / 4 the repair budget allows
+    # is under the 4 ulp(1e6) resolution of nearest_exterior, so no halving
+    # could move it and the record names that limit
     pts = write_json(tmp_path / "pts.json", {"variant": "points", "points": [[1e6, 0], [1e6 + 1, 0]]})
     target = write_json(tmp_path / "target.json", {"kind": "samples", "values": [[0, 0], [1, 0]]})
     out = tmp_path / "out.json"
@@ -103,8 +104,11 @@ def test_approx_infeasible_repair_exits_2_with_required_delta(tmp_path):
     assert code == 2
     payload = read_json(out)
     assert list(payload) == ["error", "required_delta", "manifest"]
-    assert payload["error"].startswith("repair budget infeasible: perturbation bound stayed")
-    assert 0 < payload["required_delta"] < 1e-20
+    assert payload["error"] == (
+        "repair budget infeasible: budget 5e-10 allows displacement 2.5e-10, at or below "
+        "the resolution 8.88178e-10 of exterior points near the root (1000000+0j) on the set"
+    )
+    assert payload["required_delta"] == 2.5e-10
     assert payload["manifest"]["command"] == "approx"
     assert payload["manifest"]["input_digests"]["target"]
 

@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import numpy as np
@@ -72,6 +73,87 @@ def test_evaluate_array_matches_scalar():
     zs = np.array([0.1, 0.2 + 0.3j, -1.0])
     vals = evaluate(p, zs)
     assert all(vals[i] == evaluate(p, zs[i]) for i in range(3))
+
+
+def _complex_loop(p, z):
+    # evaluate's loop for points off the axes, as it ran for every point
+    # before the axis paths: the oracle they must match float for float
+    w = (z - p.center) / p.scale
+    wr, wi = w.real.copy(), w.imag.copy()
+    re = np.zeros(w.shape)
+    im = np.zeros(w.shape)
+    for c in reversed(p.coeffs):
+        t = im * wi
+        im *= wr
+        im += re * wi
+        im += c.imag
+        re *= wr
+        re -= t
+        re += c.real
+    acc = np.empty(w.shape, dtype=complex)
+    acc.real, acc.imag = re, im
+    return acc
+
+
+def _assert_same_floats(p, z):
+    got, want = evaluate(p, z), _complex_loop(p, z)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.abs(got), np.abs(want), equal_nan=True)
+
+
+def _spread_coeffs(rng, m):
+    # moduli over 10 decades, a third of the imaginary parts exactly 0
+    cs = 10.0 ** rng.uniform(-5.0, 5.0, m + 1) * np.exp(2j * np.pi * rng.uniform(size=m + 1))
+    cs.imag[rng.uniform(size=m + 1) < 1 / 3] = 0.0
+    return tuple(cs)
+
+
+@pytest.mark.parametrize("vertical", [False, True])
+def test_evaluate_on_an_axis_gives_the_complex_loops_floats(vertical):
+    rng = np.random.default_rng(20 + vertical)
+    center, scale = 0.3 + 0.2j, 0.7
+    along = np.linspace(-1.0, 1.0, 301) * scale
+    z = center + (1j * along if vertical else along)
+    w = (z - center) / scale
+    assert not np.any(w.real if vertical else w.imag)
+    for m in range(61):
+        p = Polynomial(_spread_coeffs(rng, m), center, scale)
+        _assert_same_floats(p, z)
+        assert evaluate(p, complex(z[7])) == complex(_complex_loop(p, z[7:8])[0])
+
+
+def test_evaluate_on_points_with_negative_zero_imaginary_parts():
+    z = np.array([complex(x, -0.0) for x in np.linspace(-2.0, 2.0, 41)])
+    # the frame points' imaginary parts are zeros of both signs
+    assert 0 < np.signbit(((z - 0j) / 1.5).imag).sum() < len(z)
+    rng = np.random.default_rng(22)
+    for m in (0, 1, 5, 30):
+        _assert_same_floats(Polynomial(_spread_coeffs(rng, m), 0j, 1.5), z)
+
+
+def test_evaluate_on_an_axis_with_non_finite_points_or_values():
+    # inf and nan points, and values that overflow: the complex loop's
+    # products by the zero part make NaN where the real recurrences keep inf
+    p = Polynomial((1e300, -2e300 + 0j, 3e300 + 1j), 0.5, 1.0)
+    z = np.array([0.5, 2.0, np.inf, -np.inf, np.nan, 1e10, -1e200])
+    with np.errstate(all="ignore"):
+        _assert_same_floats(p, z)
+        _assert_same_floats(p, 0.5 + 1j * z)
+        _assert_same_floats(Polynomial((2.0, 1.0)), z)
+        assert np.isnan(evaluate(p, z)[2]) and cmath.isnan(evaluate(p, 1e200 + 0j))
+
+
+def test_evaluate_off_the_axes_keeps_the_complex_loop(monkeypatch):
+    def axis_path(*args):
+        raise AssertionError("the axis path ran off the axes")
+
+    monkeypatch.setattr(polynomial, "_horner_on_axis", axis_path)
+    rng = np.random.default_rng(23)
+    z = discretize(Segment(-1 - 1j, 1 + 1j), 0.01).points
+    for m in (0, 3, 40):
+        _assert_same_floats(Polynomial(_spread_coeffs(rng, m)), z)
+    with pytest.raises(AssertionError, match="axis path"):
+        evaluate(Polynomial((1, 2)), np.array([0.5, 1.5]))
 
 
 unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -214,6 +296,23 @@ def test_roots_degree_zero_raises():
 def test_roots_linear_closed_form():
     found = roots(Polynomial((-1.5 + 2j, 3)))
     assert abs(found[0] - -(-1.5 + 2j) / 3) <= 1e-15
+
+
+def test_roots_of_subnormal_coefficients():
+    # c_low / c_m of two subnormals used to overflow; a power of two that
+    # brings |c_m| to order one divides them exactly
+    assert roots(Polynomial((1e-310, 1e-310))) == (-1,)
+    c = 1000 * 5e-324
+    assert match_error(roots(Polynomial((-4 * c, 0, c))), (2, -2)) <= 1e-15
+
+
+def test_roots_are_unchanged_by_a_power_of_two_on_the_coefficients():
+    rng = np.random.default_rng(24)
+    for m in (1, 4, 16, 40):
+        cs = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        found = roots(Polynomial(tuple(cs), 0.25, 2.0))
+        for k in (-600, -7, 1, 300):
+            assert roots(Polynomial(tuple(np.ldexp(cs.real, k) + 1j * np.ldexp(cs.imag, k)), 0.25, 2.0)) == found
 
 
 def test_round_trip_property_200_cases():

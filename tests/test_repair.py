@@ -6,6 +6,7 @@ from helpers import random_repair_case, repair_round_trip_checks
 
 from striplab import (
     Arc,
+    CantorProduct,
     FactoredPolynomial,
     Polynomial,
     Segment,
@@ -17,12 +18,13 @@ from striplab import (
     evaluate,
     evaluate_factored,
     from_roots,
+    nearest_exterior,
     original_roots,
     perturbation_bound,
     repair_nonvanishing,
     roots,
 )
-from striplab.errors import BudgetInfeasible, BudgetNotMet, InvalidSpec
+from striplab.errors import BudgetInfeasible, BudgetNotMet, InvalidSpec, ResolutionExhausted
 
 ARC = Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
 
@@ -123,12 +125,36 @@ def test_repair_infeasible_when_the_first_displacement_underflows():
 
 
 def test_repair_infeasible_when_no_displacement_resolves():
-    # a root on the set near 1e6: every displacement from budget / 2 down is
-    # below the 4 ulp(1e6) that nearest_exterior can resolve, so each
-    # halving meets ResolutionExhausted until the halvings run out
-    with pytest.raises(BudgetInfeasible, match="stayed at or above budget") as info:
+    # a root on the set at 1e6: the displacement budget / 2 is already below
+    # the 4 ulp(1e6) that nearest_exterior can resolve there, and so is every
+    # halving of it, so the repair stops at once and names that limit
+    with pytest.raises(BudgetInfeasible, match="at or below the resolution 8.88178e-10") as info:
         repair_nonvanishing(Polynomial((-1e6, 1)), Segment(1e6 - 1, 1e6 + 1), 1e-10)
-    assert 0 < info.value.required_delta < 1e-20
+    assert info.value.required_delta == 5e-11
+
+
+def test_repair_keeps_halving_where_a_smaller_displacement_resolves():
+    # on the edge of a gap of 1e-9 every probe within delta = 5e-3 down to
+    # its margin 5e-9 lands in the set, far above the resolution at the
+    # root; a few halvings bring the margin into the gap
+    K = CantorProduct(np.array([[0, 0.5], [0.5 + 1e-9, 1]]), 0, 1)
+    with pytest.raises(ResolutionExhausted):
+        nearest_exterior(K, 0.5 + 0.5j, 5e-3)
+    fp, cert = repair_nonvanishing(Polynomial((-0.5 - 0.5j, 1)), K, 1e-2)
+    assert 0.5 < fp.roots[0].real < 0.5 + 1e-9 and distance(K, fp.roots[0]) > 0
+    assert 0 < cert.perturbation_bound_value < 1e-2
+    # a root 1e-20 off the set, below the resolution: the halvings bring the
+    # margin below its clearance, and it stays where it is
+    fp, cert = repair_nonvanishing(Polynomial((-1e6 - 1e-20j, 1)), Segment(1e6 - 1, 1e6 + 1), 1e-10)
+    assert fp.roots == (1e6 + 1e-20j,) and cert.moved_roots == ()
+
+
+def test_repair_of_a_subnormal_polynomial_reaches_its_modulus_floor():
+    # roots used to raise NoConvergence on the subnormal coefficients; the
+    # root 0 now moves off the set, and the floor 5e-324 * clearance / 100
+    # rounds to 0
+    with pytest.raises(BudgetInfeasible, match="modulus certificate collapsed"):
+        repair_nonvanishing(Polynomial((0, 5e-324), 0, 100), Segment(-10, 10), 1e-3)
 
 
 def test_repair_infeasible_when_the_modulus_floor_underflows():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.special import loggamma
 
 import striplab.zeta as zeta_mod
-from striplab import PointSet, Segment, ZetaParams, bernoulli_table, discretize, zeta_em, zeta_shifted_grid
+from striplab import CantorProduct, PointSet, Segment, ZetaParams, bernoulli_table, discretize, zeta_em, zeta_shifted_grid
 from striplab.errors import InvalidSpec, PrecisionExhausted
+from striplab.scan import DEFAULT_GRID_H
 from striplab.zeta import DEFAULT_PARAMS
 
 ORACLE = DEFAULT_PARAMS.quadrupled()
@@ -237,6 +238,32 @@ def test_one_wide_phase_table_per_distinct_im(monkeypatch):
     # without rows the call builds its own: the 2 Im rows, then the t row
     zeta_shifted_grid(grid, 50.0)
     assert calls[3:] == [0.0, 0.1, 50.0]
+
+
+def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
+    # the rectangle of the scan past the rows cut: at T = 4.5e4 its rows hold
+    # 90 001 terms, wider than a table, and the cut keeps 46 of its 49
+    # points.  They share 7 distinct Im, so 7 phase rows are built, and each
+    # row is its point's amplitudes times the phase row of its Im alone
+    rect = CantorProduct(np.array([[0.0, 1.0]]), 0.0, 1.0, 0.4, 0.55)
+    points = discretize(rect, DEFAULT_GRID_H).points
+    taus = np.unique(points.imag)
+    assert (len(points), len(taus)) == (49, 7)
+    phase_table = zeta_mod._phase_table
+    calls = []
+
+    def recording(taus, count):
+        calls.append(list(taus))
+        return phase_table(taus, count)
+
+    monkeypatch.setattr(zeta_mod, "_phase_table", recording)
+    rows = zeta_mod.shift_rows(points, 4.5e4)
+    assert rows.shape == (46, 90_001)
+    assert calls == [[tau] for tau in taus]
+    ln = zeta_mod._ln_table(90_001).astype(np.float64)
+    phases = {tau: phase_table([tau], 90_001)[0] for tau in taus}
+    for z, row in zip(points, rows):
+        assert np.array_equal(row, np.exp(-z.real * ln) * phases[z.imag])
 
 
 def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
