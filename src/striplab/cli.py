@@ -51,6 +51,8 @@ def _load_target(arg: str):
         return {"kind": "builtin", "name": arg}, None
     if arg.startswith("constant:"):
         parts = arg.split(":", 1)[1].split(",")
+        if len(parts) > 2:
+            raise InvalidSpec(f"target {arg!r}: a constant is constant:re[,im], two parts at most")
         re = float(parts[0])
         im = float(parts[1]) if len(parts) > 1 else 0.0
         return {"kind": "builtin", "name": "constant", "value": [re, im]}, None

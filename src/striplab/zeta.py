@@ -7,13 +7,14 @@ For s != 1 with Re(s) > -1 and N = max(min_terms, ceil(terms_per_unit_t * |Im s|
 
 The reported error estimate is twice the magnitude of the first omitted
 correction term; N is doubled (at most twice) when that estimate exceeds
-1e-6.  Everything is double precision except the phases of
-n^-s = n^(-Re s) * exp(-i Im s ln n): at the primes their arguments are
-reduced mod 2*pi in extended precision, and since n^(-i tau) is completely
-multiplicative each composite entry is the product of two earlier ones.  The
-estimate makes precision loss visible instead of hiding it behind
-arbitrary-precision arithmetic.  At most _MAX_TERMS terms are summed for any
-point.
+1e-6.  Everything is double precision, on every platform.  The phases of
+n^-s = n^(-Re s) * exp(-i Im s ln n) are taken at the primes from
+double-double logs (Dekker 1971) with the argument reduced mod 2*pi in the
+manner of Cody and Waite (1980), to within 2.3e-16 rad; since n^(-i tau) is
+completely multiplicative each composite entry is the product of two
+earlier ones.  The estimate makes precision loss visible instead of hiding
+it behind arbitrary-precision arithmetic.  At most _MAX_TERMS terms are
+summed for any point.
 
 One call evaluates a block of (point, shift) pairs z_j + i t_b and returns
 P x B values and estimates.  A term is n^(-z_j) * exp(-i t_b ln n).  The
@@ -46,7 +47,7 @@ from .errors import InvalidSpec, PrecisionExhausted
 _ERR_THRESHOLD = 1e-6
 _MAX_IM = 1e8
 
-# the most terms any evaluation may ask for: the log cache alone holds 16
+# the most terms any evaluation may ask for: the log cache alone holds 8
 # bytes per term, and |Im s| near the 1e8 guard would ask for 2e8 terms
 _MAX_TERMS = 1 << 26
 
@@ -112,13 +113,6 @@ def _em_coefficients(kb: int) -> tuple[float, ...]:
     return tuple(float(B[2 * k] / math.factorial(2 * k)) for k in range(1, kb + 2))
 
 
-# phase arguments t * ln(n) reach ~1e5 rad at desk scale, where plain double
-# loses ~1e-11; extended-precision logs plus modular reduction keep the
-# oscillatory factors accurate when the platform provides a wider longdouble
-_WIDE = np.finfo(np.longdouble).eps < 1e-18
-_PHASE_DTYPE = np.longdouble if _WIDE else np.float64
-_TWO_PI_WIDE = 2.0 * np.pi if not _WIDE else 2 * np.arccos(np.longdouble(-1.0))
-
 # the most table entries (points x terms) of the Dirichlet rows a scan keeps,
 # 64 MB of complex values: rows for as many of its first points as fit, and
 # each call builds rows for the rest
@@ -131,7 +125,7 @@ _SCAN_ENTRIES = 1 << 22
 # and 2^14 0.19 s at 41.2 MB, near the benchmark's 5% bound
 _BLOCK_ENTRIES = 1 << 13
 
-_ln_cache = np.log(np.arange(1.0, 64.0, dtype=_PHASE_DTYPE))
+_ln_cache = np.log(np.arange(1.0, 64.0))
 _plan_cache = None
 
 
@@ -140,8 +134,102 @@ def _ln_table(count: int) -> np.ndarray:
     if count > _MAX_TERMS:
         raise InvalidSpec(f"{count} terms exceed the term cap {_MAX_TERMS} (2^26)")
     if count > len(_ln_cache):
-        _ln_cache = np.log(np.arange(1.0, count + 1.0, dtype=_PHASE_DTYPE))
+        _ln_cache = np.log(np.arange(1.0, count + 1.0))
     return _ln_cache[:count]
+
+
+# Double-double arithmetic (Dekker 1971) for the logs of the primes and the
+# reduction of their phases: a value is a pair (hi, lo) with hi + lo exact
+# and |lo| <= ulp(hi) / 2.  numpy has no fused multiply-add, so an exact
+# product splits each factor into two halves of 26 bits (Veltkamp).
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    """(hi, lo) with hi + lo = a, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _dd_mul(a, b):
+    p, e = _two_prod(a[0], b[0])
+    return _two_sum(p, e + (a[0] * b[1] + a[1] * b[0]))
+
+
+def _dd_add(a, b):
+    s, e = _two_sum(a[0], b[0])
+    return _two_sum(s, e + (a[1] + b[1]))
+
+
+def _dd_fraction(x: Fraction) -> tuple[float, float]:
+    hi = float(x)
+    return hi, float(x - Fraction(hi))
+
+
+_LN2 = (float.fromhex("0x1.62e42fefa39efp-1"), float.fromhex("0x1.abc9e3b39803fp-56"))
+# 1 / (2j + 1) for j = 0..19: atanh(u) / u = sum_j u^(2j) / (2j + 1), and past
+# j = 19 the terms fall below 2^-104 for |u| <= (sqrt 2 - 1) / (sqrt 2 + 1)
+_ATANH_SERIES = tuple(_dd_fraction(Fraction(1, 2 * j + 1)) for j in range(20))
+
+
+def _dd_log(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln n as double-doubles (hi, lo) for integers 2 <= n < 2^52, to about
+    2^-100 relative: n = 2^k m with m in [sqrt 1/2, sqrt 2), and ln n =
+    k ln 2 + 2 atanh(u) with u = (n - 2^k) / (n + 2^k), whose numerator and
+    denominator are exact integers."""
+    n = n.astype(np.float64)
+    f, k = np.frexp(n)
+    k -= f < math.sqrt(0.5)
+    power = np.ldexp(1.0, k)
+    num, den = n - power, n + power
+    # the remainder num - q den of a rounded quotient q is exact
+    q = num / den
+    p, e = _two_prod(q, den)
+    u = (q, ((num - p) - e) / den)
+    v = _dd_mul(u, u)
+    s = _ATANH_SERIES[-1]
+    for c in _ATANH_SERIES[-2::-1]:
+        s = _dd_add(_dd_mul(s, v), c)
+    atanh = _dd_mul(u, s)
+    return _dd_add(_dd_mul((k.astype(np.float64), 0.0), _LN2), (2.0 * atanh[0], 2.0 * atanh[1]))
+
+
+# 2 pi = C1 + C2 + C3 to 3.4e-31 (Cody and Waite 1980): C1 and C2 hold at
+# most 24 significant bits, so k C1 and k C2 are exact for |k| < 2^29
+_TWO_PI_PARTS = (
+    float.fromhex("0x1.921fb6p+2"),
+    float.fromhex("-0x1.777a5cp-23"),
+    float.fromhex("-0x1.ee59d9cceba4p-48"),
+)
+
+
+def _prime_phases(taus: np.ndarray, ln_hi: np.ndarray, ln_lo: np.ndarray) -> np.ndarray:
+    """exp(-i tau ln p), one row per prime, one column per tau, from the
+    double-double logs (ln_hi, ln_lo) of the primes: tau ln_hi is split
+    exactly into P + e, k = rint(P / 2 pi), and the argument reduced to
+    r = ((P - k C1) - k C2) + ((e + tau ln_lo) - k C3), whose first two
+    differences are exact."""
+    P, e = _two_prod(taus, ln_hi[:, None])
+    k = np.rint(P * (1.0 / (2.0 * math.pi)))
+    c1, c2, c3 = _TWO_PI_PARTS
+    r = ((P - k * c1) - k * c2) + ((e + taus * ln_lo[:, None]) - k * c3)
+    phase = r * -1j
+    return np.exp(phase, out=phase)
 
 
 @dataclass(frozen=True)
@@ -150,12 +238,15 @@ class _FactorPlan:
     order [1, primes ascending, composites ascending]: primes holds n - 1 of
     each prime; factors and cofactors hold the buffer positions of p and
     m = n / p for each composite n, p its smallest prime factor; order[n - 1]
-    is the buffer position of n.  All indices are int32."""
+    is the buffer position of n.  All indices are int32.  ln_hi and ln_lo
+    hold ln p of each prime as a double-double."""
 
     primes: np.ndarray
     factors: np.ndarray
     cofactors: np.ndarray
     order: np.ndarray
+    ln_hi: np.ndarray
+    ln_lo: np.ndarray
 
 
 def _factor_plan() -> _FactorPlan:
@@ -177,31 +268,34 @@ def _factor_plan() -> _FactorPlan:
         order[primes - 1] = np.arange(1, len(primes) + 1, dtype=np.int32)
         order[composites - 1] = np.arange(len(primes) + 1, size, dtype=np.int32)
         factors = spf[composites]
+        ln_hi, ln_lo = _dd_log(primes)
         _plan_cache = _FactorPlan(
             primes=primes - 1,
             factors=order[factors - 1],
             cofactors=order[composites // factors - 1],
             order=order,
+            ln_hi=ln_hi,
+            ln_lo=ln_lo,
         )
     return _plan_cache
 
 
-def _wide_phases(tau, ln_values: np.ndarray) -> np.ndarray:
-    """exp(-i * tau * ln) with the argument reduced mod 2*pi in wide precision."""
-    theta = np.asarray(tau, dtype=_PHASE_DTYPE) * ln_values
-    np.mod(theta, _TWO_PI_WIDE, out=theta)
-    theta = theta.astype(np.float64)
-    phase = theta * -1j
-    return np.exp(phase, out=phase)
-
-
 def _phase_table(taus, count: int) -> np.ndarray:
-    """exp(-i * tau_b * ln n) for n = 1..count, one row per tau_b, from wide
-    phases at the primes: n^(-i tau) is completely multiplicative, so each
-    composite n = p * m is phase[p] * phase[m].  Both factors lie below 2^k
-    for n in [2^k, 2^(k+1)), so one vectorised pass per doubling block fills
-    the composites of every tau at once."""
-    ln = _ln_table(count)
+    """exp(-i * tau_b * ln n) for n = 1..count, one row per tau_b, from
+    _prime_phases at the primes: n^(-i tau) is completely multiplicative, so
+    each composite n = p * m is phase[p] * phase[m].  Both factors lie below
+    2^k for n in [2^k, 2^(k+1)), so one vectorised pass per doubling block
+    fills the composites of every tau at once.
+
+    Error bound at a prime p, for |tau ln p| < 2^29 * 2 pi (3.3e9; the 1e8
+    guard and the term cap give at most 1.8e9): the reduced argument r lies
+    within 2.3e-16 rad of tau ln p mod 2 pi, half an ulp of |r| < 4 for its
+    one rounding plus under 1e-20 from the logs, the split of 2 pi and the
+    small terms.  With sin and cos rounded within an ulp, the phase is then
+    within 4e-16 of exp(-i tau ln p) (3.1e-16 measured against mpmath up to
+    tau = 1e8).  A composite adds one such error per prime factor and one
+    rounding per product."""
+    _ln_table(count)
     plan = _factor_plan()
     primes = plan.primes[: np.searchsorted(plan.primes, count)]
     # the blocks end before n = 8, 16, ..., the last before count + 1; the
@@ -222,7 +316,9 @@ def _phase_table(taus, count: int) -> np.ndarray:
     width = len(taus)
     buf = np.empty((start + ends[-1], width), dtype=complex)
     buf[0] = 1.0
-    buf[1 : len(primes) + 1] = _wide_phases(np.asarray(taus, dtype=_PHASE_DTYPE), ln[primes][:, None])
+    buf[1 : len(primes) + 1] = _prime_phases(
+        np.asarray(taus, dtype=np.float64), plan.ln_hi[: len(primes)], plan.ln_lo[: len(primes)]
+    )
     lo = 0
     for hi in ends.tolist():
         # a smallest prime factor is a prime, at the same position either way
@@ -307,7 +403,7 @@ def _dirichlet_table(points: np.ndarray, width: int) -> np.ndarray:
     when a row is wider, and the rows of each table's points are filled in
     chunks of that size.  A phase row does not depend on the other rows of
     its table, so neither does a point's row."""
-    ln = _ln_table(width).astype(np.float64)
+    ln = _ln_table(width)
     table = np.empty((len(points), width), dtype=complex)
     # the points sorted by Im, where each distinct Im starts, and the index
     # of each sorted point's Im among them (np.unique and a stable argsort

@@ -250,6 +250,17 @@ def test_scan_via_polynomial_budget_not_met_exits_2_with_the_fit(tmp_path, arc_s
     assert payload["fit"] == read_json(approx_out)["fit"]
 
 
+def test_scan_constant_target_with_more_than_two_parts_exits_1(tmp_path, strip_point_set, capsys):
+    # constant:1,2,3 used to run against 1+2i, dropping the 3
+    out_json = tmp_path / "r.json"
+    code = main(["scan", "--set", strip_point_set, "--target", "constant:1,2,3",
+                 "--T", "40", "--step", "0.5", "--eps", "0.9",
+                 "--out-json", str(out_json)])
+    assert code == 1
+    assert "constant:re[,im]" in json.loads(capsys.readouterr().out)["error"]
+    assert not out_json.exists()
+
+
 def test_scan_constant_target(tmp_path, strip_point_set):
     out_json = tmp_path / "r.json"
     code = main(["scan", "--set", strip_point_set, "--target", "constant:1.0",

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
     rows = zeta_mod.shift_rows(points, 4.5e4)
     assert rows.shape == (46, 90_001)
     assert calls == [[tau] for tau in taus]
-    ln = zeta_mod._ln_table(90_001).astype(np.float64)
+    ln = zeta_mod._ln_table(90_001)
     phases = {tau: phase_table([tau], 90_001)[0] for tau in taus}
     for z, row in zip(points, rows):
         assert np.array_equal(row, np.exp(-z.real * ln) * phases[z.imag])
@@ -340,43 +341,78 @@ def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
     assert abs(zv.value - _mpmath_at_shift(mpmath, 0.75 + 0j, 1e6)) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [1e3, 43225.0, 1e5, 1e6])
+def test_zeta_em_within_5e_15_of_mpmath(monkeypatch, t):
+    # the phases carry no error that grows with t: 2.5e-16, 4.3e-16, 2.2e-16
+    # and 1.6e-16 measured against 30 digits, where longdouble logs gave
+    # 6.0e-14 at t = 1e6
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    zv = zeta_em(complex(0.75, t))
+    assert abs(zv.value - _mpmath_at_shift(mpmath, 0.75 + 0j, t)) <= 5e-15
+
+
 # ---------------------------------------------------------------- phase tables
 
 
+@lru_cache(maxsize=None)
+def _wide_table(tau):
+    # the wide table: exp(-i tau ln n) at 40 digits for n up to the largest
+    # count below, tau taken as the double that the library is given
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact_tau = mpmath.mpf(tau)
+        return np.array([complex(mpmath.expj(-exact_tau * mpmath.log(n))) for n in range(1, 15481)])
+
+
 def _wide_reference(tau, count):
-    # every argument tau * ln n reduced mod 2 pi in wide precision, as the
-    # phase tables take it at the primes
-    dtype = zeta_mod._PHASE_DTYPE
-    theta = np.asarray(tau, dtype=dtype) * np.log(np.arange(1.0, count + 1.0, dtype=dtype))
-    theta = np.mod(theta, zeta_mod._TWO_PI_WIDE).astype(np.float64)
-    return np.exp(theta * -1j)
+    return _wide_table(float(tau))[:count]
 
 
-def _im_plus_t(im, t):
-    # a wide-precision tau: Im z + t summed in wide precision
-    return zeta_mod._PHASE_DTYPE(im) + zeta_mod._PHASE_DTYPE(t)
+# Im z + t as the double the library computes from a grid point at t
+IM_PLUS_T = 0.2 + 43225.0
 
 
 @pytest.mark.parametrize("count", [20, 1000, 2047])
 def test_phases_below_the_cut_are_the_wide_table(count):
-    # every table takes the wide phase at n = 1 and at the primes, so there
-    # it is the wide table bit for bit; each composite is a product of
-    # earlier entries and stays within 1e-13 of the wide table
+    # every table takes its phase at n = 1 and at the primes from one
+    # reduction, within _phase_table's stated 4e-16 (with room for a libm
+    # off by a few ulp); each composite is a product of earlier entries and
+    # adds one rounding per factor (2.2e-15 measured)
     sympy = pytest.importorskip("sympy")
     wide_at = np.array([0] + [p - 1 for p in sympy.primerange(2, count + 1)])
-    for tau in (0.0, 14.1, 2e3, 43225.0, _im_plus_t(0.2, 43225.0)):
+    for tau in (0.0, 14.1, 2e3, 43225.0, IM_PLUS_T):
         table, wide = zeta_mod._phase_table([tau], count)[0], _wide_reference(tau, count)
-        assert np.array_equal(table[wide_at], wide[wide_at])
-        assert np.max(np.abs(table - wide)) <= 1e-13
+        assert np.max(np.abs(table[wide_at] - wide[wide_at])) <= 1e-15
+        assert np.max(np.abs(table - wide)) <= 1e-14
 
 
 @pytest.mark.parametrize("count", [2048, 4000, 15480])
 def test_phases_past_the_cut_agree_with_the_wide_table(count):
-    # up to the criterion-6 shift; at t = 1e5 each table sits about 7e-14
-    # from mpmath, so their gap may reach twice that (mpmath test below)
-    for tau in (14.1, 2e3, 43225.0, _im_plus_t(0.2, 43225.0)):
+    # up to the criterion-6 shift: 2.9e-15 measured at count 15480
+    for tau in (14.1, 2e3, 43225.0, IM_PLUS_T):
         table = zeta_mod._phase_table([tau], count)[0]
-        assert np.max(np.abs(table - _wide_reference(tau, count))) <= 1e-13
+        assert np.max(np.abs(table - _wide_reference(tau, count))) <= 1e-14
+
+
+def test_prime_phases_against_mpmath_up_to_the_guard(monkeypatch):
+    # 400 primes below 2e6, the largest among them, from the plan's
+    # double-double logs: within 2e-15 at every tau up to the 1e8 guard
+    # (3.1e-16 measured), where plain double logs would be 1e-8 off
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    zeta_mod._ln_table(2_000_000)
+    plan = zeta_mod._factor_plan()
+    at = np.unique(np.append(np.linspace(0, len(plan.primes) - 1, 400).astype(int), len(plan.primes) - 1))
+    primes = plan.primes[at] + 1
+    assert primes[-1] == 1_999_993
+    for tau in (IM_PLUS_T, 1e5, 1e6, 1e7, 1e8, -1e8):
+        phases = zeta_mod._prime_phases(np.array([tau]), plan.ln_hi[at], plan.ln_lo[at])[:, 0]
+        with mpmath.workdps(40):
+            exact = np.array([complex(mpmath.expj(-mpmath.mpf(tau) * mpmath.log(int(p)))) for p in primes])
+        assert np.max(np.abs(phases - exact)) <= 2e-15
 
 
 def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
@@ -395,12 +431,12 @@ def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
 @pytest.mark.parametrize("im", [None, 0.2])
 def test_product_phases_against_mpmath(t, im):
     # the longest product chains (2^k, 3^k), primes and the largest n,
-    # against 40 digits; im None is a float shift t, 0.2 a wide tau
-    # Im z + t
+    # against 40 digits; im None is a shift t, 0.2 the double Im z + t
+    # (1.6e-15 measured)
     mpmath = pytest.importorskip("mpmath")
     sympy = pytest.importorskip("sympy")
     count = math.ceil(0.35 * (t + 0.2))
-    tau = t if im is None else _im_plus_t(im, t)
+    tau = t if im is None else im + t
     primes = list(sympy.primerange(2, count + 1))
     ns = sorted(
         {2**k for k in range(1, count.bit_length()) if 2**k <= count}
@@ -408,12 +444,10 @@ def test_product_phases_against_mpmath(t, im):
         | set(primes[:20] + primes[-20:] + primes[:: len(primes) // 40])
         | set(range(count - 20, count + 1))
     )
-    product, wide = zeta_mod._phase_table([tau], count)[0], _wide_reference(tau, count)
+    product = zeta_mod._phase_table([tau], count)[0]
     with mpmath.workdps(40):
-        exact_tau = mpmath.mpf(t) + (0 if im is None else mpmath.mpf(im))
-        exact = np.array([complex(mpmath.expj(-exact_tau * mpmath.log(n))) for n in ns])
-    index = np.array(ns) - 1
-    assert np.max(np.abs(product[index] - exact)) <= np.max(np.abs(wide[index] - exact)) + 1e-15
+        exact = np.array([complex(mpmath.expj(-mpmath.mpf(tau) * mpmath.log(n))) for n in ns])
+    assert np.max(np.abs(product[np.array(ns) - 1] - exact)) <= 1e-14
 
 
 # ---------------------------------------------------------------- mpmath oracle
