@@ -10,25 +10,34 @@ correction term; N is doubled (at most twice) when that estimate exceeds
 1e-6.  Everything is double precision, on every platform.  The phases of
 n^-s = n^(-Re s) * exp(-i Im s ln n) are taken at the primes from
 double-double logs (Dekker 1971) with the argument reduced mod 2*pi in the
-manner of Cody and Waite (1980), to within 2.3e-16 rad; since n^(-i tau) is
+manner of Cody and Waite (1980), to within 2.3e-16 rad; since n^-s is
 completely multiplicative each composite entry is the product of two
 earlier ones.  The estimate makes precision loss visible instead of hiding
 it behind arbitrary-precision arithmetic.  At most _MAX_TERMS terms are
 summed for any point.
 
+Only the n coprime to 6 (1, 5, 7, 11, 13, ...), a third of them, have
+terms of their own.  Every n < N is d m with d = 2^a 3^b and m coprime to
+6, so sum_{n<N} n^-s = sum_d d^-s S(floor((N - 1) / d)), S(L) the sum of
+the m^-s with m <= L, and N^-s = d_N^-s m_N^-s; d^-s is a product of the
+Euler factors 2^-s and 3^-s, which lead every row, so that their phases
+come from the same reduction and their terms from the same products.
+
 One call evaluates a block of (point, shift) pairs z_j + i t_b and returns
-P x B values and estimates.  A term is n^(-z_j) * exp(-i t_b ln n).  The
-Dirichlet rows n^(-z_j) do not depend on t: a scan keeps them for its
-horizon (shift_rows) for as many of its first points as fit, and a call
-builds every row it was not given, or was given too narrow.  The
-phases exp(-i t_b ln n) form one 2-D table, one row per shift, and the
-product passes along n fill all rows at once.  Each pair's partial sum is
-one contiguous reduction over its own N - 1 terms, and the tail and its
-estimate are vectorised over the pairs, so a value depends only on
-(z, t, params), never on the block or on where its rows came from.  A table
-holds at most _BLOCK_ENTRIES entries (2^13, 128 kB of complex values); a
-larger block is cut into tables of that size, and a pair with more terms
-has a table of its own.
+P x B values and estimates.  A term is n^(-z_j) * exp(-i t_b ln n), for n
+= 2, 3 and the n coprime to 6.  The Dirichlet rows n^(-z_j) do not depend
+on t: a scan keeps them for its horizon (shift_rows) for as many of its
+first points as fit, and a call builds every row it was not given, or was
+given too narrow.  The phases exp(-i t_b ln n) form one 2-D table, one row
+per shift, and the product passes along n fill all rows at once.  A pair's
+sums over the segments between its cutoffs floor((N - 1) / d) are pairwise
+reductions over its own terms, weighted by running sums of its d^-s and
+reduced once more; the cutoffs, weights, tail and estimate are vectorised
+over the pairs, so a value depends only on (z, t, params), never on the
+block or on where its rows came from.  A table holds at most
+_BLOCK_ENTRIES entries (2^13, 128 kB of complex values, the n up to about
+24 500); a larger block is cut into tables of that size, and a pair with
+more terms has a table of its own.
 """
 
 from __future__ import annotations
@@ -48,7 +57,8 @@ _ERR_THRESHOLD = 1e-6
 _MAX_IM = 1e8
 
 # the most terms any evaluation may ask for: the log cache alone holds 8
-# bytes per term, and |Im s| near the 1e8 guard would ask for 2e8 terms
+# bytes per term coprime to 6, and |Im s| near the 1e8 guard would ask for
+# 2e8 terms, 533 MB of logs
 _MAX_TERMS = 1 << 26
 
 
@@ -115,27 +125,55 @@ def _em_coefficients(kb: int) -> tuple[float, ...]:
 
 # the most table entries (points x terms) of the Dirichlet rows a scan keeps,
 # 64 MB of complex values: rows for as many of its first points as fit, and
-# each call builds rows for the rest
+# each call builds rows for the rest.  A row holds the terms at 2, 3 and the
+# n coprime to 6, a third of its N
 _SCAN_ENTRIES = 1 << 22
 
 # the most entries of one phase table or one array of terms (128 kB of
-# complex values); a pair with more terms has a table of its own.  On the
-# scan500 benchmark job (2 cores, x86-64; 39.4 MB peak RSS with one
-# evaluation per t) 2^12 took 0.25 s at 40.3 MB peak, 2^13 0.20 s at 40.4 MB
-# and 2^14 0.19 s at 41.2 MB, near the benchmark's 5% bound
+# complex values, the n coprime to 6 up to about 24 500); a pair with more
+# terms has a table of its own.  On the scan500 benchmark job (2 cores,
+# x86-64; 39.4 MB peak RSS with one evaluation per t), when a table held
+# every n, 2^12 took 0.25 s at 40.3 MB peak, 2^13 0.20 s at 40.4 MB and 2^14
+# 0.19 s at 41.2 MB, near the benchmark's 5% bound
 _BLOCK_ENTRIES = 1 << 13
 
-_ln_cache = np.log(np.arange(1.0, 64.0))
+
+def _row_ns(width: int) -> np.ndarray:
+    """The n of the first width entries of a row: 2 and 3, whose terms are
+    the Euler factors, then the integers coprime to 6, 1, 5, 7, 11, 13, ..."""
+    i = np.arange(width - 2)
+    return np.concatenate(([2, 3], 3 * i + 1 + (i & 1)))
+
+
+def _coprime_count(n):
+    """How many m <= n are coprime to 6; such an m is entry
+    _coprime_count(m) + 1 of a row."""
+    return (n + 5) // 6 + (n + 1) // 6
+
+
+def _row_width(count):
+    """The entries of a row that holds every n <= count coprime to 6."""
+    return _coprime_count(count) + 2
+
+
+_ln_cache = np.log(_row_ns(63))
 _plan_cache = None
+
+# the 3-smooth d = 2^a 3^b up to the term cap, ascending, and their a and b
+_SMOOTH, _SMOOTH_2, _SMOOTH_3 = np.array(
+    sorted((2**a * 3**b, a, b) for a in range(27) for b in range(17) if 2**a * 3**b <= _MAX_TERMS)
+).T
 
 
 def _ln_table(count: int) -> np.ndarray:
+    """ln n for the n of a row that holds every n <= count coprime to 6."""
     global _ln_cache
     if count > _MAX_TERMS:
         raise InvalidSpec(f"{count} terms exceed the term cap {_MAX_TERMS} (2^26)")
-    if count > len(_ln_cache):
-        _ln_cache = np.log(np.arange(1.0, count + 1.0))
-    return _ln_cache[:count]
+    width = _row_width(count)
+    if width > len(_ln_cache):
+        _ln_cache = np.log(_row_ns(width))
+    return _ln_cache[:width]
 
 
 # Double-double arithmetic (Dekker 1971) for the logs of the primes and the
@@ -228,17 +266,20 @@ def _prime_phases(taus: np.ndarray, ln_hi: np.ndarray, ln_lo: np.ndarray) -> np.
     k = np.rint(P * (1.0 / (2.0 * math.pi)))
     c1, c2, c3 = _TWO_PI_PARTS
     r = ((P - k * c1) - k * c2) + ((e + taus * ln_lo[:, None]) - k * c3)
-    phase = r * -1j
-    return np.exp(phase, out=phase)
+    phase = np.empty(r.shape, dtype=complex)
+    np.cos(r, out=phase.real)
+    np.sin(np.negative(r, out=r), out=phase.imag)
+    return phase
 
 
 @dataclass(frozen=True)
 class _FactorPlan:
-    """How to fill exp(-i tau ln n) for n = 1..len(order) in the buffer
-    order [1, primes ascending, composites ascending]: primes holds n - 1 of
-    each prime; factors and cofactors hold the buffer positions of p and
-    m = n / p for each composite n, p its smallest prime factor; order[n - 1]
-    is the buffer position of n.  All indices are int32.  ln_hi and ln_lo
+    """How to fill exp(-i tau ln n) for the n of the first len(order)
+    entries of a row (_row_ns) in the buffer order [1, primes ascending,
+    composites ascending]: primes holds the entry of each prime, 2 and 3
+    first; factors and cofactors hold the buffer positions of p and m = n / p
+    for each composite n, p its smallest prime factor; order[i] is the
+    buffer position of entry i.  All indices are int32.  ln_hi and ln_lo
     hold ln p of each prime as a double-double."""
 
     primes: np.ndarray
@@ -250,29 +291,35 @@ class _FactorPlan:
 
 
 def _factor_plan() -> _FactorPlan:
-    """The plan over n = 1..len(_ln_cache), built once per size of the log
-    cache; a call cuts it to its own count by prefix."""
+    """The plan over the entries of the log cache, built once per size of
+    the cache; a call cuts it to its own count by prefix."""
     global _plan_cache
     size = len(_ln_cache)
     if _plan_cache is None or len(_plan_cache.order) != size:
-        spf = np.zeros(size + 1, dtype=np.int32)
-        for p in range(2, math.isqrt(size) + 1):
+        ns = _row_ns(size)
+        spf = np.zeros(int(ns[-1]) + 1, dtype=np.int32)
+        # the primes from 5 up to the square root of the largest n
+        for p in ns[3 : _coprime_count(math.isqrt(len(spf) - 1)) + 2].tolist():
             if not spf[p]:
                 multiples = spf[p * p :: p]
                 multiples[multiples == 0] = p
-        spf[:2] = 1
-        primes = np.flatnonzero(spf == 0).astype(np.int32)
-        composites = np.flatnonzero(spf[2:]).astype(np.int32) + 2
+        # 0 for a prime, else the smallest prime factor; n = 1, entry 2,
+        # heads the buffer as neither
+        kind = spf[ns]
+        kind[2] = -1
+        primes = np.flatnonzero(kind == 0).astype(np.int32)
+        composites = np.flatnonzero(kind > 0).astype(np.int32)
         order = np.empty(size, dtype=np.int32)
-        order[0] = 0
-        order[primes - 1] = np.arange(1, len(primes) + 1, dtype=np.int32)
-        order[composites - 1] = np.arange(len(primes) + 1, size, dtype=np.int32)
-        factors = spf[composites]
-        ln_hi, ln_lo = _dd_log(primes)
+        order[2] = 0
+        order[primes] = np.arange(1, len(primes) + 1, dtype=np.int32)
+        order[composites] = np.arange(len(primes) + 1, size, dtype=np.int32)
+        n = ns[composites]
+        factors = kind[composites]
+        ln_hi, ln_lo = _dd_log(ns[primes])
         _plan_cache = _FactorPlan(
-            primes=primes - 1,
-            factors=order[factors - 1],
-            cofactors=order[composites // factors - 1],
+            primes=primes,
+            factors=order[_coprime_count(factors) + 1],
+            cofactors=order[_coprime_count(n // factors) + 1],
             order=order,
             ln_hi=ln_hi,
             ln_lo=ln_lo,
@@ -281,11 +328,13 @@ def _factor_plan() -> _FactorPlan:
 
 
 def _phase_table(taus, count: int) -> np.ndarray:
-    """exp(-i * tau_b * ln n) for n = 1..count, one row per tau_b, from
-    _prime_phases at the primes: n^(-i tau) is completely multiplicative, so
-    each composite n = p * m is phase[p] * phase[m].  Both factors lie below
-    2^k for n in [2^k, 2^(k+1)), so one vectorised pass per doubling block
-    fills the composites of every tau at once.
+    """exp(-i * tau_b * ln n) for the n of a row that holds every n <= count
+    coprime to 6, 2 and 3 first, one row per tau_b, from _prime_phases at
+    the primes: n^(-i tau) is completely
+    multiplicative, so each composite n = p * m is phase[p] * phase[m], and
+    p and m are coprime to 6 as n is.  Both factors lie below 5^k for n in
+    [5^k, 5^(k+1)), since p <= sqrt n and m <= n / 5, so one vectorised pass
+    per such block fills the composites of every tau at once.
 
     Error bound at a prime p, for |tau ln p| < 2^29 * 2 pi (3.3e9; the 1e8
     guard and the term cap give at most 1.8e9): the reduced argument r lies
@@ -294,27 +343,33 @@ def _phase_table(taus, count: int) -> np.ndarray:
     small terms.  With sin and cos rounded within an ulp, the phase is then
     within 4e-16 of exp(-i tau ln p) (3.1e-16 measured against mpmath up to
     tau = 1e8).  A composite adds one such error per prime factor and one
-    rounding per product."""
-    _ln_table(count)
+    rounding per product.  The phases of 2 and 3 in the Euler factors come
+    from the same reduction, and d^(-s) = (2^-s)^a (3^-s)^b for d = 2^a 3^b,
+    a running product, carries a + b such errors and a + b - 1 roundings
+    (a + b <= 26 under the term cap); it weighs the terms m^-s with m <=
+    (N - 1) / d, through running sums of the d^-s of depth at most log2 of
+    their number (_running_sums)."""
+    width = len(_ln_table(count))
     plan = _factor_plan()
-    primes = plan.primes[: np.searchsorted(plan.primes, count)]
-    # the blocks end before n = 8, 16, ..., the last before count + 1; the
-    # composites below x are the x - 2 numbers 2..x-1 less the primes among them
-    ends = np.minimum(1 << np.arange(3, max(count.bit_length(), 3) + 1), count + 1)
-    ends = ends - 2 - np.searchsorted(plan.primes, ends - 1)
+    primes = plan.primes[: np.searchsorted(plan.primes, width)]
+    # the blocks end before n = 125, 625, ..., the last past count (25 is
+    # the first composite); the composites below x are the entries below x
+    # less 1 and the primes among them
+    x = 5 ** np.arange(3, 13)
+    below = _row_width(np.minimum(x[: np.searchsorted(x, count, side="right") + 1], count + 1) - 1)
+    ends = below - 1 - np.searchsorted(plan.primes, below)
     # the buffer holds 1, the primes, then the composites: the plan's
     # composites sit past all its primes, so the rows of the primes past
-    # count are left unwritten, or, when there are more of them than count,
-    # the composites move down to close the gap
-    cofactors, order = plan.cofactors[: ends[-1]], plan.order[:count]
+    # count are left unwritten, or, when there are more of them than
+    # entries, the composites move down to close the gap
+    cofactors, order = plan.cofactors[: ends[-1]], plan.order[:width]
     start = len(plan.primes) + 1
     gap = len(plan.primes) - len(primes)
-    if gap > count:
+    if gap > width:
         cofactors = np.where(cofactors >= start, cofactors - gap, cofactors)
         order = np.where(order >= start, order - gap, order)
         start -= gap
-    width = len(taus)
-    buf = np.empty((start + ends[-1], width), dtype=complex)
+    buf = np.empty((start + ends[-1], len(taus)), dtype=complex)
     buf[0] = 1.0
     buf[1 : len(primes) + 1] = _prime_phases(
         np.asarray(taus, dtype=np.float64), plan.ln_hi[: len(primes)], plan.ln_lo[: len(primes)]
@@ -346,64 +401,171 @@ def _blocks(count: int, longest: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _powers(u: np.ndarray, k: int) -> np.ndarray:
+    """u^0, u^1, ..., u^k, one row per power, by running products."""
+    powers = np.empty((k + 1, len(u)), dtype=complex)
+    powers[0] = 1.0
+    for a in range(k):
+        np.multiply(powers[a], u, out=powers[a + 1])
+    return powers
+
+
+def _running_sums(x: np.ndarray) -> np.ndarray:
+    """The running sums of x along its first axis, each a tree of additions
+    of depth at most log2(len(x)) (Hillis and Steele 1986), where a
+    sequential np.cumsum adds len(x) roundings at the scale of the total:
+    with 1 = 1^-s first among the d^-s, that put partial sums at Re s = 3
+    up to 6.4 u sum n^-Re s off (u = 2^-53).  x is overwritten."""
+    y = np.empty_like(x)
+    k = 1
+    while k < len(x):
+        y[:k] = x[:k]
+        np.add(x[k:], x[:-k], out=y[k:])
+        x, y = y, x
+        k *= 2
+    return x
+
+
+def _cutoffs(counts: np.ndarray, smooth: int):
+    """(bounds, nonempty, own, place) for N = counts over the first smooth
+    3-smooth d, one row per N, in the entries of a row: bounds[0] = 0 starts
+    the Euler factors, and segment i, [bounds[i + 1], bounds[i + 2]), ends
+    at the cutoff _row_width(floor((N - 1) / d)) of d number smooth - 1 - i;
+    nonempty marks the segments that hold an entry (one past N - 1 holds
+    none, nor does one between two cutoffs with no m coprime to 6 between
+    them); N = d_N m_N with m_N at entry own and d_N number place."""
+    bounds = np.zeros((len(counts), smooth + 2), dtype=np.int64)
+    bounds[:, 1] = 2
+    bounds[:, 2:] = _row_width((counts - 1)[:, None] // _SMOOTH[:smooth])[:, ::-1]
+    # d_N is the largest of the d that divide N
+    place = smooth - 1 - np.argmax(counts[:, None] % _SMOOTH[smooth - 1 :: -1] == 0, axis=1)
+    own = _coprime_count(counts // _SMOOTH[place]) + 1
+    return bounds, bounds[:, 2:] > bounds[:, 1:-1], own, place
+
+
 def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, counts: np.ndarray):
-    """(sum_{n<N} a_n, a_N) for every pair k, where
-    a_n = table[f_idx[k], n - 1] * exp(-i * ts[shift[k]] * ln n) and
-    N = counts[k]; the pairs come ordered so that shift never decreases.
+    """(sum_{n<N} n^(-s), N^(-s)) for every pair k, s = z + i ts[shift[k]],
+    from the terms a_n = table[f_idx[k], e] * exp(-i * ts[shift[k]] * ln n)
+    of the n of a row (_row_ns; n entry e): the Euler factors 2^-s and 3^-s,
+    then the n coprime to 6; N = counts[k], and the pairs come ordered so
+    that shift never decreases.
+
+    Every n is d m with d = 2^a 3^b and m coprime to 6, and n^-s is
+    completely multiplicative, so the partial sum is sum_d d^-s S(floor((N -
+    1) / d)) over the d <= N - 1, S(L) the sum of the a_m with m <= L, and
+    N^-s = d_N^-s a_{m_N} with d_N the 3-smooth part of N.  The entries
+    between two of a pair's sorted cutoffs (its _cutoffs segments) lie below
+    the cutoffs of the d up to some d', so the partial sum is the sum over
+    its segments of their pairwise reduction (one np.add.reduceat over the
+    pairs of an array of terms) times the sum of d^-s over d <= d', one
+    pairwise reduction again; d^-s is a running product of 2^-s and 3^-s.
 
     The pairs of a shift share a phase row.  _blocks cuts the rows into
     phase tables by the call's longest pair, each table as wide as its own
     longest pair, and the pairs of each table again by that width, so that
     no table and no array of terms holds more than _BLOCK_ENTRIES entries;
-    a table of t = 0 alone is all ones and is not built.  Each pair's
-    partial sum is one reduction over its own contiguous N - 1 terms, so its
-    value does not depend on the other pairs."""
+    a table of t = 0 alone is all ones and is not built.  Runs of pair
+    blocks share the cutoffs of their distinct N and the weights of their
+    pairs, vectorised over the pairs, as many as hold at most _BLOCK_ENTRIES
+    cutoffs.  Each reduction covers one pair's own terms or segments, and a
+    running sum or product only its own earlier ones, so its value does not
+    depend on the other pairs."""
     head = np.concatenate(([True], shift[1:] != shift[:-1]))
     row = head.cumsum() - 1
     taus = ts[shift[head]]
     starts = np.append(np.flatnonzero(head), len(counts)).tolist()
+    widths = _row_width(counts).tolist()
+    # the d <= N of the call's longest pair
+    smooth = int(np.searchsorted(_SMOOTH, counts.max(), side="right"))
+    twos, threes = _SMOOTH_2[:smooth], _SMOOTH_3[:smooth]
     partial = np.empty(len(counts), dtype=complex)
     last = np.empty(len(counts), dtype=complex)
-    counts = counts.tolist()
-    for lo, hi in _blocks(len(taus), max(counts)):
-        first, end = starts[lo], starts[hi]
-        width = max(counts[first:end])
-        phase = _phase_table(taus[lo:hi], width) if taus[lo:hi].any() else None
-        for a, b in _blocks(end - first, width):
-            a, b = a + first, b + first
+    # every table's pair blocks, which hold at most _BLOCK_ENTRIES cutoffs
+    # too, with the table's shifts [lo, hi) and longest pair; runs of them
+    # that hold at most _BLOCK_ENTRIES cutoffs share their bookkeeping
+    runs, size = [[]], 0
+    for lo, hi in _blocks(len(taus), max(widths)):
+        top = int(counts[starts[lo] : starts[hi]].max())
+        for a, b in _blocks(starts[hi] - starts[lo], max(_row_width(top), smooth + 2)):
+            size += (b - a) * (smooth + 2)
+            if size > _BLOCK_ENTRIES and runs[-1]:
+                runs.append([])
+                size = (b - a) * (smooth + 2)
+            runs[-1].append((lo, hi, top, a + starts[lo], b + starts[lo]))
+    built = None
+    for run in runs:
+        first, end = run[0][3], run[-1][4]
+        # the bookkeeping of each run of equal N, and each pair's run
+        n = counts[first:end]
+        fresh = np.concatenate(([True], n[1:] != n[:-1]))
+        bounds, nonempty, own, place = _cutoffs(n[fresh], smooth)
+        of = fresh.cumsum() - 1
+        # the sum of each pair's segments, one row per pair, one column per
+        # d: the segment that ends at the cutoff of d
+        sums = np.zeros((end - first, smooth), dtype=complex)
+        at_own = np.empty(end - first, dtype=complex)
+        euler = np.empty((end - first, 2), dtype=complex)
+        for lo, hi, top, a, b in run:
+            if built != lo:
+                phase = _phase_table(taus[lo:hi], top) if taus[lo:hi].any() else None
+                built = lo
+            # the pairs' places in the run
+            u, v = a - first, b - first
+            m = max(widths[a:b])
             if b - a == 1:
-                # one pair: its row as a view, not as the copy an index
-                # array makes (on line_scan, where every cut is one pair, a
-                # job takes about 10% less); the same reduction either way
-                f, m = int(f_idx[a]), counts[a]
+                # one pair: its row as a view, not as the copy an index array
+                # makes (on line_scan, where every cut is one pair, a job
+                # took about 10% less), and its segments end at its last
+                # cutoff; the same reductions either way
+                f, n = int(f_idx[a]), of[u]
                 terms = table[f, :m] if phase is None else table[f, :m] * phase[int(row[a]) - lo, :m]
-                partial[a] = terms[: m - 1].sum()
-                last[a] = terms[m - 1]
+                used = nonempty[n]
+                sums[u, ::-1][used] = np.add.reduceat(terms[: bounds[n, -1]], bounds[n, 1:-1][used])
+                at_own[u] = terms[own[n]]
+                euler[u] = terms[:2]
                 continue
-            n = counts[a:b]
-            longest = max(n)
-            terms = table[f_idx[a:b], :longest]
+            terms = table[f_idx[a:b], :m]
             if phase is not None:
-                np.multiply(terms, phase[row[a:b] - lo, :longest], out=terms)
-            # runs of equal N reduce together, row by row
-            c = 0
-            for d in range(1, b - a + 1):
-                if d == b - a or n[d] != n[c]:
-                    m = n[c]
-                    partial[a + c : a + d] = terms[c:d, : m - 1].sum(axis=1)
-                    last[a + c : a + d] = terms[c:d, m - 1]
-                    c = d
+                np.multiply(terms, phase[row[a:b] - lo, :m], out=terms)
+            # each row's Euler factors and segments, then one from its last
+            # cutoff to the row's end that closes them; the sums of the
+            # first and the last are not used
+            n = of[u:v]
+            edges = bounds[n] + m * np.arange(b - a)[:, None]
+            used = np.concatenate((np.ones_like(nonempty[:, :1]), nonempty, bounds[:, -1:] < m), axis=1)[n]
+            block = np.zeros(used.shape, dtype=complex)
+            block[used] = np.add.reduceat(terms.reshape(-1), edges[used])
+            sums[u:v] = block[:, -2:0:-1]
+            at_own[u:v] = terms[np.arange(b - a), own[n]]
+            euler[u:v] = terms[:, :2]
+        # numpy's complex products are not commutative to the bit; an
+        # operator may swap its operands to reuse a large temporary, and an
+        # in-place product of one element rounds apart, so the products
+        # below name their order and write to new arrays or to arrays of
+        # more than one element.  d^-s, one row per d, one column per pair
+        weights = _powers(euler[:, 0], twos.max())[twos]
+        np.multiply(weights, _powers(euler[:, 1], threes.max())[threes], out=weights)
+        last[first:end] = np.multiply(weights[place[of], np.arange(end - first)], at_own)
+        # the segment at d lies below the cutoffs of every d' <= d: its
+        # weight is the running sum of d'^-s, and each pair's partial sum is
+        # one pairwise reduction over its own segments
+        np.multiply(sums, _running_sums(weights).T, out=sums)
+        inside = nonempty[:, ::-1][of]
+        held = nonempty.sum(axis=1)[of]
+        partial[first:end] = np.add.reduceat(sums[inside], np.cumsum(held) - held)
     return partial, last
 
 
-def _dirichlet_table(points: np.ndarray, width: int) -> np.ndarray:
-    """n^(-z_j) = n^(-Re z_j) * exp(-i Im z_j ln n) for n = 1..width, one row
-    per point.  The points that share Im share a phase row: the distinct Im
-    go into phase tables of at most _BLOCK_ENTRIES entries, or of one row
-    when a row is wider, and the rows of each table's points are filled in
-    chunks of that size.  A phase row does not depend on the other rows of
-    its table, so neither does a point's row."""
-    ln = _ln_table(width)
+def _dirichlet_table(points: np.ndarray, count: int) -> np.ndarray:
+    """n^(-z_j) = n^(-Re z_j) * exp(-i Im z_j ln n) for the n of a row that
+    holds every n <= count coprime to 6, one row per point.  The points that
+    share Im share a phase row: the distinct Im go into phase tables of at
+    most _BLOCK_ENTRIES entries, or of one row when a row is wider, and the
+    rows of each table's points are filled in chunks of that size.  A phase
+    row does not depend on the other rows of its table, so neither does a
+    point's row."""
+    ln = _ln_table(count)
+    width = len(ln)
     table = np.empty((len(points), width), dtype=complex)
     # the points sorted by Im, where each distinct Im starts, and the index
     # of each sorted point's Im among them (np.unique and a stable argsort
@@ -418,7 +580,7 @@ def _dirichlet_table(points: np.ndarray, width: int) -> np.ndarray:
     row = head.cumsum() - 1
     taus = im[head]
     for lo, hi in _blocks(len(taus), width):
-        phase = _phase_table(taus[lo:hi], width)
+        phase = _phase_table(taus[lo:hi], count)
         first = starts[lo]
         for a, b in _blocks(starts[hi] - first, width):
             a, b = a + first, b + first
@@ -441,7 +603,7 @@ def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> np.
     points = np.asarray(points, dtype=complex)
     tau = min(abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0)), _MAX_IM)
     count = int(_choose_n(tau, params))
-    return _dirichlet_table(points[: _SCAN_ENTRIES // count], count)
+    return _dirichlet_table(points[: _SCAN_ENTRIES // _row_width(count)], count)
 
 
 @lru_cache(maxsize=None)
@@ -510,17 +672,17 @@ def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndar
     last = np.empty(len(pairs), dtype=complex)
     # the term cap is checked before any table is built
     longest = int(counts.max())
-    _ln_table(longest)
+    width = len(_ln_table(longest))
     # the pairs run shift by shift, as _partial_sums takes them
     if rows is None:
         rows = np.empty((0, 0), dtype=complex)
-    cached = (j < len(rows)) & (counts <= rows.shape[1])
+    cached = (j < len(rows)) & (_row_width(counts) <= rows.shape[1])
     if cached.any():
         k = np.flatnonzero(cached)
         partial[k], last[k] = _partial_sums(rows, j[k], b[k], ts, counts[k])
     k = np.flatnonzero(~cached)
     ids = np.flatnonzero(np.bincount(j[k], minlength=len(points)))
-    size = max(1, min(max(len(ts), _BLOCK_ENTRIES // longest), _SCAN_ENTRIES // longest))
+    size = max(1, min(max(len(ts), _BLOCK_ENTRIES // width), _SCAN_ENTRIES // width))
     # the pairs of each group of points by one stable sort, so that they
     # keep their order shift by shift (np.unique in place of the bincount
     # raised the approx benchmark's peak RSS from 62.0 to 64.5 MB on a

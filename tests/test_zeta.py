@@ -22,6 +22,17 @@ ZETA_075 = -3.4412853869452236
 FIRST_ZERO = 14.134725141734677
 
 
+def _row_ns(count):
+    """The n of a Dirichlet or phase row that holds every n <= count coprime
+    to 6, in its order: 2 and 3, whose terms are the Euler factors, then
+    the n coprime to 6."""
+    return np.array([2, 3] + [n for n in range(1, count + 1) if math.gcd(n, 6) == 1])
+
+
+def _row_width(count):
+    return len(_row_ns(count))
+
+
 # ---------------------------------------------------------------- bernoulli
 
 
@@ -189,12 +200,13 @@ def test_grid_propagates_offending_index():
 
 
 def test_grid_offending_index_with_rows_past_their_width():
-    # the rows hold N = 2; the offender at index 5 doubles past them and
+    # the rows hold N = 2: 2, 3 and the one n = 1 coprime to 6, which serve
+    # N = 4 as well; the offender at index 5 doubles past them to N = 8 and
     # fails in rows built for it, at its index in the grid
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     grid = discretize(PointSet(tuple(0.75 + 0.1j * k for k in range(5)) + (0.75 + 2e5j, 0.8)), 0.01)
     rows = zeta_mod.shift_rows(grid.points, 0.0, params)
-    assert rows.shape == (7, 2)
+    assert rows.shape == (7, 3)
     _, _, exhausted = zeta_mod._evaluate(grid.points, [0.0], params, rows)
     assert np.flatnonzero(exhausted[:, 0]).tolist() == [5]
 
@@ -203,7 +215,8 @@ def test_grid_with_scan_rows_matches_one_shot():
     grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
     params = ZetaParams(terms_per_unit_t=0.35)
     rows = zeta_mod.shift_rows(grid.points, 2e3, params)
-    assert rows.shape == (len(grid), math.ceil(0.35 * (2e3 + 0.2)))
+    # a row holds 2, 3 and the n <= N coprime to 6, N = ceil(0.35 (2000 + 0.2))
+    assert rows.shape == (len(grid), _row_width(math.ceil(0.35 * (2e3 + 0.2)))) == (3, 236)
     for t in (0.0, 250.0, 1999.5):
         v, err, _ = zeta_mod._evaluate(grid.points, [t], params, rows)
         w, err_w = zeta_shifted_grid(grid, t, params)
@@ -211,14 +224,15 @@ def test_grid_with_scan_rows_matches_one_shot():
 
 
 def test_doubling_past_the_rows_leaves_them_at_their_width():
-    # at t = 1e3 N doubles twice (100 -> 400) past the rows' width; the
-    # doubled points get rows built for them and the scan's rows do not grow
+    # at t = 1e3 N doubles twice (100 -> 400) past the rows' width, 2, 3
+    # and the 33 n <= 100 coprime to 6; the doubled points get rows built
+    # for them and the scan's rows do not grow
     grid = discretize(PointSet(ORACLE_SIGMAS), 0.1)
     params = ZetaParams(terms_per_unit_t=0.1)
     rows = zeta_mod.shift_rows(grid.points, 1e3, params)
     for a, b in zip(zeta_shifted_grid(grid, 1e3, params), zeta_mod._evaluate(grid.points, [1e3], params, rows)):
         assert np.array_equal(a, b[:, 0])
-    assert rows.shape == (3, 100)
+    assert rows.shape == (3, _row_width(100)) == (3, 35)
 
 
 def test_one_wide_phase_table_per_distinct_im(monkeypatch):
@@ -242,14 +256,15 @@ def test_one_wide_phase_table_per_distinct_im(monkeypatch):
 
 
 def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
-    # the rectangle of the scan past the rows cut: at T = 4.5e4 its rows hold
-    # 90 001 terms, wider than a table, and the cut keeps 46 of its 49
-    # points.  They share 7 distinct Im, so 7 phase rows are built, and each
-    # row is its point's amplitudes times the phase row of its Im alone
+    # the rectangle of the scan past the rows cut: at T = 1.501e5 its rows
+    # hold 2, 3 and the 100 067 n <= N = 300 201 coprime to 6, wider than a
+    # table, and the cut keeps 41 of its 49 points.  They share 7 distinct
+    # Im, so 7 phase rows are built, and each row is its point's amplitudes
+    # times the phase row of its Im alone
     rect = CantorProduct(np.array([[0.0, 1.0]]), 0.0, 1.0, 0.4, 0.55)
     points = discretize(rect, DEFAULT_GRID_H).points
     taus = np.unique(points.imag)
-    assert (len(points), len(taus)) == (49, 7)
+    assert (len(points), len(taus), len(np.unique(points.imag[:41]))) == (49, 7, 7)
     phase_table = zeta_mod._phase_table
     calls = []
 
@@ -258,11 +273,12 @@ def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
         return phase_table(taus, count)
 
     monkeypatch.setattr(zeta_mod, "_phase_table", recording)
-    rows = zeta_mod.shift_rows(points, 4.5e4)
-    assert rows.shape == (46, 90_001)
+    rows = zeta_mod.shift_rows(points, 1.501e5)
+    assert rows.shape == ((1 << 22) // 100_069, 100_069) == (41, _row_width(300_201))
     assert calls == [[tau] for tau in taus]
-    ln = zeta_mod._ln_table(90_001)
-    phases = {tau: phase_table([tau], 90_001)[0] for tau in taus}
+    ln = zeta_mod._ln_table(300_201)
+    assert np.array_equal(ln, np.log(_row_ns(300_201)))
+    phases = {tau: phase_table([tau], 300_201)[0] for tau in taus}
     for z, row in zip(points, rows):
         assert np.array_equal(row, np.exp(-z.real * ln) * phases[z.imag])
 
@@ -288,13 +304,14 @@ def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
 
 
 def test_shift_rows_keep_the_first_points_that_fit():
-    # N = 2e5 at t = 1e5: the 2^22-entry cut holds the rows of the first 20
-    # of 100 points, the same rows as the table of those points alone
+    # N = 2e5 at t = 1e5, a row of 2, 3 and the 66 667 n <= N coprime to 6:
+    # the 2^22-entry cut holds the rows of the first 62 of 100 points, the
+    # same rows as the table of those points alone
     points = 0.5 + 0.004 * np.arange(100) + 0j
     rows = zeta_mod.shift_rows(points, 1e5)
-    assert rows.shape == ((1 << 22) // 200_000, 200_000) == (20, 200_000)
-    assert np.array_equal(rows[19], zeta_mod._dirichlet_table(points[19:20], 200_000)[0])
-    assert zeta_mod.shift_rows(points, 1e2).shape == (100, 200)
+    assert rows.shape == ((1 << 22) // 66_669, 66_669) == (62, _row_width(200_000))
+    assert np.array_equal(rows[61], zeta_mod._dirichlet_table(points[61:62], 200_000)[0])
+    assert zeta_mod.shift_rows(points, 1e2).shape == (100, _row_width(200)) == (100, 69)
 
 
 def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
@@ -376,38 +393,45 @@ IM_PLUS_T = 0.2 + 43225.0
 
 @pytest.mark.parametrize("count", [20, 1000, 2047])
 def test_phases_below_the_cut_are_the_wide_table(count):
-    # every table takes its phase at n = 1 and at the primes from one
+    # every table holds 2, 3 and the n <= count coprime to 6, and takes its
+    # phase at n = 1 and at the primes, 2 and 3 among them, from one
     # reduction, within _phase_table's stated 4e-16 (with room for a libm
     # off by a few ulp); each composite is a product of earlier entries and
-    # adds one rounding per factor (2.2e-15 measured)
+    # adds one rounding per factor (9.2e-16 measured)
     sympy = pytest.importorskip("sympy")
-    wide_at = np.array([0] + [p - 1 for p in sympy.primerange(2, count + 1)])
+    ns = _row_ns(count)
+    wide_at = np.array([e for e, n in enumerate(ns) if n == 1 or sympy.isprime(int(n))])
     for tau in (0.0, 14.1, 2e3, 43225.0, IM_PLUS_T):
         table, wide = zeta_mod._phase_table([tau], count)[0], _wide_reference(tau, count)
-        assert np.max(np.abs(table[wide_at] - wide[wide_at])) <= 1e-15
-        assert np.max(np.abs(table - wide)) <= 1e-14
+        assert len(table) == len(ns)
+        assert np.max(np.abs(table[wide_at] - wide[ns[wide_at] - 1])) <= 1e-15
+        assert np.max(np.abs(table - wide[ns - 1])) <= 1e-14
 
 
 @pytest.mark.parametrize("count", [2048, 4000, 15480])
 def test_phases_past_the_cut_agree_with_the_wide_table(count):
-    # up to the criterion-6 shift: 2.9e-15 measured at count 15480
+    # up to the criterion-6 shift: 1.1e-15 measured at count 15480
+    ns = _row_ns(count)
     for tau in (14.1, 2e3, 43225.0, IM_PLUS_T):
         table = zeta_mod._phase_table([tau], count)[0]
-        assert np.max(np.abs(table - _wide_reference(tau, count))) <= 1e-14
+        assert np.max(np.abs(table - _wide_reference(tau, count)[ns - 1])) <= 1e-14
 
 
 def test_prime_phases_against_mpmath_up_to_the_guard(monkeypatch):
     # 400 primes below 2e6, the largest among them, from the plan's
     # double-double logs: within 2e-15 at every tau up to the 1e8 guard
-    # (3.1e-16 measured), where plain double logs would be 1e-8 off
+    # (3.1e-16 measured), where plain double logs would be 1e-8 off.  The
+    # plan holds each prime's entry in a row, 2 and 3 first
     mpmath = pytest.importorskip("mpmath")
+    sympy = pytest.importorskip("sympy")
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zeta_mod._ln_table(2_000_000)
     plan = zeta_mod._factor_plan()
     at = np.unique(np.append(np.linspace(0, len(plan.primes) - 1, 400).astype(int), len(plan.primes) - 1))
-    primes = plan.primes[at] + 1
-    assert primes[-1] == 1_999_993
+    primes = _row_ns(2_000_000)[plan.primes[at]]
+    assert primes[0] == 2 and primes[-1] == 1_999_993
+    assert all(sympy.isprime(int(p)) for p in primes)
     for tau in (IM_PLUS_T, 1e5, 1e6, 1e7, 1e8, -1e8):
         phases = zeta_mod._prime_phases(np.array([tau]), plan.ln_hi[at], plan.ln_lo[at])[:, 0]
         with mpmath.workdps(40):
@@ -416,38 +440,56 @@ def test_prime_phases_against_mpmath_up_to_the_guard(monkeypatch):
 
 
 def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
-    # a plan past the count leaves rows for its extra primes unwritten, or,
-    # when they outnumber the count, moves the composites down
+    # a table of count 1000 holds 335 entries; a plan past the count leaves
+    # rows for its extra primes unwritten (16 primes up to 1100), or, when
+    # they outnumber the entries (2094 up to 20000), moves the composites
+    # down
+    sympy = pytest.importorskip("sympy")
     taus = [14.1, 2e3, 43225.0]
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     own = zeta_mod._phase_table(taus, 1000)
+    assert own.shape == (3, _row_width(1000)) == (3, 335)
+    extra = {size: int(sympy.primepi(size) - sympy.primepi(1000)) for size in (1100, 20000)}
+    assert extra[1100] <= 335 < extra[20000]
     for size in (1100, 20000):
         zeta_mod._ln_table(size)
+        # the plan holds the primes, 168 of them up to 1000
+        assert len(zeta_mod._factor_plan().primes) - 168 == extra[size]
         assert np.array_equal(zeta_mod._phase_table(taus, 1000), own)
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
 @pytest.mark.parametrize("im", [None, 0.2])
 def test_product_phases_against_mpmath(t, im):
-    # the longest product chains (2^k, 3^k), primes and the largest n,
-    # against 40 digits; im None is a shift t, 0.2 the double Im z + t
-    # (1.6e-15 measured)
+    # the longest product chains of a table (5^k, 7^k), primes and the
+    # largest n coprime to 6, and the running products (2^-i tau)^k and
+    # (3^-i tau)^k of its first two entries that make the powers of the
+    # Euler factors, against 40 digits; im None is a shift t, 0.2 the double
+    # Im z + t (table entries 4.6e-16, powers 1.7e-15 measured)
     mpmath = pytest.importorskip("mpmath")
     sympy = pytest.importorskip("sympy")
     count = math.ceil(0.35 * (t + 0.2))
     tau = t if im is None else im + t
-    primes = list(sympy.primerange(2, count + 1))
+    primes = list(sympy.primerange(5, count + 1))
     ns = sorted(
-        {2**k for k in range(1, count.bit_length()) if 2**k <= count}
-        | {3**k for k in range(1, 10) if 3**k <= count}
+        {5**k for k in range(1, 10) if 5**k <= count}
+        | {7**k for k in range(1, 10) if 7**k <= count}
         | set(primes[:20] + primes[-20:] + primes[:: len(primes) // 40])
-        | set(range(count - 20, count + 1))
+        | {n for n in range(count - 20, count + 1) if math.gcd(n, 6) == 1}
     )
     product = zeta_mod._phase_table([tau], count)[0]
+    entry = {n: e for e, n in enumerate(_row_ns(count))}
+    entries = [entry[n] for n in ns]
     with mpmath.workdps(40):
         exact = np.array([complex(mpmath.expj(-mpmath.mpf(tau) * mpmath.log(n))) for n in ns])
-    assert np.max(np.abs(product[np.array(ns) - 1] - exact)) <= 1e-14
+    assert np.max(np.abs(product[entries] - exact)) <= 1e-14
+    for p, phase in zip((2, 3), product[:2]):
+        k = int(math.log(count, p))
+        powers = zeta_mod._powers(np.array([phase]), k)[:, 0]
+        with mpmath.workdps(40):
+            exact = np.array([complex(mpmath.expj(-mpmath.mpf(tau) * mpmath.log(p**j))) for j in range(k + 1)])
+        assert np.max(np.abs(powers - exact)) <= 1e-14
 
 
 # ---------------------------------------------------------------- mpmath oracle
@@ -536,6 +578,76 @@ def test_batches_against_mpmath(points, ts):
     for j, z in enumerate(points):
         for b, t in enumerate(ts):
             assert abs(values[j, b] - _mpmath_at_shift(mpmath, z, t)) <= max(errors[j, b], 1e-12)
+
+
+U = 2.0**-53
+
+
+def _exact_sums(z, t, counts):
+    # at 30 digits and at the exact point s = Re z + i (Im z + t): for each
+    # N, sum_{n<N} n^-s, N^-s and the scale sum_{n<=N} n^-Re s
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s = mpmath.mpc(mpmath.mpf(z.real), mpmath.mpf(z.imag) + mpmath.mpf(t))
+        top = max(counts)
+        terms = [mpmath.power(n, -s) for n in range(1, top + 1)]
+        sizes = [mpmath.power(n, -mpmath.mpf(z.real)) for n in range(1, top + 1)]
+        return [
+            (complex(mpmath.fsum(terms[: N - 1])), complex(terms[N - 1]), float(mpmath.fsum(sizes[:N])))
+            for N in counts
+        ]
+
+
+def _check_sums(points, ts, counts):
+    # the partial sums and last terms of the pairs b * len(points) + j, as
+    # _evaluate takes them, within 8 u sum_{n<=N} n^-Re s of 30 digits
+    partial, last = zeta_mod._sums(points, ts, np.arange(len(counts)), np.asarray(counts), None)
+    for k, N in enumerate(counts):
+        b, j = divmod(k, len(points))
+        [(exact_partial, exact_last, scale)] = _exact_sums(points[j], ts[b], [N])
+        assert abs(partial[k] - exact_partial) <= 8 * U * scale
+        assert abs(last[k] - exact_last) <= 8 * U * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True), st.floats(-50.0, 50.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3),
+    st.data(),
+)
+def test_partial_sums_against_mpmath(points, ts, data):
+    # each pair's N drawn on its own, so that a block holds pairs of many N
+    # (worst 3.3 u sum n^-Re s measured on 800 draws, at Re s near 3, where
+    # the summation over every n read 4.4 u sum)
+    points = np.array([complex(sigma, im) for sigma, im in points])
+    size = len(points) * len(ts)
+    counts = data.draw(st.lists(st.integers(2, 400), min_size=size, max_size=size))
+    _check_sums(points, np.array(ts), counts)
+
+
+def _three_smooth_edges(top):
+    # every N <= top with N or N - 1 3-smooth: N - 1 is a cutoff's edge for
+    # some d, and N = d_N m_N splits with m_N = 1
+    smooth = {2**a * 3**b for a in range(12) for b in range(8) if 2**a * 3**b <= top}
+    return sorted(n for n in {d for d in smooth} | {d + 1 for d in smooth} if 2 <= n <= top)
+
+
+@pytest.mark.parametrize(
+    "z, t", [(0.5 + 14.1j, 0.0), (2.9 - 3.0j, 987.25), (-0.95 + 0j, 0.0), (0.8 + 0.2j, -431.5)]
+)
+def test_partial_sums_at_the_three_smooth_edges(z, t):
+    counts = _three_smooth_edges(2000)
+    assert len(counts) == 89 and counts[:10] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+    # one point per N in one call, so that the N share blocks
+    pairs = np.arange(len(counts))
+    partial, last = zeta_mod._sums(np.full(len(counts), z), np.array([t]), pairs, np.array(counts), None)
+    for k, (exact_partial, exact_last, scale) in enumerate(_exact_sums(z, t, counts)):
+        assert abs(partial[k] - exact_partial) <= 8 * U * scale
+        assert abs(last[k] - exact_last) <= 8 * U * scale
 
 
 # ---------------------------------------------------------------- invariants
