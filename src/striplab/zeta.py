@@ -42,6 +42,7 @@ more terms has a table of its own.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import numbers
@@ -272,6 +273,11 @@ def _prime_phases(taus: np.ndarray, ln_hi: np.ndarray, ln_lo: np.ndarray) -> np.
     return phase
 
 
+# _phase_table fills the composites in passes over n in [5^k, 5^(k+1)): the
+# passes end before n = 125, 625, ..., 5^12 (25 is the first composite)
+_PASS_BOUNDS = tuple(5**k for k in range(3, 13))
+
+
 @dataclass(frozen=True)
 class _FactorPlan:
     """How to fill exp(-i tau ln n) for the n of the first len(order)
@@ -280,7 +286,10 @@ class _FactorPlan:
     first; factors and cofactors hold the buffer positions of p and m = n / p
     for each composite n, p its smallest prime factor; order[i] is the
     buffer position of entry i.  All indices are int32.  ln_hi and ln_lo
-    hold ln p of each prime as a double-double."""
+    hold ln p of each prime as a double-double.  pass_ends[k] is the number
+    of composites below n = _PASS_BOUNDS[k], for each bound up to the plan's
+    largest n: the end of a composite pass of every table that reaches the
+    bound, as Python ints."""
 
     primes: np.ndarray
     factors: np.ndarray
@@ -288,6 +297,7 @@ class _FactorPlan:
     order: np.ndarray
     ln_hi: np.ndarray
     ln_lo: np.ndarray
+    pass_ends: tuple[int, ...]
 
 
 def _factor_plan() -> _FactorPlan:
@@ -316,6 +326,8 @@ def _factor_plan() -> _FactorPlan:
         n = ns[composites]
         factors = kind[composites]
         ln_hi, ln_lo = _dd_log(ns[primes])
+        # the composites below a bound are those at the entries before it
+        below = [_row_width(x - 1) for x in _PASS_BOUNDS if x <= ns[-1]]
         _plan_cache = _FactorPlan(
             primes=primes,
             factors=order[_coprime_count(factors) + 1],
@@ -323,6 +335,7 @@ def _factor_plan() -> _FactorPlan:
             order=order,
             ln_hi=ln_hi,
             ln_lo=ln_lo,
+            pass_ends=tuple(np.searchsorted(composites, below).tolist()),
         )
     return _plan_cache
 
@@ -334,7 +347,11 @@ def _phase_table(taus, count: int) -> np.ndarray:
     multiplicative, so each composite n = p * m is phase[p] * phase[m], and
     p and m are coprime to 6 as n is.  Both factors lie below 5^k for n in
     [5^k, 5^(k+1)), since p <= sqrt n and m <= n / 5, so one vectorised pass
-    per such block fills the composites of every tau at once.
+    per such block fills the composites of every tau at once.  The passes
+    end at the plan's pass_ends up to count and at the table's own last
+    composite; with the number of primes below the table's width, one
+    search over the plan's primes, that layout is Python ints, so a table's
+    set-up costs the same at every count and calls no numpy function.
 
     Error bound at a prime p, for |tau ln p| < 2^29 * 2 pi (3.3e9; the 1e8
     guard and the term cap give at most 1.8e9): the reduced argument r lies
@@ -351,31 +368,30 @@ def _phase_table(taus, count: int) -> np.ndarray:
     their number (_running_sums)."""
     width = len(_ln_table(count))
     plan = _factor_plan()
-    primes = plan.primes[: np.searchsorted(plan.primes, width)]
-    # the blocks end before n = 125, 625, ..., the last past count (25 is
-    # the first composite); the composites below x are the entries below x
-    # less 1 and the primes among them
-    x = 5 ** np.arange(3, 13)
-    below = _row_width(np.minimum(x[: np.searchsorted(x, count, side="right") + 1], count + 1) - 1)
-    ends = below - 1 - np.searchsorted(plan.primes, below)
+    # bisect over the int32 entries: np.searchsorted with a Python int casts
+    # the whole array first (57 us per table under a plan of 149 000 primes)
+    primes = bisect.bisect_left(plan.primes, width)
+    # the plan's passes up to count, then one that ends at the table's last
+    # composite: its entries less 1 and the primes among them
+    ends = plan.pass_ends[: bisect.bisect_right(_PASS_BOUNDS, count)] + (width - 1 - primes,)
     # the buffer holds 1, the primes, then the composites: the plan's
     # composites sit past all its primes, so the rows of the primes past
     # count are left unwritten, or, when there are more of them than
     # entries, the composites move down to close the gap
     cofactors, order = plan.cofactors[: ends[-1]], plan.order[:width]
     start = len(plan.primes) + 1
-    gap = len(plan.primes) - len(primes)
+    gap = len(plan.primes) - primes
     if gap > width:
         cofactors = np.where(cofactors >= start, cofactors - gap, cofactors)
         order = np.where(order >= start, order - gap, order)
         start -= gap
     buf = np.empty((start + ends[-1], len(taus)), dtype=complex)
     buf[0] = 1.0
-    buf[1 : len(primes) + 1] = _prime_phases(
-        np.asarray(taus, dtype=np.float64), plan.ln_hi[: len(primes)], plan.ln_lo[: len(primes)]
+    buf[1 : primes + 1] = _prime_phases(
+        np.asarray(taus, dtype=np.float64), plan.ln_hi[:primes], plan.ln_lo[:primes]
     )
     lo = 0
-    for hi in ends.tolist():
+    for hi in ends:
         # a smallest prime factor is a prime, at the same position either way
         np.multiply(
             buf.take(plan.factors[lo:hi], axis=0),
@@ -475,6 +491,10 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
     taus = ts[shift[head]]
     starts = np.append(np.flatnonzero(head), len(counts)).tolist()
     widths = _row_width(counts).tolist()
+    # each shift's longest pair and whether it is nonzero, once per call: a
+    # table takes the longest of its shifts' and is all ones when none is
+    tops = np.maximum.reduceat(counts, starts[:-1]).tolist()
+    moving = (taus != 0).tolist()
     # the d <= N of the call's longest pair
     smooth = int(np.searchsorted(_SMOOTH, counts.max(), side="right"))
     twos, threes = _SMOOTH_2[:smooth], _SMOOTH_3[:smooth]
@@ -485,7 +505,7 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
     # that hold at most _BLOCK_ENTRIES cutoffs share their bookkeeping
     runs, size = [[]], 0
     for lo, hi in _blocks(len(taus), max(widths)):
-        top = int(counts[starts[lo] : starts[hi]].max())
+        top = max(tops[lo:hi])
         for a, b in _blocks(starts[hi] - starts[lo], max(_row_width(top), smooth + 2)):
             size += (b - a) * (smooth + 2)
             if size > _BLOCK_ENTRIES and runs[-1]:
@@ -507,7 +527,7 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
         euler = np.empty((end - first, 2), dtype=complex)
         for lo, hi, top, a, b in run:
             if built != lo:
-                phase = _phase_table(taus[lo:hi], top) if taus[lo:hi].any() else None
+                phase = _phase_table(taus[lo:hi], top) if any(moving[lo:hi]) else None
                 built = lo
             # the pairs' places in the run
             u, v = a - first, b - first
@@ -719,7 +739,10 @@ def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
     values = np.empty(len(shifted), dtype=complex)
     errors = np.empty(len(shifted))
     pending = np.arange(len(shifted))
+    # no pairs at all (no points or no shifts) leave the values empty
     for attempt in range(3):
+        if not len(pending):
+            break
         if attempt:
             counts[pending] *= 2
         n = counts[pending]
@@ -727,8 +750,6 @@ def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
         v, e = _em_tail(shifted[pending], n, partial, last, params.bernoulli_terms)
         values[pending], errors[pending] = v, e
         pending = pending[~((e <= _ERR_THRESHOLD) & np.isfinite(v))]
-        if not len(pending):
-            break
     exhausted = np.zeros(len(shifted), dtype=bool)
     exhausted[pending] = True
     return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T

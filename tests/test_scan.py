@@ -361,6 +361,25 @@ def test_trace_csv_bytes_equal_the_numpy_scalar_format(tmp_path):
     ]
 
 
+def test_trace_csv_bytes_equal_the_row_by_row_format(tmp_path):
+    # the rows are formatted by one % over the flat (t, D) floats; the
+    # bytes must be those of the f-string lines, on the shifts 0.05 k and
+    # on subnormal, huge and infinite values and a D of 0.0
+    ts = np.concatenate((0.05 * np.arange(40), [5e-324, 1e300, math.inf]))
+    ds = np.concatenate(([0.0], np.sqrt(ts[1:-3]), [1e300, 5e-324, 0.0]))
+    rep = scan_density(POINT, 1.0, ScanConfig(T=10.0, step=1.0, eps=0.5))
+    rep = dataclasses.replace(rep, ts=ts, ds=ds)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(rep, path)
+    rows = [f"{t:.17g},{d:.17g}" for t, d in zip(ts.tolist(), ds.tolist())]
+    assert path.read_bytes() == ("\n".join(["t,D", *rows]) + "\n").encode("ascii")
+    assert path.read_bytes().splitlines()[-3:] == [
+        b"4.9406564584124654e-324,1.0000000000000001e+300",
+        b"1.0000000000000001e+300,4.9406564584124654e-324",
+        b"inf,0",
+    ]
+
+
 # ---------------------------------------------------------------- line mode
 
 

@@ -11,6 +11,7 @@ from scipy.special import loggamma
 import striplab.zeta as zeta_mod
 from striplab import CantorProduct, PointSet, Segment, ZetaParams, bernoulli_table, discretize, zeta_em, zeta_shifted_grid
 from striplab.errors import InvalidSpec, PrecisionExhausted
+from striplab.geometry import SampleGrid
 from striplab.scan import DEFAULT_GRID_H
 from striplab.zeta import DEFAULT_PARAMS
 
@@ -189,6 +190,18 @@ def test_grid_shares_phase_table_for_equal_im():
     for z, v, err in zip(grid.points, values, errors):
         assert abs(v - zeta_em(complex(z) + 7.5j).value) <= 1e-14 * abs(v)
         assert abs(v - _mpmath_at_shift(mpmath, z, 7.5)) <= max(err, 1e-12)
+
+
+def test_no_points_or_no_shifts_give_empty_arrays():
+    # P x B values, estimates and marks with P or B zero, as a grid with no
+    # points is accepted; they used to fail in a reduction over no counts
+    grid = SampleGrid(np.empty(0, dtype=complex), 0.1)
+    values, errors = zeta_shifted_grid(grid, 10.0)
+    assert values.shape == errors.shape == (0,)
+    assert values.dtype == complex and errors.dtype == float
+    for points, ts in (([], [0.0, 43225.0]), ([0.75, 0.6 + 0.2j], [])):
+        for out, dtype in zip(zeta_mod._evaluate(points, ts, DEFAULT_PARAMS), (complex, float, bool)):
+            assert out.shape == (len(points), len(ts)) and out.dtype == dtype
 
 
 def test_grid_propagates_offending_index():
@@ -457,6 +470,65 @@ def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
         # the plan holds the primes, 168 of them up to 1000
         assert len(zeta_mod._factor_plan().primes) - 168 == extra[size]
         assert np.array_equal(zeta_mod._phase_table(taus, 1000), own)
+
+
+# counts on either side of each 5^k where a composite pass ends, and others
+PASS_EDGE_COUNTS = (2, 20, 124, 125, 126, 624, 625, 626, 1000, 3124, 3125, 3126, 15130, 15624, 15625, 15626)
+
+
+def _tables_under_a_fresh_plan(monkeypatch, size, counts, taus):
+    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    zeta_mod._ln_table(size)
+    return {count: zeta_mod._phase_table(taus, count) for count in counts}
+
+
+def test_plan_pass_ends_count_the_composites_below_each_bound(monkeypatch):
+    # the composites coprime to 6 below x: the row's entries below x less
+    # 2, 3 and 1 and the primes from 5 on; a plan holds the ends of the
+    # bounds up to its largest n (181 in the 63 entries of the first log
+    # cache), and a fresh plan of another size its own
+    sympy = pytest.importorskip("sympy")
+    for size, bounds in ((20, 1), (624, 1), (625, 2), (15624, 3), (20000, 4)):
+        monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+        monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+        zeta_mod._ln_table(size)
+        ends = zeta_mod._factor_plan().pass_ends
+        xs = [5**k for k in range(3, 3 + bounds)]
+        assert ends == tuple(_row_width(x - 1) - 1 - int(sympy.primepi(x - 1)) for x in xs)
+        assert all(type(end) is int for end in ends)
+
+
+def test_phase_tables_across_the_pass_bounds_and_plans(monkeypatch):
+    # each count's table under a plan sized for it, for 1100 and for 20000
+    # (where the primes past a small count outnumber its entries, so the
+    # composites move down), and under a plan of another size put in place
+    # of the cache's: the same bits every time, each row the bits of the
+    # one-shift table, and the entries within 1e-12 of the phases straight
+    # from double logs at tau = 14.1, which no wrong pass end can meet
+    taus = np.array([14.1, 0.0, 2e3, IM_PLUS_T])
+    own = {}
+    for count in PASS_EDGE_COUNTS:
+        own.update(_tables_under_a_fresh_plan(monkeypatch, count, [count], taus))
+        ns = _row_ns(count)
+        assert own[count].shape == (len(taus), len(ns))
+        assert np.max(np.abs(own[count][0] - np.exp(-1j * 14.1 * np.log(ns)))) <= 1e-12
+        for b, tau in enumerate(taus):
+            assert np.array_equal(zeta_mod._phase_table([tau], count)[0], own[count][b])
+    for size in (1100, 20000):
+        counts = [count for count in PASS_EDGE_COUNTS if count <= size]
+        tables = _tables_under_a_fresh_plan(monkeypatch, size, counts, taus)
+        for count in counts:
+            assert np.array_equal(tables[count], own[count])
+    # the plan built for count 20000, swapped in under the log cache of a
+    # smaller one, is rebuilt, never read with its own ends
+    wide = zeta_mod._plan_cache
+    _tables_under_a_fresh_plan(monkeypatch, 1000, [], taus)
+    monkeypatch.setattr(zeta_mod, "_plan_cache", wide)
+    for count in (20, 124, 126, 626, 1000):
+        assert np.array_equal(zeta_mod._phase_table(taus, count), own[count])
+    assert zeta_mod._plan_cache is not wide
+    assert zeta_mod._plan_cache.pass_ends == wide.pass_ends[:2]
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
