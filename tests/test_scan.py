@@ -129,6 +129,16 @@ def test_scan_warns_outside_strip():
         scan_density(PointSet((2.0,)), {"kind": "zeta"}, cfg)
 
 
+def test_scan_past_the_precision_guard_names_the_guard():
+    # the rows for a horizon past the 1e8 guard name the guard, not the term
+    # cap that a count clipped to the guard would exceed
+    cfg = ScanConfig(T=1.5e8, step=1.5e7, eps=0.3)
+    with pytest.raises(InvalidSpec, match=r"^\|Im\(s\)\| = 150000000.0 exceeds the precision guard 1e\+08$"):
+        scan_density(POINT, {"kind": "zeta"}, cfg)
+    with pytest.raises(InvalidSpec, match=r"^\|Im\(s\)\| = 150000000.2 exceeds the precision guard 1e\+08$"):
+        line_universality(0.8, 0.2, 1.0, cfg)
+
+
 def test_scan_truncates_on_precision_loss():
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     cfg = ScanConfig(T=2000.0, step=100.0, eps=0.5)

@@ -269,11 +269,12 @@ def test_one_wide_phase_table_per_distinct_im(monkeypatch):
 
 
 def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
-    # the rectangle of the scan past the rows cut: at T = 1.501e5 its rows
-    # hold 2, 3 and the 100 067 n <= N = 300 201 coprime to 6, wider than a
-    # table, and the cut keeps 41 of its 49 points.  They share 7 distinct
-    # Im, so 7 phase rows are built, and each row is its point's amplitudes
-    # times the phase row of its Im alone
+    # the rectangle of the scan past the rows cut, at 2 terms per unit t as
+    # that scan runs: at T = 1.501e5 its rows hold 2, 3 and the 100 067
+    # n <= N = 300 201 coprime to 6, wider than a table, and the cut keeps
+    # 41 of its 49 points.  They share 7 distinct Im, so 7 phase rows are
+    # built, and each row is its point's amplitudes times the phase row of
+    # its Im alone
     rect = CantorProduct(np.array([[0.0, 1.0]]), 0.0, 1.0, 0.4, 0.55)
     points = discretize(rect, DEFAULT_GRID_H).points
     taus = np.unique(points.imag)
@@ -286,7 +287,7 @@ def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
         return phase_table(taus, count)
 
     monkeypatch.setattr(zeta_mod, "_phase_table", recording)
-    rows = zeta_mod.shift_rows(points, 1.501e5)
+    rows = zeta_mod.shift_rows(points, 1.501e5, ZetaParams(terms_per_unit_t=2.0))
     assert rows.shape == ((1 << 22) // 100_069, 100_069) == (41, _row_width(300_201))
     assert calls == [[tau] for tau in taus]
     ln = zeta_mod._ln_table(300_201)
@@ -297,18 +298,20 @@ def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
 
 
 def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
-    # N runs from 20 to 200 along the segment at t = 0, and from 20 to about
-    # 1000 across the shuffled shifts of one call, so the pairs of one block
-    # have very different N; as blocks of one pair, at the default budget
-    # and as a few large blocks the values and estimates are the same floats
+    # at 2 terms per unit t N runs from 20 to 200 along the segment at t = 0,
+    # and from 20 to about 1000 across the shuffled shifts of one call, so
+    # the pairs of one block have very different N; as blocks of one pair,
+    # at the default budget and as a few large blocks the values and
+    # estimates are the same floats
+    params = ZetaParams(terms_per_unit_t=2.0)
     grid = discretize(Segment(0.75, 0.75 + 100j), 0.05)
     points = np.array([0.6 + 0.1j, 0.8 + 0.1j, 0.7 + 3.0j])
     shifts = np.random.default_rng(5).permutation(np.linspace(0.0, 500.0, 41))
     results = []
     for budget in (1, zeta_mod._BLOCK_ENTRIES, 1 << 16):
         monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", budget)
-        results.append(zeta_shifted_grid(grid, 0.0) + zeta_mod._evaluate(points, shifts, DEFAULT_PARAMS))
-    counts = zeta_mod._choose_n(grid.points.imag, DEFAULT_PARAMS)
+        results.append(zeta_shifted_grid(grid, 0.0, params) + zeta_mod._evaluate(points, shifts, params))
+    counts = zeta_mod._choose_n(grid.points.imag, params)
     assert (counts.min(), counts.max()) == (20, 200)
     assert not results[0][4].any()
     for result in results[1:]:
@@ -317,14 +320,14 @@ def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
 
 
 def test_shift_rows_keep_the_first_points_that_fit():
-    # N = 2e5 at t = 1e5, a row of 2, 3 and the 66 667 n <= N coprime to 6:
+    # N = 2e5 at t = 2e5, a row of 2, 3 and the 66 667 n <= N coprime to 6:
     # the 2^22-entry cut holds the rows of the first 62 of 100 points, the
     # same rows as the table of those points alone
     points = 0.5 + 0.004 * np.arange(100) + 0j
-    rows = zeta_mod.shift_rows(points, 1e5)
+    rows = zeta_mod.shift_rows(points, 2e5)
     assert rows.shape == ((1 << 22) // 66_669, 66_669) == (62, _row_width(200_000))
     assert np.array_equal(rows[61], zeta_mod._dirichlet_table(points[61:62], 200_000)[0])
-    assert zeta_mod.shift_rows(points, 1e2).shape == (100, _row_width(200)) == (100, 69)
+    assert zeta_mod.shift_rows(points, 2e2).shape == (100, _row_width(200)) == (100, 69)
 
 
 def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
@@ -349,21 +352,21 @@ def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
 
 
 def test_term_cap_raises_before_allocating(monkeypatch):
-    # |Im s| = 5e7 passes the 1e8 precision guard but asks for N = 1e8 terms
+    # |Im s| = 9e7 passes the 1e8 precision guard but asks for N = 9e7 terms
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     with pytest.raises(InvalidSpec, match="term cap 67108864"):
-        zeta_em(0.75 + 5e7j)
+        zeta_em(0.75 + 9e7j)
     grid = discretize(PointSet((0.75,)), 0.1)
     with pytest.raises(InvalidSpec, match="term cap"):
-        zeta_mod.shift_rows(grid.points, 5e7)
+        zeta_mod.shift_rows(grid.points, 9e7)
     with pytest.raises(InvalidSpec, match="term cap"):
-        zeta_shifted_grid(grid, 5e7)
+        zeta_shifted_grid(grid, 9e7)
     assert len(zeta_mod._ln_cache) == 63 and zeta_mod._plan_cache is None
 
 
 def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
-    # N = 2e6; monkeypatch puts the earlier caches back afterwards
+    # N = 1e6; monkeypatch puts the earlier caches back afterwards
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
@@ -373,9 +376,9 @@ def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
 
 @pytest.mark.parametrize("t", [1e3, 43225.0, 1e5, 1e6])
 def test_zeta_em_within_5e_15_of_mpmath(monkeypatch, t):
-    # the phases carry no error that grows with t: 2.5e-16, 4.3e-16, 2.2e-16
-    # and 1.6e-16 measured against 30 digits, where longdouble logs gave
-    # 6.0e-14 at t = 1e6
+    # the phases carry no error that grows with t: 0, 1.4e-16, 7.0e-16 and
+    # 3.5e-16 measured against 30 digits at the default N = t, where
+    # longdouble logs gave 6.0e-14 at t = 1e6 and N = 2t
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
@@ -592,6 +595,34 @@ def _check_against_mpmath(t, params=DEFAULT_PARAMS):
 @pytest.mark.parametrize("t", [0.0, 14.1, 1e2, 1e3, 1e4, 1e5])
 def test_against_mpmath(t):
     _check_against_mpmath(t)
+
+
+DEFAULT_ORACLE_SIGMAS = (-0.9, 0.0, 0.55, 0.75, 0.95, 2.5)
+
+
+@pytest.mark.parametrize("t", [0.0, 14.1, 1e2, 1e3, 1e4, 1e5])
+def test_default_params_against_mpmath(t):
+    # N = max(20, |t|) and 12 Bernoulli terms: the estimate is twice the
+    # first omitted term, about 3.5e-21 N^-sigma (at most 1e-20 measured
+    # here), where a rate of 0.5 terms per unit t reads 4e-9 at t = 1e5.
+    # Rounding is held to the largest of max(1, |zeta|), the size
+    # N^(1-sigma) / |s - 1| of the tail term that the partial sum cancels
+    # (159 at sigma = -0.9, t = 0) and the root-sum-square of the terms,
+    # which carry one phase error each (6e6 at sigma = -0.9, t = 1e5); both
+    # stay below 3.3 in the strip at t >= 14.1.  The errors measured up to
+    # 9.6 u times that scale under this default and under 2 terms per unit t
+    mpmath = pytest.importorskip("mpmath")
+    points = np.array(DEFAULT_ORACLE_SIGMAS, dtype=complex)
+    values, errors, exhausted = zeta_mod._evaluate(points, [t], DEFAULT_PARAMS)
+    assert not exhausted.any()
+    n = np.arange(1.0, max(20, math.ceil(t)) + 1.0)
+    for sigma, v, err in zip(DEFAULT_ORACLE_SIGMAS, values[:, 0], errors[:, 0]):
+        s = complex(sigma, t)
+        exact = _mpmath_at_shift(mpmath, s, 0.0)
+        size = max(1.0, abs(exact))
+        assert err <= 1e-17 * size
+        cancelled = n[-1] ** (1.0 - sigma) / abs(s - 1.0)
+        assert abs(v - exact) <= 5e-15 * max(size, cancelled, math.sqrt(np.sum(n ** (-2.0 * sigma))))
 
 
 def _checked_after_doubling(monkeypatch, t, per_unit_t):
