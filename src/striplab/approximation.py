@@ -288,10 +288,7 @@ def lawson_refine(
         if best_sup <= 1e-15 * f_scale or settled(best_sup, lower):
             break
         w = w * r
-        total = float(np.sum(w))
-        if total <= 0.0:
-            break
-        w = np.maximum(w / total, _LAWSON_WEIGHT_FLOOR)
+        w = np.maximum(w / float(np.sum(w)), _LAWSON_WEIGHT_FLOOR)
         w = w / float(np.sum(w))
         poly, r, lower = fit(w)
         sup = float(np.max(r))

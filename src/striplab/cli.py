@@ -155,11 +155,7 @@ def cmd_scan(args) -> int:
     config_echo = {
         "set": set_spec,
         "target": target_spec,
-        "T": args.T,
-        "step": args.step,
-        "eps": args.eps,
-        "refine_tol": args.refine_tol,
-        "t_start": args.t_start,
+        **dataclasses.asdict(config),
         "grid_h": args.grid_h,
         "via_polynomial": args.via_polynomial,
         "zeta_params": dataclasses.asdict(params),

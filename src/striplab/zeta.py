@@ -62,9 +62,10 @@ from .errors import InvalidSpec, PrecisionExhausted
 _ERR_THRESHOLD = 1e-6
 _MAX_IM = 1e8
 
-# the most terms any evaluation may ask for: the log cache alone holds 8
-# bytes per term coprime to 6, and |Im s| near the 1e8 guard would ask for
-# 1e8 terms at the default rate, about 267 MB of logs
+# the most terms any evaluation may ask for: the factor plan holds 8 bytes
+# of log and 4 of buffer position per term coprime to 6, and |Im s| near the
+# 1e8 guard would ask for 1e8 terms at the default rate, about 400 MB of
+# those alone
 _MAX_TERMS = 1 << 26
 
 
@@ -166,24 +167,12 @@ def _row_width(count):
     return _coprime_count(count) + 2
 
 
-_ln_cache = np.log(_row_ns(63))
 _plan_cache = None
 
 # the 3-smooth d = 2^a 3^b up to the term cap, ascending, and their a and b
 _SMOOTH, _SMOOTH_2, _SMOOTH_3 = np.array(
     sorted((2**a * 3**b, a, b) for a in range(27) for b in range(17) if 2**a * 3**b <= _MAX_TERMS)
 ).T
-
-
-def _ln_table(count: int) -> np.ndarray:
-    """ln n for the n of a row that holds every n <= count coprime to 6."""
-    global _ln_cache
-    if count > _MAX_TERMS:
-        raise InvalidSpec(f"{count} terms exceed the term cap {_MAX_TERMS} (2^26)")
-    width = _row_width(count)
-    if width > len(_ln_cache):
-        _ln_cache = np.log(_row_ns(width))
-    return _ln_cache[:width]
 
 
 # Double-double arithmetic (Dekker 1971) for the logs of the primes and the
@@ -289,17 +278,19 @@ _PASS_BOUNDS = tuple(5**k for k in range(3, 13))
 
 @dataclass(frozen=True)
 class _FactorPlan:
-    """How to fill exp(-i tau ln n) for the n of the first len(order)
-    entries of a row (_row_ns) in the buffer order [1, primes ascending,
-    composites ascending]: primes holds the entry of each prime, 2 and 3
-    first; factors and cofactors hold the buffer positions of p and m = n / p
-    for each composite n, p its smallest prime factor; order[i] is the
-    buffer position of entry i.  All indices are int32.  ln_hi and ln_lo
-    hold ln p of each prime as a double-double.  pass_ends[k] is the number
-    of composites below n = _PASS_BOUNDS[k], for each bound up to the plan's
+    """ln n of the n of the first len(order) entries of a row (_row_ns), for
+    the amplitudes n^(-Re z) of the Dirichlet rows, and how to fill exp(-i
+    tau ln n) for them in the buffer order [1, primes ascending, composites
+    ascending]: primes holds the entry of each prime, 2 and 3 first; factors
+    and cofactors hold the buffer positions of p and m = n / p for each
+    composite n, p its smallest prime factor; order[i] is the buffer
+    position of entry i.  All indices are int32.  ln_hi and ln_lo hold ln p
+    of each prime as a double-double.  pass_ends[k] is the number of
+    composites below n = _PASS_BOUNDS[k], for each bound up to the plan's
     largest n: the end of a composite pass of every table that reaches the
     bound, as Python ints."""
 
+    ln: np.ndarray
     primes: np.ndarray
     factors: np.ndarray
     cofactors: np.ndarray
@@ -309,14 +300,20 @@ class _FactorPlan:
     pass_ends: tuple[int, ...]
 
 
-def _factor_plan() -> _FactorPlan:
-    """The plan over the entries of the log cache, built once per size of
-    the cache; a call cuts it to its own count by prefix."""
+def _factor_plan(count: int) -> _FactorPlan:
+    """The plan over a row that holds every n <= count coprime to 6, or over
+    a wider one: it is built lazily, grown to the widest row any call has
+    asked for and never rebuilt for a narrower one, and a call cuts it to
+    its own count by prefix.  A count past the term cap raises InvalidSpec
+    before anything is built."""
     global _plan_cache
-    size = len(_ln_cache)
-    if _plan_cache is None or len(_plan_cache.order) != size:
+    if count > _MAX_TERMS:
+        raise InvalidSpec(f"{count} terms exceed the term cap {_MAX_TERMS} (2^26)")
+    size = _row_width(count)
+    if _plan_cache is None or len(_plan_cache.order) < size:
         ns = _row_ns(size)
-        spf = np.zeros(int(ns[-1]) + 1, dtype=np.int32)
+        # the largest n, but 3 in a row of 2, 3 and 1 alone
+        spf = np.zeros(max(3, int(ns[-1])) + 1, dtype=np.int32)
         # the primes from 5 up to the square root of the largest n
         for p in ns[3 : _coprime_count(math.isqrt(len(spf) - 1)) + 2].tolist():
             if not spf[p]:
@@ -338,6 +335,7 @@ def _factor_plan() -> _FactorPlan:
         # the composites below a bound are those at the entries before it
         below = [_row_width(x - 1) for x in _PASS_BOUNDS if x <= ns[-1]]
         _plan_cache = _FactorPlan(
+            ln=np.log(ns),
             primes=primes,
             factors=order[_coprime_count(factors) + 1],
             cofactors=order[_coprime_count(n // factors) + 1],
@@ -375,8 +373,8 @@ def _phase_table(taus, count: int) -> np.ndarray:
     (a + b <= 26 under the term cap); it weighs the terms m^-s with m <=
     (N - 1) / d, through running sums of the d^-s of depth at most log2 of
     their number (_running_sums)."""
-    width = len(_ln_table(count))
-    plan = _factor_plan()
+    width = _row_width(count)
+    plan = _factor_plan(count)
     # bisect over the int32 entries: np.searchsorted with a Python int casts
     # the whole array first (57 us per table under a plan of 149 000 primes)
     primes = bisect.bisect_left(plan.primes, width)
@@ -412,8 +410,8 @@ def _phase_table(taus, count: int) -> np.ndarray:
 
 
 def _choose_n(tau, params: ZetaParams) -> np.ndarray:
-    # clipped past the term cap, so that the cast cannot overflow; _ln_table
-    # rejects such a count
+    # clipped past the term cap, so that the cast cannot overflow;
+    # _factor_plan rejects such a count
     n = np.minimum(np.ceil(params.terms_per_unit_t * np.abs(tau)), _MAX_TERMS + 1)
     return np.maximum(params.min_terms, n).astype(np.int64)
 
@@ -593,8 +591,8 @@ def _dirichlet_table(points: np.ndarray, count: int) -> np.ndarray:
     rows of each table's points are filled in chunks of that size.  A phase
     row does not depend on the other rows of its table, so neither does a
     point's row."""
-    ln = _ln_table(count)
-    width = len(ln)
+    width = _row_width(count)
+    ln = _factor_plan(count).ln[:width]
     table = np.empty((len(points), width), dtype=complex)
     # the points sorted by Im, where each distinct Im starts, and the index
     # of each sorted point's Im among them (np.unique and a stable argsort
@@ -616,12 +614,7 @@ def _dirichlet_table(points: np.ndarray, count: int) -> np.ndarray:
             sel = order[a:b]
             amp = np.multiply.outer(-points.real[sel], ln)
             np.exp(amp, out=amp)
-            if b - a == 1:
-                # one row, as every row wider than a table is: its product
-                # goes in place, not through the copies an index array makes
-                np.multiply(amp[0], phase[row[a] - lo], out=table[sel[0]])
-            else:
-                table[sel] = amp * phase[row[a:b] - lo]
+            table[sel] = amp * phase[row[a:b] - lo]
     return table
 
 
@@ -638,17 +631,6 @@ def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> np.
     return _dirichlet_table(points[: _SCAN_ENTRIES // _row_width(count)], count)
 
 
-@lru_cache(maxsize=None)
-def _em_tail_constants(kb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # q_1..q_{kb+1}, and the offsets 2k + 1 and 2k + 2 of the factors that
-    # step the rising product s(s+1)...(s+2k-2) from term k + 1 to k + 2
-    k = np.arange(kb)
-    constants = np.array(_em_coefficients(kb)), 2.0 * k + 1.0, 2.0 * k + 2.0
-    for array in constants:
-        array.flags.writeable = False
-    return constants
-
-
 def _em_tail(s: np.ndarray, N: np.ndarray, partial: np.ndarray, last: np.ndarray, kb: int):
     """(values, error estimates) of zeta at the points s from the partial
     sums over n < N and the terms last = N^(-s), vectorised over the points:
@@ -657,7 +639,10 @@ def _em_tail(s: np.ndarray, N: np.ndarray, partial: np.ndarray, last: np.ndarray
     first kb are summed row by row; the rows of at most _BLOCK_ENTRIES
     entries are built at a time.  A value or estimate that overflows comes
     out non-finite and fails the threshold."""
-    q, odd, even = _em_tail_constants(kb)
+    # q_1..q_{kb+1}, and the offsets 2k + 1 and 2k + 2 of the factors that
+    # step the rising product s(s+1)...(s+2k-2) from term k + 1 to k + 2
+    k = np.arange(kb)
+    q, odd, even = np.array(_em_coefficients(kb)), 2.0 * k + 1.0, 2.0 * k + 2.0
     N = N.astype(np.float64)
     values = np.empty(len(s), dtype=complex)
     errors = np.empty(len(s))
@@ -702,9 +687,11 @@ def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndar
     b, j = np.divmod(pairs, len(points))
     partial = np.empty(len(pairs), dtype=complex)
     last = np.empty(len(pairs), dtype=complex)
-    # the term cap is checked before any table is built
+    # the term cap is checked, and the plan grown to the longest pair, before
+    # any table is built
     longest = int(counts.max())
-    width = len(_ln_table(longest))
+    _factor_plan(longest)
+    width = _row_width(longest)
     # the pairs run shift by shift, as _partial_sums takes them
     if rows is None:
         rows = np.empty((0, 0), dtype=complex)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from striplab import (
+    CantorProduct,
     FactoredPolynomial,
     PointSet,
+    Polyline,
     Polynomial,
     discretize,
     from_roots,
@@ -18,7 +20,10 @@ from striplab import (
 from striplab.approximation import _weighted_basis
 from striplab.cli import main
 from striplab.errors import InvalidSpec
-from striplab.targets import TargetFunction
+from striplab.geometry import bounding_box, bounding_radius, build_set, distance, to_spec
+from striplab.repair import RepairCertificate, original_roots
+from striplab.scan import ScanConfig, discrepancy, scan_on_grid
+from striplab.targets import TargetFunction, resolve_target
 from striplab.zeta import ZetaParams, bernoulli_table
 
 
@@ -142,6 +147,12 @@ def test_approx_malformed_target_file_exits_1(tmp_path, segment_set, capsys, nam
     code = main(["approx", "--set", segment_set, "--target", bad, "--eps", "0.1"])
     assert code == 1
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_approx_unknown_target_exits_1(segment_set, capsys):
+    assert main(["approx", "--set", segment_set, "--target", "nosuch", "--eps", "0.1"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("target 'nosuch' is neither a file nor one of ")
 
 
 def test_approx_negative_max_degree_exits_1(segment_set, capsys):
@@ -346,7 +357,11 @@ def test_former_error_classes_raise_invalid_spec(site, capsys):
         assert message in json.loads(capsys.readouterr().out)["error"]
 
 
-# every check that raised a bare ValueError, with its message word for word
+# a one-point set, whose grids hold one sample
+POINT = PointSet((0.75,))
+
+# every check that raised a bare ValueError, with its message word for word,
+# and the input checks that raise InvalidSpec
 FORMER_VALUE_ERROR_SITES = {
     "polynomial_coefficients": (
         lambda: Polynomial((1, math.inf)), "polynomial coefficients must be finite"
@@ -374,6 +389,68 @@ FORMER_VALUE_ERROR_SITES = {
         lambda: ZetaParams(terms_per_unit_t=0.0), "terms_per_unit_t must be positive and finite"
     ),
     "bernoulli_table": (lambda: bernoulli_table(32), "bernoulli_table supports n in 0..31"),
+    "set_complex_field": (
+        lambda: build_set({"variant": "segment", "a": "x", "b": [1.0, 0.0]}),
+        "a: expected a complex number or [re, im] pair, got 'x'",
+    ),
+    "set_not_an_object": (lambda: build_set([]), "set description must be a JSON object"),
+    "set_cantor_extent": (
+        lambda: build_set({"variant": "cantor_product", "y_lo": 0.0, "y_hi": 1.0}),
+        "cantor_product needs 'intervals' or 'depth'",
+    ),
+    "polyline_vertices": (lambda: Polyline((0j,)), "polyline needs at least 2 vertices"),
+    "cantor_reversed": (
+        lambda: CantorProduct([[0.5, 0.2]], 0.0, 1.0), "cantor_product interval with lo > hi"
+    ),
+    "cantor_overlapping": (
+        lambda: CantorProduct([[0.0, 0.5], [0.4, 1.0]], 0.0, 1.0),
+        "cantor_product intervals must be sorted and pairwise disjoint",
+    ),
+    "discretize_spacing": (lambda: discretize(POINT, 0.0), "h_target must be positive"),
+    "to_spec_type": (lambda: to_spec(object()), "unsupported set type object"),
+    "distance_type": (lambda: distance(object(), 0j), "unsupported set type object"),
+    "discretize_type": (lambda: discretize(object(), 0.1), "unsupported set type object"),
+    "bounding_radius_type": (lambda: bounding_radius(object()), "unsupported set type object"),
+    "bounding_box_type": (lambda: bounding_box(object()), "unsupported set type object"),
+    "target_empty": (
+        lambda: TargetFunction([]),
+        "target function needs a one-dimensional array of at least one sample",
+    ),
+    "target_length": (
+        lambda: resolve_target(TargetFunction([1.0, 2.0]), discretize(POINT, 0.1)),
+        "target has 2 samples but the grid has 1",
+    ),
+    "target_kind": (
+        lambda: resolve_target({"kind": "nope"}, discretize(POINT, 0.1)), "unknown target kind 'nope'"
+    ),
+    "target_constant_value": (
+        lambda: resolve_target({"kind": "builtin", "name": "constant"}, discretize(POINT, 0.1)),
+        "builtin constant target needs a 'value' field",
+    ),
+    "scan_t_start": (
+        lambda: ScanConfig(T=1.0, step=0.05, eps=0.1, t_start=1.0),
+        "t_start must satisfy 0 <= t_start < T",
+    ),
+    "discrepancy_lengths": (
+        lambda: discrepancy(discretize(POINT, 0.1), TargetFunction([1.0, 2.0]), 0.0),
+        "target and grid lengths differ",
+    ),
+    "scan_lengths": (
+        lambda: scan_on_grid(
+            discretize(POINT, 0.1), TargetFunction([1.0, 2.0]), ScanConfig(T=1.0, step=0.05, eps=0.1)
+        ),
+        "target and grid lengths differ",
+    ),
+    "fit_lengths": (
+        lambda: lawson_refine(discretize(POINT, 0.1), TargetFunction([1.0, 2.0]), 0),
+        "target and grid lengths differ",
+    ),
+    "repair_moved_roots": (
+        lambda: original_roots(
+            FactoredPolynomial(1, (0.5,)), RepairCertificate(1e-3, 0.1, ((0.1, 0.2, 0.1),), 1e-2)
+        ),
+        "certificate moved_roots do not match the factored polynomial",
+    ),
 }
 
 

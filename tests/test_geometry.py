@@ -43,6 +43,9 @@ def test_build_segment():
     K = build_set({"variant": "segment", "a": [0.6, 0.0], "b": [0.6, 0.2]})
     assert isinstance(K, Segment)
     assert K.a == 0.6 and K.b == 0.6 + 0.2j
+    # a plain number is a point on the real axis
+    K = build_set({"variant": "segment", "a": 0.5, "b": [1.0, 2.0]})
+    assert (K.a, K.b) == (0.5 + 0j, 1.0 + 2.0j)
 
 
 def test_build_arc_three_quarter():

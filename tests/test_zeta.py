@@ -290,7 +290,7 @@ def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
     rows = zeta_mod.shift_rows(points, 1.501e5, ZetaParams(terms_per_unit_t=2.0))
     assert rows.shape == ((1 << 22) // 100_069, 100_069) == (41, _row_width(300_201))
     assert calls == [[tau] for tau in taus]
-    ln = zeta_mod._ln_table(300_201)
+    ln = zeta_mod._factor_plan(300_201).ln[: _row_width(300_201)]
     assert np.array_equal(ln, np.log(_row_ns(300_201)))
     phases = {tau: phase_table([tau], 300_201)[0] for tau in taus}
     for z, row in zip(points, rows):
@@ -330,7 +330,7 @@ def test_shift_rows_keep_the_first_points_that_fit():
     assert zeta_mod.shift_rows(points, 2e2).shape == (100, _row_width(200)) == (100, 69)
 
 
-def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
+def test_factor_plan_holds_no_more_than_the_largest_n(monkeypatch):
     em_tail = zeta_mod._em_tail
     used = []
 
@@ -339,21 +339,19 @@ def test_ln_cache_holds_no_more_than_the_largest_n(monkeypatch):
         return em_tail(s, N, partial, last, kb)
 
     monkeypatch.setattr(zeta_mod, "_em_tail", recording)
-    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zeta_em(0.75 + 1e4j)
-    assert len(zeta_mod._ln_cache) <= max(used)
-    # the factor plan was built too, at the log cache's size and with int32
-    # indices
+    # the plan is as wide as the largest row asked for, holds its logs, and
+    # has int32 indices
     plan = zeta_mod._plan_cache
-    assert len(plan.order) == len(zeta_mod._ln_cache)
+    assert len(plan.order) == _row_width(max(used))
+    assert np.array_equal(plan.ln, np.log(_row_ns(max(used))))
     for indices in (plan.primes, plan.factors, plan.cofactors, plan.order):
         assert indices.dtype == np.int32
 
 
 def test_term_cap_raises_before_allocating(monkeypatch):
     # |Im s| = 9e7 passes the 1e8 precision guard but asks for N = 9e7 terms
-    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     with pytest.raises(InvalidSpec, match="term cap 67108864"):
         zeta_em(0.75 + 9e7j)
@@ -362,13 +360,12 @@ def test_term_cap_raises_before_allocating(monkeypatch):
         zeta_mod.shift_rows(grid.points, 9e7)
     with pytest.raises(InvalidSpec, match="term cap"):
         zeta_shifted_grid(grid, 9e7)
-    assert len(zeta_mod._ln_cache) == 63 and zeta_mod._plan_cache is None
+    assert zeta_mod._plan_cache is None
 
 
 def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
-    # N = 1e6; monkeypatch puts the earlier caches back afterwards
+    # N = 1e6; monkeypatch puts the earlier plan back afterwards
     mpmath = pytest.importorskip("mpmath")
-    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zv = zeta_em(0.75 + 1e6j)
     assert abs(zv.value - _mpmath_at_shift(mpmath, 0.75 + 0j, 1e6)) <= 1e-12
@@ -380,7 +377,6 @@ def test_zeta_em_within_5e_15_of_mpmath(monkeypatch, t):
     # 3.5e-16 measured against 30 digits at the default N = t, where
     # longdouble logs gave 6.0e-14 at t = 1e6 and N = 2t
     mpmath = pytest.importorskip("mpmath")
-    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zv = zeta_em(complex(0.75, t))
     assert abs(zv.value - _mpmath_at_shift(mpmath, 0.75 + 0j, t)) <= 5e-15
@@ -440,10 +436,8 @@ def test_prime_phases_against_mpmath_up_to_the_guard(monkeypatch):
     # plan holds each prime's entry in a row, 2 and 3 first
     mpmath = pytest.importorskip("mpmath")
     sympy = pytest.importorskip("sympy")
-    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
-    zeta_mod._ln_table(2_000_000)
-    plan = zeta_mod._factor_plan()
+    plan = zeta_mod._factor_plan(2_000_000)
     at = np.unique(np.append(np.linspace(0, len(plan.primes) - 1, 400).astype(int), len(plan.primes) - 1))
     primes = _row_ns(2_000_000)[plan.primes[at]]
     assert primes[0] == 2 and primes[-1] == 1_999_993
@@ -462,16 +456,14 @@ def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
     # down
     sympy = pytest.importorskip("sympy")
     taus = [14.1, 2e3, 43225.0]
-    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     own = zeta_mod._phase_table(taus, 1000)
     assert own.shape == (3, _row_width(1000)) == (3, 335)
     extra = {size: int(sympy.primepi(size) - sympy.primepi(1000)) for size in (1100, 20000)}
     assert extra[1100] <= 335 < extra[20000]
     for size in (1100, 20000):
-        zeta_mod._ln_table(size)
         # the plan holds the primes, 168 of them up to 1000
-        assert len(zeta_mod._factor_plan().primes) - 168 == extra[size]
+        assert len(zeta_mod._factor_plan(size).primes) - 168 == extra[size]
         assert np.array_equal(zeta_mod._phase_table(taus, 1000), own)
 
 
@@ -480,35 +472,32 @@ PASS_EDGE_COUNTS = (2, 20, 124, 125, 126, 624, 625, 626, 1000, 3124, 3125, 3126,
 
 
 def _tables_under_a_fresh_plan(monkeypatch, size, counts, taus):
-    monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
-    zeta_mod._ln_table(size)
+    zeta_mod._factor_plan(size)
     return {count: zeta_mod._phase_table(taus, count) for count in counts}
 
 
 def test_plan_pass_ends_count_the_composites_below_each_bound(monkeypatch):
     # the composites coprime to 6 below x: the row's entries below x less
     # 2, 3 and 1 and the primes from 5 on; a plan holds the ends of the
-    # bounds up to its largest n (181 in the 63 entries of the first log
-    # cache), and a fresh plan of another size its own
+    # bounds up to its largest n (none below n = 125), and a fresh plan of
+    # another size its own
     sympy = pytest.importorskip("sympy")
-    for size, bounds in ((20, 1), (624, 1), (625, 2), (15624, 3), (20000, 4)):
-        monkeypatch.setattr(zeta_mod, "_ln_cache", zeta_mod._ln_cache[:63])
+    for size, bounds in ((20, 0), (124, 0), (125, 1), (624, 1), (625, 2), (15624, 3), (20000, 4)):
         monkeypatch.setattr(zeta_mod, "_plan_cache", None)
-        zeta_mod._ln_table(size)
-        ends = zeta_mod._factor_plan().pass_ends
+        ends = zeta_mod._factor_plan(size).pass_ends
         xs = [5**k for k in range(3, 3 + bounds)]
         assert ends == tuple(_row_width(x - 1) - 1 - int(sympy.primepi(x - 1)) for x in xs)
         assert all(type(end) is int for end in ends)
 
 
 def test_phase_tables_across_the_pass_bounds_and_plans(monkeypatch):
-    # each count's table under a plan sized for it, for 1100 and for 20000
-    # (where the primes past a small count outnumber its entries, so the
-    # composites move down), and under a plan of another size put in place
-    # of the cache's: the same bits every time, each row the bits of the
-    # one-shift table, and the entries within 1e-12 of the phases straight
-    # from double logs at tau = 14.1, which no wrong pass end can meet
+    # each count's table under a plan sized for it, and under plans for 1100
+    # and for 20000 (where the primes past a small count outnumber its
+    # entries, so the composites move down): the same bits every time, each
+    # row the bits of the one-shift table, and the entries within 1e-12 of
+    # the phases straight from double logs at tau = 14.1, which no wrong
+    # pass end can meet
     taus = np.array([14.1, 0.0, 2e3, IM_PLUS_T])
     own = {}
     for count in PASS_EDGE_COUNTS:
@@ -523,15 +512,12 @@ def test_phase_tables_across_the_pass_bounds_and_plans(monkeypatch):
         tables = _tables_under_a_fresh_plan(monkeypatch, size, counts, taus)
         for count in counts:
             assert np.array_equal(tables[count], own[count])
-    # the plan built for count 20000, swapped in under the log cache of a
-    # smaller one, is rebuilt, never read with its own ends
+    # the plan built for count 20000 serves every narrower table, which
+    # cuts it to its own count, and is never rebuilt for one
     wide = zeta_mod._plan_cache
-    _tables_under_a_fresh_plan(monkeypatch, 1000, [], taus)
-    monkeypatch.setattr(zeta_mod, "_plan_cache", wide)
     for count in (20, 124, 126, 626, 1000):
         assert np.array_equal(zeta_mod._phase_table(taus, count), own[count])
-    assert zeta_mod._plan_cache is not wide
-    assert zeta_mod._plan_cache.pass_ends == wide.pass_ends[:2]
+    assert zeta_mod._plan_cache is wide
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
