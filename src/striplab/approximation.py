@@ -13,15 +13,16 @@ solves, with one corrected semi-normal step (Bjorck, Linear Algebra Appl.
 (z - c) / rho of the set's frame, in which the set lies in the unit disk;
 the sample grid stays in world units.  When the frame points lie on the
 real or the imaginary axis (a horizontal or vertical segment, a collinear
-point set, one row of a Cantor product) the basis is built on their real
-coordinate and every fit runs in real arithmetic, the target's real and
-imaginary parts as two right-hand sides, and so does the recomputation of
-each iterate's residuals (``polynomial.evaluate`` runs two real recurrences
-on such points); every other set keeps the complex basis and the complex
-Horner loop.  The returned polynomial is always coefficient form in its frame
-variable after basis back-substitution, and its reported sup error is
-recomputed from those coefficients, so conversion loss is measured, never
-hidden.
+point set, one row of a Cantor product), they are u * y with y real and
+u = 1 or i, by the one axis rule that ``polynomial.evaluate`` follows too
+(``polynomial._axis_coordinate``).  The basis is then built on y and every
+fit runs in real arithmetic, the target's real and imaginary parts as two
+right-hand sides, and so does the recomputation of each iterate's residuals
+(one real recurrence in y); every other set keeps the complex basis and the
+complex Horner loop.  The returned polynomial is always coefficient form in
+its frame variable after basis back-substitution, and its reported sup
+error is recomputed from those coefficients, so conversion loss is
+measured, never hidden.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from . import geometry, targets
 from .errors import BudgetExceeded, BudgetNotMet, InvalidSpec
 from .geometry import CompactSet, SampleGrid
-from .polynomial import Polynomial, derivative_bound, evaluate
+from .polynomial import Polynomial, _axis_coordinate, _turn, derivative_bound, evaluate
 from .targets import TargetFunction
 
 _LAWSON_WEIGHT_FLOOR = 1e-14
@@ -68,7 +69,7 @@ def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int, held=None):
 
     Returns the basis values Q (n x (degree+1)) and the matrix P whose column
     k holds the ascending monomial coefficients of basis polynomial k, both
-    of z's dtype: real points give a real basis (``_line_coordinate``).
+    of z's dtype: real points give a real basis (``_axis_coordinate``).
 
     Column k starts as z * Q[:, k-1] and is orthogonalized against all
     earlier columns by classical Gram-Schmidt: two matrix-vector products
@@ -119,24 +120,6 @@ def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int, held=None):
     return Q, P
 
 
-def _line_coordinate(zeta: np.ndarray) -> tuple[np.ndarray, complex]:
-    """The points to build the basis on, y, and the unit u with zeta = u * y.
-
-    Frame points on the real axis (every Im zeta exactly 0) give y = Re zeta
-    and u = 1; points on the imaginary axis (every Re zeta exactly 0) give
-    y = Im zeta and u = 1j.  Then y is real, and so are the basis and every
-    fit in it.  Any other set keeps y = zeta, u = 1.  A coefficient b_k of
-    y^k is b_k * (-i)^k of zeta^k when u = 1j: multiplying by 0 and +-1
-    rounds nothing.  A segment in another direction would need its samples
-    rotated, which rounds them, so it keeps the complex basis.
-    """
-    if not np.any(zeta.imag):
-        return np.ascontiguousarray(zeta.real), 1
-    if not np.any(zeta.real):
-        return np.ascontiguousarray(zeta.imag), 1j
-    return zeta, 1
-
-
 def _gram_fit(Q: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Coefficients a that minimize sum_i w_i |f_i - (Q a)_i|^2, for a basis
     Q orthogonal for uniform weights (Q^H Q = n I, from ``_weighted_basis``
@@ -155,7 +138,7 @@ def _gram_fit(Q: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     criterion-1 arc cond(W^(1/2) Q) was at most 10.2, while max w / min w
     reached 2.4e13.  With uniform weights G is I up to rounding.
     """
-    QH = Q.conj().T if np.iscomplexobj(Q) else Q.T
+    QH = Q.conj().T
     # the weights of every column as a contiguous array of f's shape: the
     # broadcast w[:, None] gives the same products in inner loops of m
     # elements, one row at a time
@@ -239,11 +222,13 @@ def lawson_refine(
     budget, starts with the same fits.
 
     Every fit solves in one basis orthogonal for uniform weights
-    (``_gram_fit``), built on ``_line_coordinate`` of the frame points: in
-    real arithmetic when they lie on an axis.  ``_basis`` is private: the
-    degree search passes (Q, P, u), the ``_weighted_basis`` of that
-    coordinate with weights 1/n, of at least this degree, and its unit u, so
-    its attempts share one build and use its leading columns.
+    (``_gram_fit``), built on the frame points w, or on y when they lie on
+    an axis, w = u * y (``_axis_coordinate``): then in real arithmetic, and
+    the fit's coefficients of y**k are turned by (-i)**k when u = i
+    (``_turn``).  ``_basis`` is private: the degree search passes (Q, P, u),
+    the ``_weighted_basis`` of those points with weights 1/n, of at least
+    this degree, and u, so its attempts share one build and use its leading
+    columns.
     """
     degree, max_iters = _validate_fit_args(grid, target, degree, max_iters, center, scale, budget)
     n = len(grid)
@@ -251,14 +236,14 @@ def lawson_refine(
     f = target.samples
     w = np.full(n, 1.0 / n)
     if _basis is None:
-        y, unit = _line_coordinate((z - center) / scale)
+        w_frame = (z - center) / scale
+        y, unit = _axis_coordinate(w_frame) or (w_frame, 1)
         _basis = (*_weighted_basis(y, w, degree), unit)
     Q, P, unit = _basis
     Q, P = Q[:, : degree + 1], P[: degree + 1, : degree + 1]
     # on a real basis the target's real and imaginary parts are two real
     # right-hand sides, read through a float view of the samples
     rhs = f if np.iscomplexobj(Q) else f.view(float).reshape(n, 2)
-    turns = np.array([1, -1j, -1, 1j])[np.arange(degree + 1) % 4] if unit == 1j else None
 
     def fit(w):
         # the weighted least-squares polynomial, |residual| at the samples
@@ -268,8 +253,8 @@ def lawson_refine(
         coeffs = P @ a
         if coeffs.ndim == 2:
             coeffs = coeffs.view(complex)[:, 0]
-        if turns is not None:
-            coeffs = coeffs * turns
+        if unit == 1j:
+            coeffs = _turn(coeffs, -1)
         poly = Polynomial(tuple(coeffs), center, scale)
         # (the transpose lines the columns of a real basis's residual up with w)
         lower = 0.0 if budget is None else math.sqrt(float(np.sum(w * np.abs(rhs - Q @ a).T ** 2)))
@@ -374,13 +359,14 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
     yes/no is known; the fits returned are then re-run in full, so they are
     the ones a search of full attempts returns.
 
-    All attempts share one uniform-weight basis of the grid, on its
-    ``_line_coordinate``: an attempt at a degree above the one held grows it
-    to that degree, every other one uses its leading columns, which equal a
-    build at the lower degree."""
+    All attempts share one uniform-weight basis of the grid, on its frame
+    points or their axis coordinate (``_axis_coordinate``): an attempt at a
+    degree above the one held grows it to that degree, every other one uses
+    its leading columns, which equal a build at the lower degree."""
     cap = min(max_degree, len(grid) - 1)
     fits: dict[int, FitResult] = {}
-    y, unit = _line_coordinate((grid.points - center) / scale)
+    w_frame = (grid.points - center) / scale
+    y, unit = _axis_coordinate(w_frame) or (w_frame, 1)
     w = np.full(len(grid), 1.0 / len(grid))
     basis = None
 

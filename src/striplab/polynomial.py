@@ -117,26 +117,54 @@ def evaluate(p: Polynomial, z):
     c1 * z + c0): numpy's complex loops fuse multiply-adds on FMA hardware,
     and their last bits would depend on the loops picked for the host.
 
-    When every frame point w lies on the real or the imaginary axis, the
-    loop runs as two real recurrences without the products by the zero part
-    of w.  Those products are exact zeros, so the values equal the complex
-    loop's (a zero may come out with the other sign, so moduli are the same
-    floats); a result that is not finite, where a product by zero would
-    have made NaN instead, is recomputed by the complex loop.
+    When every frame point w lies on an axis, w = u * y with y real
+    (``_axis_coordinate``), one real recurrence in y (``_horner_real``)
+    runs without the products by the zero part of w: on the coefficients
+    when u = 1, and on the coefficients turned by i**k (``_turn``) when
+    u = 1j.
+    Those products are exact zeros and the turns are exact, so the values
+    equal the complex loop's (a zero may come out with the other sign, so
+    moduli are the same floats); a result that is not finite, where a
+    product by zero would have made NaN instead, is recomputed by the
+    complex loop.
     """
     if not isinstance(z, np.ndarray):
         return complex(evaluate(p, np.array([z], dtype=complex))[0])
     w = (z - p.center) / p.scale
+    axis = _axis_coordinate(w)
     re = im = None
-    if not np.any(w.imag):
-        re, im = _horner_on_axis(p.coeffs, w.real.copy(), 1)
-    elif not np.any(w.real):
-        re, im = _horner_on_axis(p.coeffs, w.imag.copy(), 1j)
+    if axis is not None:
+        y, unit = axis
+        re, im = _horner_real(p.coeffs if unit == 1 else _turn(p.coeffs, 1).tolist(), y)
     if re is None or not (np.isfinite(re).all() and np.isfinite(im).all()):
         re, im = _horner(p.coeffs, w.real.copy(), w.imag.copy())
     acc = np.empty(w.shape, dtype=complex)
     acc.real, acc.imag = re, im
     return acc
+
+
+def _axis_coordinate(w: np.ndarray) -> tuple[np.ndarray, complex] | None:
+    """(y, u) with w = u * y, y a contiguous real array: u = 1 when every
+    Im w is exactly 0, u = 1j when every Re w is; None for points on
+    neither axis.  Points on a line in another direction would need
+    rotating, which rounds them."""
+    if not np.any(w.imag):
+        return np.ascontiguousarray(w.real), 1
+    if not np.any(w.real):
+        return np.ascontiguousarray(w.imag), 1j
+    return None
+
+
+# i**k by k mod 4: Python's 1j**k goes through exp and log from k = 101 on
+# (1j**101 is 4.4e-15 + 1j)
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _turn(coeffs, sign: int) -> np.ndarray:
+    """coeffs[k] * (sign * i)**k for sign +-1, as one array product: the
+    coefficients of p(sign * i * y) in y.  Products by 0 and +-1 round
+    nothing."""
+    return np.asarray(coeffs) * _I_POWERS[sign * np.arange(len(coeffs)) % 4]
 
 
 def _horner(coeffs, wr: np.ndarray, wi: np.ndarray):
@@ -155,27 +183,17 @@ def _horner(coeffs, wr: np.ndarray, wi: np.ndarray):
     return re, im
 
 
-def _horner_on_axis(coeffs, y: np.ndarray, unit: complex):
-    """(Re p(w), Im p(w)) for w = unit * y, y real and unit 1 or 1j: the
-    steps of ``_horner`` with the products by the zero part of w left out.
-    re and im are two contiguous arrays, not one n x 2 array, whose inner
-    loops would be two elements long."""
+def _horner_real(coeffs, y: np.ndarray):
+    """(Re p(y), Im p(y)) for real y: the steps of ``_horner`` with the
+    products by wi = 0 left out.  re and im are two contiguous arrays, not
+    one n x 2 array, whose inner loops would be two elements long."""
     re = np.zeros(y.shape)
     im = np.zeros(y.shape)
-    if unit == 1:
-        for c in reversed(coeffs):
-            re *= y
-            re += c.real
-            im *= y
-            im += c.imag
-        return re, im
-    t = np.empty(y.shape)
     for c in reversed(coeffs):
-        # (re, im) <- (Re c - im * y, Im c + re * y)
-        np.multiply(im, y, out=t)
-        np.multiply(re, y, out=im)
+        re *= y
+        re += c.real
+        im *= y
         im += c.imag
-        np.subtract(c.real, t, out=re)
     return re, im
 
 

@@ -24,6 +24,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -36,9 +37,10 @@ from .zeta import DEFAULT_PARAMS, ZetaParams, zeta_shifted_grid
 DEFAULT_GRID_H = 0.05
 
 # the most (point, shift) pairs of one batched zeta call in the trace.  On
-# the scan500 benchmark job (one point, 10 001 shifts; 2 cores, x86-64) 2^8
-# pairs took 0.23 s at 40.5 MB peak RSS, 2^10 0.20 s at 40.4 MB, 2^12 0.20 s
-# at 41.1 MB and 2^14 (the whole trace in one call) 0.19 s at 42.6 MB
+# the scan500 benchmark job (one point, 10 001 shifts; 2 cores, x86-64;
+# median job time over 4 interleaved 6 s runs) 2^8 pairs took 0.097 s at
+# 39.4 MB peak RSS, 2^10 0.086 s at 39.4 MB, 2^12 0.088 s at 40.0 MB and
+# 2^14 (the whole trace in one call) 0.094 s at 41.5 MB
 _BLOCK_PAIRS = 1 << 10
 
 # the most trace points a scan may ask for: the trace keeps t, D and the
@@ -140,12 +142,6 @@ def _columns(grid, target, ts, params, rows):
     return d, np.max(errors, axis=0), exhausted.any(axis=0)
 
 
-def _trace_block(payload):
-    """_columns of one block of the trace; top-level, so that a process pool
-    can map it."""
-    return _columns(*payload)
-
-
 def _evaluate_trace(grid, target, ts, params, threads, rows):
     """(D, error estimates, truncated) along ts, cut before the first point
     that exhausts precision.  The trace is cut once into blocks of at most
@@ -153,8 +149,9 @@ def _evaluate_trace(grid, target, ts, params, threads, rows):
     threads > 1 in a process pool that takes them in 4 chunks per worker,
     so that the rows are pickled once per chunk."""
     step = max(1, _BLOCK_PAIRS // len(grid.points))
-    payloads = [(grid, target, ts[lo : lo + step], params, rows) for lo in range(0, len(ts), step)]
-    chunksize = -(-len(payloads) // (4 * threads))
+    blocks = [ts[lo : lo + step] for lo in range(0, len(ts), step)]
+    args = (repeat(grid), repeat(target), blocks, repeat(params), repeat(rows))
+    chunksize = -(-len(blocks) // (4 * threads))
     ds, errs = [], []
     if threads > 1:
         # imported here, not at the top: multiprocessing and logging add
@@ -165,11 +162,8 @@ def _evaluate_trace(grid, target, ts, params, threads, rows):
     else:
         executor = contextlib.nullcontext()
     with executor as pool:
-        if pool:
-            blocks = pool.map(_trace_block, payloads, chunksize=chunksize)
-        else:
-            blocks = map(_trace_block, payloads)
-        for d, err, failed in blocks:
+        columns = pool.map(_columns, *args, chunksize=chunksize) if pool else map(_columns, *args)
+        for d, err, failed in columns:
             stop = int(np.argmax(failed)) if failed.any() else len(d)
             ds.append(d[:stop])
             errs.append(err[:stop])

@@ -143,9 +143,9 @@ _SCAN_ENTRIES = 1 << 22
 # the most entries of one phase table or one array of terms (128 kB of
 # complex values, the n coprime to 6 up to about 24 500); a pair with more
 # terms has a table of its own.  On the scan500 benchmark job (2 cores,
-# x86-64; 39.4 MB peak RSS with one evaluation per t), when a table held
-# every n, 2^12 took 0.25 s at 40.3 MB peak, 2^13 0.20 s at 40.4 MB and 2^14
-# 0.19 s at 41.2 MB, near the benchmark's 5% bound
+# x86-64; median job time over 4 interleaved 6 s runs), 2^12 took 0.103 s at
+# 39.4 MB peak RSS, 2^13 0.086 s at 39.4 MB and 2^14 0.081 s at 41.0 MB,
+# near the benchmark's 5% bound on peak RSS
 _BLOCK_ENTRIES = 1 << 13
 
 

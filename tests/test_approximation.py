@@ -20,8 +20,9 @@ from striplab import (
     resolve_target,
 )
 from striplab import approximation
-from striplab.approximation import TargetFunction, _gram_fit, _line_coordinate, _weighted_basis, set_frame
+from striplab.approximation import TargetFunction, _gram_fit, _weighted_basis, set_frame
 from striplab.errors import BudgetExceeded, BudgetNotMet, InvalidSpec
+from striplab.polynomial import _axis_coordinate
 
 ARC = Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
 
@@ -129,7 +130,8 @@ def search_basis_points(K, h):
     # the points the degree search builds its basis on, and the weights
     g = discretize(K, h)
     c, rho = set_frame(K)
-    y, _ = _line_coordinate((g.points - c) / rho)
+    zeta = (g.points - c) / rho
+    y, _ = _axis_coordinate(zeta) or (zeta, 1)
     return y, np.full(len(g), 1.0 / len(g))
 
 
@@ -521,7 +523,7 @@ def test_a_set_on_a_line_is_fitted_on_a_real_basis(monkeypatch, K, unit):
     # up to rounding: the same degree and fits, sup errors to rel 1e-8
     c, rho = set_frame(K)
     g = discretize(K, 2e-3)
-    y, u = _line_coordinate((g.points - c) / rho)
+    y, u = _axis_coordinate((g.points - c) / rho)
     assert y.dtype == np.float64 and u == unit
     target = resolve_target(_wave, g)
     n = len(g)
@@ -535,7 +537,7 @@ def test_a_set_on_a_line_is_fitted_on_a_real_basis(monkeypatch, K, unit):
     fit = approximate(K, _wave, budget, 40)
     assert fit.sup_error_on_samples < budget
     # the whole search on the complex basis
-    monkeypatch.setattr(approximation, "_line_coordinate", lambda zeta: (zeta, 1))
+    monkeypatch.setattr(approximation, "_axis_coordinate", lambda zeta: None)
     ref = approximate(K, _wave, budget, 40)
     assert (fit.degree_used, fit.iterations) == (ref.degree_used, ref.iterations)
     assert fit.sup_error_on_samples == pytest.approx(ref.sup_error_on_samples, rel=1e-8)
@@ -552,8 +554,7 @@ def test_a_set_on_a_line_is_fitted_on_a_real_basis(monkeypatch, K, unit):
 def test_a_set_off_the_axes_keeps_the_complex_basis(K):
     c, rho = set_frame(K)
     zeta = (discretize(K, 0.01).points - c) / rho
-    y, unit = _line_coordinate(zeta)
-    assert y is zeta and unit == 1
+    assert _axis_coordinate(zeta) is None
 
 
 def test_approximate_rejects_negative_max_degree():

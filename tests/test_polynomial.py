@@ -122,6 +122,18 @@ def test_evaluate_on_an_axis_gives_the_complex_loops_floats(vertical):
         assert evaluate(p, complex(z[7])) == complex(_complex_loop(p, z[7:8])[0])
 
 
+def test_evaluate_on_the_imaginary_axis_past_degree_100():
+    # the real recurrence runs on the coefficients turned by i**k; Python's
+    # 1j**k is not exact past k = 100 (1j**101 is 4.4e-15 + 1j), so turns
+    # taken from it would move the values off the complex loop's
+    rng = np.random.default_rng(24)
+    center, scale = 0.3 + 0.2j, 0.7
+    z = center + 1j * scale * np.linspace(-1.0, 1.0, 301)
+    assert not np.any(((z - center) / scale).real)
+    for m in range(101, 131):
+        _assert_same_floats(Polynomial(_spread_coeffs(rng, m), center, scale), z)
+
+
 def test_evaluate_on_points_with_negative_zero_imaginary_parts():
     z = np.array([complex(x, -0.0) for x in np.linspace(-2.0, 2.0, 41)])
     # the frame points' imaginary parts are zeros of both signs
@@ -147,7 +159,7 @@ def test_evaluate_off_the_axes_keeps_the_complex_loop(monkeypatch):
     def axis_path(*args):
         raise AssertionError("the axis path ran off the axes")
 
-    monkeypatch.setattr(polynomial, "_horner_on_axis", axis_path)
+    monkeypatch.setattr(polynomial, "_horner_real", axis_path)
     rng = np.random.default_rng(23)
     z = discretize(Segment(-1 - 1j, 1 + 1j), 0.01).points
     for m in (0, 3, 40):

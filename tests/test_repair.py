@@ -285,8 +285,10 @@ def test_pipeline_arc_conj_feasible_eps():
 @pytest.mark.parametrize("K, name, gap", [(ARC, "conj", 2.2e-11), (Segment(-0.5, 0.5), "abs", 6.1e-8)])
 def test_factored_form_of_a_fit_matches_it_on_the_audit_grid(K, name, gap):
     # the criterion-1 fit and the benchmark's |z| fit, which the repair
-    # starts from; each bound is twice the gap the Aberth solver left
-    # (1.1e-11 and 3.0e-8), and the bare eigenvalues miss the second (2.3e-7)
+    # starts from; each bound is twice the gap an earlier root solver left
+    # (1.1e-11 and 3.0e-8).  The companion eigenvalues with their one Newton
+    # step, as ``roots`` finds them, leave 1.3e-11 and 5.7e-8; the bare
+    # eigenvalues leave 1.9e-11 and miss the second bound (9.8e-8)
     fit = approximate(K, {"kind": "builtin", "name": name}, 5e-3, 60)
     P = fit.polynomial
     fp = FactoredPolynomial(P.leading, roots(P), P.scale)
