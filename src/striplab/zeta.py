@@ -5,21 +5,24 @@ For s != 1 with Re(s) > -1 and N = max(min_terms, ceil(terms_per_unit_t * |Im s|
     zeta(s) ~ sum_{n=1}^{N-1} n^-s  +  N^(1-s)/(s-1)  +  N^-s / 2
               + sum_{k=1}^{K} B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^(-s-2k+1)
 
-The reported error estimate is twice the magnitude of the first omitted
-correction term; N is doubled (at most twice) when that estimate exceeds
-1e-6.  The default N = |Im s| (one term per unit t) leaves truncation far
-below rounding: with K = 12 the first omitted term, |B_26| / 26! *
-|s(s+1)...(s+24)| * N^(-Re s - 25), is about 3.5e-21 (|s| / N)^25 N^(-Re s),
-and Edwards' remainder bound (Riemann's Zeta Function, 1974, sec. 6.4) is
-that term times |s + 25| / (Re s + 25), at most 1.4e-19 at t = 1e6 in the
-strip.  Everything is double precision, on every platform.  The phases of
-n^-s = n^(-Re s) * exp(-i Im s ln n) are taken at the primes from
-double-double logs (Dekker 1971) with the argument reduced mod 2*pi in the
-manner of Cody and Waite (1980), to within 2.3e-16 rad; since n^-s is
-completely multiplicative each composite entry is the product of two
-earlier ones.  The estimate makes precision loss visible instead of hiding
-it behind arbitrary-precision arithmetic.  At most _MAX_TERMS terms are
-summed for any point.
+The reported error estimate is Edwards' bound on the remainder (Riemann's
+Zeta Function, 1974, sec. 6.4): the magnitude of the first omitted
+correction term times |s + 2K + 1| / (Re s + 2K + 1), which bounds the
+truncation error for Re s > -(2K + 1); N is doubled (at most twice) when
+that estimate exceeds 1e-6.  It leaves rounding out.  The default N =
+|Im s| / 2 (half a term per unit t) with K = 24 leaves truncation far
+below rounding: the first omitted term, |B_50| / 50! * |s(s+1)...(s+48)| *
+N^(-Re s - 49), is about 2.5e-40 (|s| / N)^49 N^(-Re s), so about 1.4e-25
+N^(-Re s) at N = |t| / 2, and the bound reads at most 2.9e-22 in the strip
+1/2 <= Re s <= 1 (near t = 40, where N = |t| / 2 takes over from N = 20)
+and 4.0e-24 at t = 1e6.  Everything is double precision, on every
+platform.  The phases of n^-s = n^(-Re s) * exp(-i Im s ln n) are taken at
+the primes from double-double logs (Dekker 1971) with the argument reduced
+mod 2*pi in the manner of Cody and Waite (1980), to within 2.3e-16 rad;
+since n^-s is completely multiplicative each composite entry is the
+product of two earlier ones.  The estimate makes precision loss visible
+instead of hiding it behind arbitrary-precision arithmetic.  At most
+_MAX_TERMS terms are summed for any point.
 
 Only the n coprime to 6 (1, 5, 7, 11, 13, ...), a third of them, have
 terms of their own.  Every n < N is d m with d = 2^a 3^b and m coprime to
@@ -64,20 +67,22 @@ _MAX_IM = 1e8
 
 # the most terms any evaluation may ask for: the factor plan holds 8 bytes
 # of log and 4 of buffer position per term coprime to 6, and |Im s| near the
-# 1e8 guard would ask for 1e8 terms at the default rate, about 400 MB of
-# those alone
+# 1e8 guard would ask for 1e8 terms at one term per unit t, about 400 MB of
+# those alone.  The default half a term per unit t asks for at most 5e7
+# there, so only explicit parameters (or a doubling of N) reach the cap
 _MAX_TERMS = 1 << 26
 
 
 @dataclass(frozen=True)
 class ZetaParams:
-    # N = |Im s| already puts the remainder far below rounding (module
-    # docstring): against 30-digit mpmath at 1/2 < Re s < 1, 14.1 <= t <=
-    # 1e5, values are within 5.8e-16 where 2 terms per unit t, at twice the
-    # terms, read 6.0e-16
-    terms_per_unit_t: float = 1.0
+    # N = |Im s| / 2 with 24 corrections puts the remainder far below
+    # rounding (module docstring): against 30-digit mpmath at Re s in {0.55,
+    # 0.75, 0.95}, 14.1 <= t <= 1e6, values are within 5.0e-16 of max(1,
+    # |zeta|) where N = |Im s| with 12 corrections, at twice the terms, read
+    # 5.8e-16
+    terms_per_unit_t: float = 0.5
     min_terms: int = 20
-    bernoulli_terms: int = 12
+    bernoulli_terms: int = 24
 
     def __post_init__(self):
         # N = min_terms stays within the term cap, and the Bernoulli
@@ -637,8 +642,9 @@ def _em_tail(s: np.ndarray, N: np.ndarray, partial: np.ndarray, last: np.ndarray
     the correction terms q_k s(s+1)...(s+2k-2) N^(-s-2k+1), k = 1..kb+1, are
     one row per point, built by a running product along the row, and the
     first kb are summed row by row; the rows of at most _BLOCK_ENTRIES
-    entries are built at a time.  A value or estimate that overflows comes
-    out non-finite and fails the threshold."""
+    entries are built at a time.  The estimate is Edwards' bound, |term kb +
+    1| |s + 2 kb + 1| / (Re s + 2 kb + 1).  A value or estimate that
+    overflows comes out non-finite and fails the threshold."""
     # q_1..q_{kb+1}, and the offsets 2k + 1 and 2k + 2 of the factors that
     # step the rising product s(s+1)...(s+2k-2) from term k + 1 to k + 2
     k = np.arange(kb)
@@ -656,7 +662,7 @@ def _em_tail(s: np.ndarray, N: np.ndarray, partial: np.ndarray, last: np.ndarray
             steps[:, 1:] = (z[:, None] + odd) * (z[:, None] + even) * (1.0 / (n * n))[:, None]
             terms = q * np.cumprod(steps, axis=1)
             values[cut] = partial[cut] + n * w / (z - 1.0) + w / 2.0 + terms[:, :kb].sum(axis=1)
-            errors[cut] = 2.0 * np.abs(terms[:, kb])
+            errors[cut] = np.abs(terms[:, kb]) * np.abs(z + (2 * kb + 1)) / (z.real + (2 * kb + 1))
     return values, errors
 
 

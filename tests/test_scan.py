@@ -158,16 +158,17 @@ def test_scan_raises_when_the_first_trace_point_exhausts_precision():
 
 
 def test_scan_raises_when_refinement_exhausts_precision():
-    # with N = ceil(t) the estimate saws: at 10.51 (N = 11) it is above 1e-6
-    # at Re s = 0.95 while the trace points 10.01 (N = 11) and 11.01 (N = 12)
-    # stay below, so the crossing between them fails at its first midpoint
-    params = ZetaParams(terms_per_unit_t=1.0, min_terms=2, bernoulli_terms=1)
-    grid = discretize(PointSet((0.95,)), 0.1)
-    _, errors, exhausted = zeta_mod._evaluate(grid.points, [10.01, 10.51, 11.01], params)
+    # with N = max(3, ceil(2 t)) doubled twice the estimate saws: at Re s =
+    # 0.75 and t = 1.46 (N = 12) it is 1.6e-6, above 1e-6, while the trace
+    # points 0.46 (N = 12) and 2.46 (N = 20) stay below, at 5.6e-7 and
+    # 6.3e-7, so the crossing between them fails at its first midpoint
+    params = ZetaParams(terms_per_unit_t=2.0, min_terms=3, bernoulli_terms=1)
+    grid = discretize(PointSet((0.75,)), 0.1)
+    _, errors, exhausted = zeta_mod._evaluate(grid.points, [0.46, 1.46, 2.46], params)
     assert exhausted[0].tolist() == [False, True, False]
-    target = TargetFunction(zeta_mod._evaluate(grid.points, [11.01], params)[0][:, 0])
-    cfg = ScanConfig(T=20.0, step=1.0, eps=1e-3, t_start=10.01)
-    with pytest.raises(PrecisionExhausted, match="while refining at t = 10.51"):
+    target = TargetFunction(zeta_mod._evaluate(grid.points, [2.46], params)[0][:, 0])
+    cfg = ScanConfig(T=20.0, step=2.0, eps=1e-3, t_start=0.46)
+    with pytest.raises(PrecisionExhausted, match="while refining at t = 1.46"):
         scan_mod.scan_on_grid(grid, target, cfg, params)
 
 

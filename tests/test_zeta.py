@@ -320,14 +320,15 @@ def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
 
 
 def test_shift_rows_keep_the_first_points_that_fit():
-    # N = 2e5 at t = 2e5, a row of 2, 3 and the 66 667 n <= N coprime to 6:
-    # the 2^22-entry cut holds the rows of the first 62 of 100 points, the
-    # same rows as the table of those points alone
+    # N = 2e5 at t = 2e5 and one term per unit t, a row of 2, 3 and the
+    # 66 667 n <= N coprime to 6: the 2^22-entry cut holds the rows of the
+    # first 62 of 100 points, the same rows as the table of those points alone
+    params = ZetaParams(terms_per_unit_t=1.0)
     points = 0.5 + 0.004 * np.arange(100) + 0j
-    rows = zeta_mod.shift_rows(points, 2e5)
+    rows = zeta_mod.shift_rows(points, 2e5, params)
     assert rows.shape == ((1 << 22) // 66_669, 66_669) == (62, _row_width(200_000))
     assert np.array_equal(rows[61], zeta_mod._dirichlet_table(points[61:62], 200_000)[0])
-    assert zeta_mod.shift_rows(points, 2e2).shape == (100, _row_width(200)) == (100, 69)
+    assert zeta_mod.shift_rows(points, 2e2, params).shape == (100, _row_width(200)) == (100, 69)
 
 
 def test_factor_plan_holds_no_more_than_the_largest_n(monkeypatch):
@@ -352,19 +353,22 @@ def test_factor_plan_holds_no_more_than_the_largest_n(monkeypatch):
 
 def test_term_cap_raises_before_allocating(monkeypatch):
     # |Im s| = 9e7 passes the 1e8 precision guard but asks for N = 9e7 terms
+    # at one term per unit t (the default rate reaches the cap nowhere
+    # below the guard)
+    params = ZetaParams(terms_per_unit_t=1.0)
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     with pytest.raises(InvalidSpec, match="term cap 67108864"):
-        zeta_em(0.75 + 9e7j)
+        zeta_em(0.75 + 9e7j, params)
     grid = discretize(PointSet((0.75,)), 0.1)
     with pytest.raises(InvalidSpec, match="term cap"):
-        zeta_mod.shift_rows(grid.points, 9e7)
+        zeta_mod.shift_rows(grid.points, 9e7, params)
     with pytest.raises(InvalidSpec, match="term cap"):
-        zeta_shifted_grid(grid, 9e7)
+        zeta_shifted_grid(grid, 9e7, params)
     assert zeta_mod._plan_cache is None
 
 
 def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
-    # N = 1e6; monkeypatch puts the earlier plan back afterwards
+    # N = 5e5; monkeypatch puts the earlier plan back afterwards
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zv = zeta_em(0.75 + 1e6j)
@@ -373,8 +377,8 @@ def test_zeta_at_one_million_below_the_term_cap(monkeypatch):
 
 @pytest.mark.parametrize("t", [1e3, 43225.0, 1e5, 1e6])
 def test_zeta_em_within_5e_15_of_mpmath(monkeypatch, t):
-    # the phases carry no error that grows with t: 0, 1.4e-16, 7.0e-16 and
-    # 3.5e-16 measured against 30 digits at the default N = t, where
+    # the phases carry no error that grows with t: 5.6e-17, 8.3e-17, 7.0e-16
+    # and 3.5e-16 measured against 30 digits at the default N = t / 2, where
     # longdouble logs gave 6.0e-14 at t = 1e6 and N = 2t
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
@@ -588,41 +592,71 @@ DEFAULT_ORACLE_SIGMAS = (-0.9, 0.0, 0.55, 0.75, 0.95, 2.5)
 
 @pytest.mark.parametrize("t", [0.0, 14.1, 1e2, 1e3, 1e4, 1e5])
 def test_default_params_against_mpmath(t):
-    # N = max(20, |t|) and 12 Bernoulli terms: the estimate is twice the
-    # first omitted term, about 3.5e-21 N^-sigma (at most 1e-20 measured
-    # here), where a rate of 0.5 terms per unit t reads 4e-9 at t = 1e5.
+    # N = max(20, ceil(|t| / 2)) and 24 Bernoulli terms: the estimate is
+    # Edwards' bound, at most 5.2e-24 of max(1, |zeta|) measured here.
     # Rounding is held to the largest of max(1, |zeta|), the size
     # N^(1-sigma) / |s - 1| of the tail term that the partial sum cancels
-    # (159 at sigma = -0.9, t = 0) and the root-sum-square of the terms,
-    # which carry one phase error each (6e6 at sigma = -0.9, t = 1e5); both
-    # stay below 3.3 in the strip at t >= 14.1.  The errors measured up to
-    # 9.6 u times that scale under this default and under 2 terms per unit t
+    # (156 at sigma = -0.9, t = 0) and the root-sum-square of the terms,
+    # which carry one phase error each (2.3e6 at sigma = -0.9, t = 1e5);
+    # both stay below 3.3 in the strip at t >= 14.1.  The errors measured up
+    # to 7.3 u times that scale under this default, and up to 8.3 u under N =
+    # max(20, |t|) with 12 terms
     mpmath = pytest.importorskip("mpmath")
     points = np.array(DEFAULT_ORACLE_SIGMAS, dtype=complex)
     values, errors, exhausted = zeta_mod._evaluate(points, [t], DEFAULT_PARAMS)
     assert not exhausted.any()
-    n = np.arange(1.0, max(20, math.ceil(t)) + 1.0)
+    n = np.arange(1.0, max(20, math.ceil(t / 2)) + 1.0)
     for sigma, v, err in zip(DEFAULT_ORACLE_SIGMAS, values[:, 0], errors[:, 0]):
         s = complex(sigma, t)
         exact = _mpmath_at_shift(mpmath, s, 0.0)
         size = max(1.0, abs(exact))
-        assert err <= 1e-17 * size
+        assert err <= 1e-21 * size
         cancelled = n[-1] ** (1.0 - sigma) / abs(s - 1.0)
         assert abs(v - exact) <= 5e-15 * max(size, cancelled, math.sqrt(np.sum(n ** (-2.0 * sigma))))
 
 
-def _checked_after_doubling(monkeypatch, t, per_unit_t):
-    # the Ns that _check_against_mpmath used at t
+STRIP_TS = (14.1, 21.0, 30.0, 40.0, 60.0, 100.0, 250.0, 1e3, 2.5e3, 1e4, 43225.0, 1e5, 3e5, 1e6)
+
+
+def test_default_params_in_the_strip_against_mpmath(monkeypatch):
+    # N = max(20, ceil(|t| / 2)) with 24 corrections: within 5.0e-16 of
+    # max(1, |zeta|) on this sweep, where N = max(20, |t|) with 12 read up
+    # to 5.8e-16 (at 0.55 + 1e5 i); the estimate, Edwards' bound, reads at
+    # most 2.1e-22 of max(1, |zeta|), at t = 40, where N = |t| / 2 takes
+    # over from 20
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    points = np.array(ORACLE_SIGMAS, dtype=complex)
+    values, errors, exhausted = zeta_mod._evaluate(points, STRIP_TS, DEFAULT_PARAMS)
+    assert not exhausted.any()
+    for j, sigma in enumerate(ORACLE_SIGMAS):
+        for b, t in enumerate(STRIP_TS):
+            exact = _mpmath_at_shift(mpmath, complex(sigma, 0.0), t)
+            size = max(1.0, abs(exact))
+            assert abs(values[j, b] - exact) <= 5.9e-16 * size
+            assert errors[j, b] <= 1e-21 * size
+
+
+def _tails_checked(monkeypatch, t, params):
+    # each (s, N, value, estimate) of the _em_tail calls that
+    # _check_against_mpmath made at t
     em_tail = zeta_mod._em_tail
-    used = set()
+    seen = []
 
     def recording(s, N, partial, last, kb):
-        used.update(N.tolist())
-        return em_tail(s, N, partial, last, kb)
+        values, errors = em_tail(s, N, partial, last, kb)
+        seen.extend(zip(s.tolist(), N.tolist(), values.tolist(), errors.tolist()))
+        return values, errors
 
     monkeypatch.setattr(zeta_mod, "_em_tail", recording)
-    _check_against_mpmath(t, ZetaParams(terms_per_unit_t=per_unit_t))
-    return sorted(used)
+    _check_against_mpmath(t, params)
+    return seen
+
+
+def _checked_after_doubling(monkeypatch, t, per_unit_t):
+    # the Ns that _check_against_mpmath used at t
+    seen = _tails_checked(monkeypatch, t, ZetaParams(terms_per_unit_t=per_unit_t))
+    return sorted({N for _, N, _, _ in seen})
 
 
 @pytest.mark.parametrize("per_unit_t, ns", [(0.15, [150, 300]), (0.1, [100, 200, 400])])
@@ -634,6 +668,25 @@ def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
 def test_against_mpmath_after_doubling_past_the_product_cut(monkeypatch):
     # at t = 1e4 N doubles from 1000 and 2000 to 4000
     assert _checked_after_doubling(monkeypatch, 1e4, 0.1) == [1000, 2000, 4000]
+
+
+def test_edwards_bound_covers_what_twice_the_first_omitted_term_misses(monkeypatch):
+    # at t = 1e3, 0.1 terms per unit t and K = 20 corrections the series
+    # decays slowly: at N = 200 the error is above twice the first omitted
+    # term at every sigma (4.8e-7 against 3.6e-7 at 0.95, below the 1e-6
+    # threshold, so N would stop there), while Edwards' bound, that term
+    # times |s + 41| / (sigma + 41), about 24 times it here, covers the error
+    # at every N and sends N on to 400
+    mpmath = pytest.importorskip("mpmath")
+    kb = 20
+    seen = _tails_checked(monkeypatch, 1e3, ZetaParams(terms_per_unit_t=0.1, bernoulli_terms=kb))
+    assert sorted({N for _, N, _, _ in seen}) == [100, 200, 400]
+    exact = {s: _mpmath_at_shift(mpmath, s, 0.0) for s, _, _, _ in seen}
+    for s, N, v, err in seen:
+        gap = abs(v - exact[s])
+        assert gap <= max(err, 1e-11)
+        if N == 200:
+            assert gap > 2.0 * err * (s.real + 2 * kb + 1) / abs(s + 2 * kb + 1)
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
