@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,9 +39,10 @@ DEFAULT_GRID_H = 0.05
 
 # the most (point, shift) pairs of one batched zeta call in the trace.  On
 # the scan500 benchmark job (one point, 10 001 shifts; 2 cores, x86-64;
-# median job time over 4 interleaved 6 s runs) 2^8 pairs took 0.097 s at
-# 39.4 MB peak RSS, 2^10 0.086 s at 39.4 MB, 2^12 0.088 s at 40.0 MB and
-# 2^14 (the whole trace in one call) 0.094 s at 41.5 MB
+# median scaled job time over 10 interleaved 5 s runs, unscaled in
+# brackets) 2^8 pairs took 0.076 s (0.068) at 39.2 MB peak RSS, 2^10
+# 0.068 s (0.060) at 39.3 MB, 2^12 0.069 s (0.072) at 39.7 MB and 2^14 (the
+# whole trace in one call) 0.072 s (0.071) at 41.0 MB
 _BLOCK_PAIRS = 1 << 10
 
 # the most trace points a scan may ask for: the trace keeps t, D and the
@@ -206,7 +208,14 @@ def _assemble_intervals(ts, ds, eps, d_eval, refine_tol):
 
 
 def scan_on_grid(grid, target, config, params=DEFAULT_PARAMS, threads=1) -> ScanReport:
-    """Core scan over an already-built grid and resolved target."""
+    """Core scan over an already-built grid and resolved target; threads is
+    an integer >= 1, the worker processes of the trace."""
+    try:
+        threads = operator.index(threads)
+    except TypeError:
+        raise InvalidSpec(f"threads must be an integer, not {threads!r}") from None
+    if threads < 1:
+        raise InvalidSpec(f"threads must be at least 1, not {threads}")
     if len(target.samples) != len(grid):
         raise InvalidSpec("target and grid lengths differ")
     _warn_if_outside_strip(grid)

@@ -1,13 +1,15 @@
 """Target values on a sample grid, resolved from target descriptions.
 
 Accepted specs: a TargetFunction (passed through after a length check), a
-callable z -> complex, a plain constant, or a JSON-style dict:
+callable z -> complex, a constant (any number, numpy scalars included), or
+a JSON-style dict:
 {"kind": "builtin", "name": "conj"|"abs"|"identity"|"constant", "value": [re, im]?},
 {"kind": "samples", "values": [[re, im], ...]}, or {"kind": "zeta"}.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,7 @@ def resolve_target(spec, grid: SampleGrid, zeta_params=None) -> TargetFunction:
     if callable(spec):
         values = [complex(spec(z)) for z in grid.points]
         return TargetFunction(values)
-    if isinstance(spec, (int, float, complex)):
+    if isinstance(spec, numbers.Number):
         return TargetFunction(np.full(len(grid), complex(spec)))
     if isinstance(spec, dict):
         kind = spec.get("kind")

@@ -148,9 +148,10 @@ _SCAN_ENTRIES = 1 << 22
 # the most entries of one phase table or one array of terms (128 kB of
 # complex values, the n coprime to 6 up to about 24 500); a pair with more
 # terms has a table of its own.  On the scan500 benchmark job (2 cores,
-# x86-64; median job time over 4 interleaved 6 s runs), 2^12 took 0.103 s at
-# 39.4 MB peak RSS, 2^13 0.086 s at 39.4 MB and 2^14 0.081 s at 41.0 MB,
-# near the benchmark's 5% bound on peak RSS
+# x86-64; median scaled job time over 10 interleaved 5 s runs, unscaled in
+# brackets), 2^12 took 0.077 s (0.071) at 39.2 MB peak RSS, 2^13 0.068 s
+# (0.060) at 39.3 MB and 2^14 0.077 s (0.071) at 40.1 MB; scaled, 2^13 was
+# the fastest in every one of the 10 rounds
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -547,8 +548,10 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
             if b - a == 1:
                 # one pair: its row as a view, not as the copy an index array
                 # makes (on line_scan, where every cut is one pair, a job
-                # took about 10% less), and its segments end at its last
-                # cutoff; the same reductions either way
+                # took about 23% less: median scaled 0.034 against 0.044 s
+                # over 14 interleaved 5 s runs, less in all 14), and its
+                # segments end at its last cutoff; the same reductions
+                # either way
                 f, n = int(f_idx[a]), of[u]
                 terms = table[f, :m] if phase is None else table[f, :m] * phase[int(row[a]) - lo, :m]
                 used = nonempty[n]
@@ -590,36 +593,18 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
 
 def _dirichlet_table(points: np.ndarray, count: int) -> np.ndarray:
     """n^(-z_j) = n^(-Re z_j) * exp(-i Im z_j ln n) for the n of a row that
-    holds every n <= count coprime to 6, one row per point.  The points that
-    share Im share a phase row: the distinct Im go into phase tables of at
-    most _BLOCK_ENTRIES entries, or of one row when a row is wider, and the
-    rows of each table's points are filled in chunks of that size.  A phase
-    row does not depend on the other rows of its table, so neither does a
-    point's row."""
+    holds every n <= count coprime to 6, one row per point.  A row is its
+    point's amplitudes times the phase row at its own Im, so it does not
+    depend on the other points.  The rows are filled in runs of consecutive
+    points of at most _BLOCK_ENTRIES entries, or of one row when a row is
+    wider."""
     width = _row_width(count)
     ln = _factor_plan(count).ln[:width]
     table = np.empty((len(points), width), dtype=complex)
-    # the points sorted by Im, where each distinct Im starts, and the index
-    # of each sorted point's Im among them (np.unique and a stable argsort
-    # of its inverse raised the line_scan benchmark's peak RSS from 41.3 to
-    # 41.8 MB on a 2-core x86-64 host: the stable sort's numpy code pages,
-    # which nothing else there touches)
-    order = np.argsort(points.imag)
-    im = points.imag[order]
-    head = np.ones(len(im), dtype=bool)
-    head[1:] = im[1:] != im[:-1]
-    starts = np.append(np.flatnonzero(head), len(im)).tolist()
-    row = head.cumsum() - 1
-    taus = im[head]
-    for lo, hi in _blocks(len(taus), width):
-        phase = _phase_table(taus[lo:hi], count)
-        first = starts[lo]
-        for a, b in _blocks(starts[hi] - first, width):
-            a, b = a + first, b + first
-            sel = order[a:b]
-            amp = np.multiply.outer(-points.real[sel], ln)
-            np.exp(amp, out=amp)
-            table[sel] = amp * phase[row[a:b] - lo]
+    for a, b in _blocks(len(points), width):
+        amp = np.multiply.outer(-points.real[a:b], ln)
+        np.exp(amp, out=amp)
+        table[a:b] = amp * _phase_table(points.imag[a:b], count)
     return table
 
 

@@ -214,6 +214,32 @@ def test_scan_threads_deterministic():
     assert serial.empirical_density == parallel.empirical_density
 
 
+@pytest.mark.parametrize("threads", [0, -1, 1.5])
+def test_scan_rejects_threads_that_are_not_integers_from_one(threads):
+    # unchecked, 0 divides by zero in the trace's chunk size, -1 runs
+    # serially without a word and 1.5 raises TypeError in the process pool
+    cfg = ScanConfig(T=15.0, step=0.25, eps=0.5)
+    with pytest.raises(InvalidSpec, match="threads"):
+        scan_density(POINT, {"kind": "zeta"}, cfg, threads=threads)
+
+
+def test_scan_takes_numpy_integer_threads():
+    cfg = ScanConfig(T=15.0, step=0.25, eps=0.5)
+    report = scan_density(POINT, {"kind": "zeta"}, cfg, threads=np.int64(1))
+    assert np.array_equal(report.ds, scan_density(POINT, {"kind": "zeta"}, cfg).ds)
+
+
+@pytest.mark.parametrize("value", [np.int64(2), np.float32(2.0), np.complex64(2.0)])
+def test_numpy_scalars_resolve_as_constant_targets(point_grid, value):
+    assert np.array_equal(resolve_target(value, point_grid).samples, [2.0 + 0j])
+
+
+def test_line_universality_takes_a_numpy_constant():
+    cfg = ScanConfig(T=50.0, step=1.0, eps=0.75, refine_tol=0.25)
+    report = line_universality(0.8, 0.2, np.int64(1), cfg)
+    assert np.array_equal(report.ds, line_universality(0.8, 0.2, 1, cfg).ds)
+
+
 @pytest.mark.parametrize("with_rows", [True, False])
 def test_trace_does_not_depend_on_the_blocks(monkeypatch, with_rows):
     # two points share an Im; the trace as one block and one phase table, as

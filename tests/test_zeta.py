@@ -248,8 +248,35 @@ def test_doubling_past_the_rows_leaves_them_at_their_width():
     assert rows.shape == (3, _row_width(100)) == (3, 35)
 
 
-def test_one_wide_phase_table_per_distinct_im(monkeypatch):
-    # one phase-table row per distinct tau
+def test_rows_built_for_scattered_points_match_the_call_without_rows(monkeypatch):
+    # at 0.1 terms per unit t the rows hold N = 100, 35 entries; points 1, 3
+    # and 5 (Im 1e3) double past them to N = 200 and 400 and get rows built
+    # for them among points that take the scan's rows.  At two rows of
+    # N = 200 per block, points 1 and 3 are built together as one group and
+    # point 5 alone
+    points = np.array([0.75, 0.75 + 1e3j, 0.8, 0.8 + 1e3j, 0.7, 0.7 + 1e3j, 0.6 + 0.5j])
+    params = ZetaParams(terms_per_unit_t=0.1)
+    rows = zeta_mod.shift_rows(points, 0.0, params)
+    assert rows.shape == (7, 35)
+    expected = zeta_mod._evaluate(points, [0.0], params)
+    dirichlet_table = zeta_mod._dirichlet_table
+    built = []
+
+    def recording(group, count):
+        built.append((group.tolist(), count))
+        return dirichlet_table(group, count)
+
+    monkeypatch.setattr(zeta_mod, "_dirichlet_table", recording)
+    monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", 2 * _row_width(200))
+    result = zeta_mod._evaluate(points, [0.0], params, rows)
+    assert built[:2] == [([0.75 + 1e3j, 0.8 + 1e3j], 200), ([0.7 + 1e3j], 200)]
+    for a, b in zip(expected, result):
+        assert np.array_equal(a, b)
+
+
+def test_one_phase_row_per_point(monkeypatch):
+    # one phase-table row per point of a Dirichlet table, equal Im or not,
+    # and one per shift
     phase_table = zeta_mod._phase_table
     calls = []
 
@@ -260,21 +287,21 @@ def test_one_wide_phase_table_per_distinct_im(monkeypatch):
     monkeypatch.setattr(zeta_mod, "_phase_table", recording)
     grid = discretize(PointSet((0.6, 0.7, 0.8, 0.6 + 0.1j, 0.7 + 0.1j)), 0.1)
     rows = zeta_mod.shift_rows(grid.points, 50.0)
-    assert len(calls) == 2
+    assert calls == [0.0, 0.0, 0.0, 0.1, 0.1] == grid.points.imag.tolist()
     zeta_mod._evaluate(grid.points, [50.0], DEFAULT_PARAMS, rows)
-    assert len(calls) == 3
-    # without rows the call builds its own: the 2 Im rows, then the t row
+    assert len(calls) == 6
+    # without rows the call builds its own: a row per point, then the t row
     zeta_shifted_grid(grid, 50.0)
-    assert calls[3:] == [0.0, 0.1, 50.0]
+    assert calls[6:] == [0.0, 0.0, 0.0, 0.1, 0.1, 50.0]
 
 
-def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
+def test_wide_rows_build_one_phase_row_per_point(monkeypatch):
     # the rectangle of the scan past the rows cut, at 2 terms per unit t as
     # that scan runs: at T = 1.501e5 its rows hold 2, 3 and the 100 067
     # n <= N = 300 201 coprime to 6, wider than a table, and the cut keeps
-    # 41 of its 49 points.  They share 7 distinct Im, so 7 phase rows are
-    # built, and each row is its point's amplitudes times the phase row of
-    # its Im alone
+    # 41 of its 49 points.  They share 7 distinct Im, yet each point takes
+    # a phase row of its own, one table each, and each row is its point's
+    # amplitudes times the phase row at its own Im
     rect = CantorProduct(np.array([[0.0, 1.0]]), 0.0, 1.0, 0.4, 0.55)
     points = discretize(rect, DEFAULT_GRID_H).points
     taus = np.unique(points.imag)
@@ -289,7 +316,7 @@ def test_wide_rows_build_one_phase_row_per_distinct_im(monkeypatch):
     monkeypatch.setattr(zeta_mod, "_phase_table", recording)
     rows = zeta_mod.shift_rows(points, 1.501e5, ZetaParams(terms_per_unit_t=2.0))
     assert rows.shape == ((1 << 22) // 100_069, 100_069) == (41, _row_width(300_201))
-    assert calls == [[tau] for tau in taus]
+    assert calls == [[tau] for tau in points.imag[:41]]
     ln = zeta_mod._factor_plan(300_201).ln[: _row_width(300_201)]
     assert np.array_equal(ln, np.log(_row_ns(300_201)))
     phases = {tau: phase_table([tau], 300_201)[0] for tau in taus}
