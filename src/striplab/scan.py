@@ -3,8 +3,9 @@
 finite-horizon empirical density of hits.
 
 The trace evaluates the coarse t grid in blocks of shifts, one batched
-zeta._evaluate call per block of at most _BLOCK_PAIRS (point, shift) pairs,
-and takes D per column.  A value depends only on (z, t, params), not on its
+zeta._evaluate call per block of at most _BLOCK_PAIRS (point, shift) pairs
+or one shift, so a grid of more than _BLOCK_PAIRS points (1 024) gets
+one-shift blocks, and takes D per column.  A value depends only on (z, t, params), not on its
 block, so the trace is the same serially, in the process pool and in any
 block width, and D at a trace point equals discrepancy() there.  Bisection
 refines all threshold crossings of a scan in lockstep, one batched call for
@@ -305,9 +306,15 @@ def _warn_if_outside_strip(grid: SampleGrid):
 
 def write_trace_csv(report: ScanReport, path) -> None:
     """CSV trace `t,D`, 17 significant digits, byte-stable across reruns."""
-    # one % over the flat (t, D) Python floats: the bytes of f"{t:.17g}"
-    # row by row, in about 2/3 of the time (10-15 against 19 ms for the
-    # 10 001 rows of scan500 on a 2-core x86-64 host)
-    flat = np.column_stack((report.ts, report.ds)).ravel().tolist()
+    # one % per chunk of 2^14 rows over its flat (t, D) Python floats: the
+    # bytes of f"{t:.17g}" row by row, in about 2/3 of the time (10-15
+    # against 19 ms for the 10 001 rows of scan500, one chunk, on a 2-core
+    # x86-64 host), with the format string and floats of one chunk alive
+    # at a time
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,D\n" + "%.17g,%.17g\n" * len(report.ts) % tuple(flat))
+        fh.write("t,D\n")
+        step = 1 << 14
+        for lo in range(0, len(report.ts), step):
+            cut = slice(lo, lo + step)
+            flat = np.column_stack((report.ts[cut], report.ds[cut])).ravel().tolist()
+            fh.write("%.17g,%.17g\n" * (len(flat) // 2) % tuple(flat))

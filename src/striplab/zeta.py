@@ -37,15 +37,16 @@ P x B values and estimates.  A term is n^(-z_j) * exp(-i t_b ln n), for n
 on t: a scan keeps them for its horizon (shift_rows) for as many of its
 first points as fit, and a call builds every row it was not given, or was
 given too narrow.  The phases exp(-i t_b ln n) form one 2-D table, one row
-per shift, and the product passes along n fill all rows at once.  A pair's
-sums over the segments between its cutoffs floor((N - 1) / d) are pairwise
-reductions over its own terms, weighted by running sums of its d^-s and
-reduced once more; the cutoffs, weights, tail and estimate are vectorised
-over the pairs, so a value depends only on (z, t, params), never on the
-block or on where its rows came from.  A table holds at most
-_BLOCK_ENTRIES entries (2^13, 128 kB of complex values, the n up to about
-24 500); a larger block is cut into tables of that size, and a pair with
-more terms has a table of its own.
+per shift, and the product passes along n fill all rows at once.  The
+partial sums take two passes: the first writes each pair's sums over the
+segments between its cutoffs floor((N - 1) / d), pairwise reductions over
+its own terms, table by table; the second weights them by running sums of
+the pair's d^-s and reduces them once more, vectorised over the call's
+pairs like the cutoffs, tail and estimate, so a value depends only on (z,
+t, params), never on the block or on where its rows came from.  A table
+holds at most _BLOCK_ENTRIES entries (2^13, 128 kB of complex values, the
+n up to about 24 500), and a pair with more terms has a table of its own;
+a call of more than _WEIGHT_ENTRIES cutoffs is split into runs of pairs.
 """
 
 from __future__ import annotations
@@ -153,6 +154,14 @@ _SCAN_ENTRIES = 1 << 22
 # (0.060) at 39.3 MB and 2^14 0.077 s (0.071) at 40.1 MB; scaled, 2^13 was
 # the fastest in every one of the 10 rounds
 _BLOCK_ENTRIES = 1 << 13
+
+# the most cutoffs (pairs times the d <= N of the longest, plus 2) of one
+# weighting pass, 16 bytes each in its sums and its weights.  On the scan500
+# benchmark job (2 cores, x86-64; median scaled job time over 6 alternating
+# 6 s runs) 2^14 took 0.070 s at 39.5 MB peak RSS, 2^15 0.070 s at 39.9 MB
+# and 2^16 0.069 s at 39.9 MB; 49 points at 600 shifts near t = 4e4 peaked
+# at 6.4, 7.2 and 8.7 MB traced, and at 122 MB in one pass
+_WEIGHT_ENTRIES = 1 << 16
 
 
 def _row_ns(width: int) -> np.ndarray:
@@ -485,65 +494,52 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
     N^-s = d_N^-s a_{m_N} with d_N the 3-smooth part of N.  The entries
     between two of a pair's sorted cutoffs (its _cutoffs segments) lie below
     the cutoffs of the d up to some d', so the partial sum is the sum over
-    its segments of their pairwise reduction (one np.add.reduceat over the
-    pairs of an array of terms) times the sum of d^-s over d <= d', one
-    pairwise reduction again; d^-s is a running product of 2^-s and 3^-s.
+    its segments of their pairwise reduction times the sum of d^-s over d <=
+    d', one pairwise reduction again; d^-s is a running product of 2^-s and
+    3^-s.
 
-    The pairs of a shift share a phase row.  _blocks cuts the rows into
-    phase tables by the call's longest pair, each table as wide as its own
-    longest pair, and the pairs of each table again by that width, so that
-    no table and no array of terms holds more than _BLOCK_ENTRIES entries;
-    a table of t = 0 alone is all ones and is not built.  Runs of pair
-    blocks share the cutoffs of their distinct N and the weights of their
-    pairs, vectorised over the pairs, as many as hold at most _BLOCK_ENTRIES
-    cutoffs.  Each reduction covers one pair's own terms or segments, and a
-    running sum or product only its own earlier ones, so its value does not
-    depend on the other pairs."""
+    A call of more than _WEIGHT_ENTRIES cutoffs is split into runs of
+    consecutive pairs, one call each.  A call's first pass writes every
+    pair's segment sums (one np.add.reduceat over the pairs of an array of
+    terms), its own term a_{m_N} and its Euler factors, by phase tables that
+    _blocks cuts by the call's longest pair, each as wide as its own longest
+    pair, and by blocks of each table's pairs cut again by that width, so
+    that no table and no array of terms holds more than _BLOCK_ENTRIES
+    entries; a table of t = 0 alone is all ones and is not built.  Its
+    second pass weights the segment sums of all the pairs at once.  Each
+    reduction covers one pair's own terms or segments, and a running sum or
+    product only its own earlier ones, so its value does not depend on the
+    other pairs."""
+    # the d <= N of the call's longest pair
+    smooth = int(np.searchsorted(_SMOOTH, counts.max(), side="right"))
+    step = _WEIGHT_ENTRIES // (smooth + 2)
+    if len(counts) > step:
+        runs = [slice(a, a + step) for a in range(0, len(counts), step)]
+        parts = [_partial_sums(table, f_idx[r], shift[r], ts, counts[r]) for r in runs]
+        return tuple(map(np.concatenate, zip(*parts)))
     head = np.concatenate(([True], shift[1:] != shift[:-1]))
     row = head.cumsum() - 1
     taus = ts[shift[head]]
     starts = np.append(np.flatnonzero(head), len(counts)).tolist()
     widths = _row_width(counts).tolist()
-    # each shift's longest pair and whether it is nonzero, once per call: a
-    # table takes the longest of its shifts' and is all ones when none is
+    # each shift's longest pair and whether it is nonzero: a table takes the
+    # longest of its shifts' and is all ones when none is
     tops = np.maximum.reduceat(counts, starts[:-1]).tolist()
     moving = (taus != 0).tolist()
-    # the d <= N of the call's longest pair
-    smooth = int(np.searchsorted(_SMOOTH, counts.max(), side="right"))
-    twos, threes = _SMOOTH_2[:smooth], _SMOOTH_3[:smooth]
-    partial = np.empty(len(counts), dtype=complex)
-    last = np.empty(len(counts), dtype=complex)
-    # every table's pair blocks, which hold at most _BLOCK_ENTRIES cutoffs
-    # too, with the table's shifts [lo, hi) and longest pair; runs of them
-    # that hold at most _BLOCK_ENTRIES cutoffs share their bookkeeping
-    runs, size = [[]], 0
+    # the bookkeeping of each run of equal N, and each pair's run
+    fresh = np.concatenate(([True], counts[1:] != counts[:-1]))
+    bounds, nonempty, own, place = _cutoffs(counts[fresh], smooth)
+    of = fresh.cumsum() - 1
+    # the sum of each pair's segments, one row per pair, one column per d:
+    # the segment that ends at the cutoff of d
+    sums = np.zeros((len(counts), smooth), dtype=complex)
+    at_own = np.empty(len(counts), dtype=complex)
+    euler = np.empty((len(counts), 2), dtype=complex)
     for lo, hi in _blocks(len(taus), max(widths)):
         top = max(tops[lo:hi])
+        phase = _phase_table(taus[lo:hi], top) if any(moving[lo:hi]) else None
         for a, b in _blocks(starts[hi] - starts[lo], max(_row_width(top), smooth + 2)):
-            size += (b - a) * (smooth + 2)
-            if size > _BLOCK_ENTRIES and runs[-1]:
-                runs.append([])
-                size = (b - a) * (smooth + 2)
-            runs[-1].append((lo, hi, top, a + starts[lo], b + starts[lo]))
-    built = None
-    for run in runs:
-        first, end = run[0][3], run[-1][4]
-        # the bookkeeping of each run of equal N, and each pair's run
-        n = counts[first:end]
-        fresh = np.concatenate(([True], n[1:] != n[:-1]))
-        bounds, nonempty, own, place = _cutoffs(n[fresh], smooth)
-        of = fresh.cumsum() - 1
-        # the sum of each pair's segments, one row per pair, one column per
-        # d: the segment that ends at the cutoff of d
-        sums = np.zeros((end - first, smooth), dtype=complex)
-        at_own = np.empty(end - first, dtype=complex)
-        euler = np.empty((end - first, 2), dtype=complex)
-        for lo, hi, top, a, b in run:
-            if built != lo:
-                phase = _phase_table(taus[lo:hi], top) if any(moving[lo:hi]) else None
-                built = lo
-            # the pairs' places in the run
-            u, v = a - first, b - first
+            a, b = a + starts[lo], b + starts[lo]
             m = max(widths[a:b])
             if b - a == 1:
                 # one pair: its row as a view, not as the copy an index array
@@ -552,12 +548,12 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
                 # over 14 interleaved 5 s runs, less in all 14), and its
                 # segments end at its last cutoff; the same reductions
                 # either way
-                f, n = int(f_idx[a]), of[u]
+                f, n = int(f_idx[a]), of[a]
                 terms = table[f, :m] if phase is None else table[f, :m] * phase[int(row[a]) - lo, :m]
                 used = nonempty[n]
-                sums[u, ::-1][used] = np.add.reduceat(terms[: bounds[n, -1]], bounds[n, 1:-1][used])
-                at_own[u] = terms[own[n]]
-                euler[u] = terms[:2]
+                sums[a, ::-1][used] = np.add.reduceat(terms[: bounds[n, -1]], bounds[n, 1:-1][used])
+                at_own[a] = terms[own[n]]
+                euler[a] = terms[:2]
                 continue
             terms = table[f_idx[a:b], :m]
             if phase is not None:
@@ -565,30 +561,30 @@ def _partial_sums(table, f_idx: np.ndarray, shift: np.ndarray, ts: np.ndarray, c
             # each row's Euler factors and segments, then one from its last
             # cutoff to the row's end that closes them; the sums of the
             # first and the last are not used
-            n = of[u:v]
+            n = of[a:b]
             edges = bounds[n] + m * np.arange(b - a)[:, None]
-            used = np.concatenate((np.ones_like(nonempty[:, :1]), nonempty, bounds[:, -1:] < m), axis=1)[n]
+            used = np.concatenate((np.ones((b - a, 1), dtype=bool), nonempty[n], bounds[n, -1:] < m), axis=1)
             block = np.zeros(used.shape, dtype=complex)
             block[used] = np.add.reduceat(terms.reshape(-1), edges[used])
-            sums[u:v] = block[:, -2:0:-1]
-            at_own[u:v] = terms[np.arange(b - a), own[n]]
-            euler[u:v] = terms[:, :2]
-        # numpy's complex products are not commutative to the bit; an
-        # operator may swap its operands to reuse a large temporary, and an
-        # in-place product of one element rounds apart, so the products
-        # below name their order and write to new arrays or to arrays of
-        # more than one element.  d^-s, one row per d, one column per pair
-        weights = _powers(euler[:, 0], twos.max())[twos]
-        np.multiply(weights, _powers(euler[:, 1], threes.max())[threes], out=weights)
-        last[first:end] = np.multiply(weights[place[of], np.arange(end - first)], at_own)
-        # the segment at d lies below the cutoffs of every d' <= d: its
-        # weight is the running sum of d'^-s, and each pair's partial sum is
-        # one pairwise reduction over its own segments
-        np.multiply(sums, _running_sums(weights).T, out=sums)
-        inside = nonempty[:, ::-1][of]
-        held = nonempty.sum(axis=1)[of]
-        partial[first:end] = np.add.reduceat(sums[inside], np.cumsum(held) - held)
-    return partial, last
+            sums[a:b] = block[:, -2:0:-1]
+            at_own[a:b] = terms[np.arange(b - a), own[n]]
+            euler[a:b] = terms[:, :2]
+    # numpy's complex products are not commutative to the bit; an operator
+    # may swap its operands to reuse a large temporary, and an in-place
+    # product of one element rounds apart, so the products below name their
+    # order and write to new arrays or to arrays of more than one element.
+    # d^-s, one row per d, one column per pair
+    twos, threes = _SMOOTH_2[:smooth], _SMOOTH_3[:smooth]
+    weights = _powers(euler[:, 0], twos.max())[twos]
+    np.multiply(weights, _powers(euler[:, 1], threes.max())[threes], out=weights)
+    last = np.multiply(weights[place[of], np.arange(len(counts))], at_own)
+    # the segment at d lies below the cutoffs of every d' <= d: its weight is
+    # the running sum of d'^-s, and each pair's partial sum is one pairwise
+    # reduction over its own segments
+    np.multiply(sums, _running_sums(weights).T, out=sums)
+    inside = nonempty[:, ::-1][of]
+    held = nonempty.sum(axis=1)[of]
+    return np.add.reduceat(sums[inside], np.cumsum(held) - held), last
 
 
 def _dirichlet_table(points: np.ndarray, count: int) -> np.ndarray:

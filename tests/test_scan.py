@@ -417,6 +417,20 @@ def test_trace_csv_bytes_equal_the_row_by_row_format(tmp_path):
     ]
 
 
+def test_trace_csv_bytes_across_chunks(tmp_path):
+    # a trace is written in chunks of 2^14 rows: 40 000 rows span three,
+    # the last one short, and the bytes are those of the f-string lines
+    rng = np.random.default_rng(7)
+    ts = np.cumsum(rng.uniform(0.0, 0.1, 40_000))
+    ds = rng.lognormal(0.0, 3.0, 40_000)
+    rep = scan_density(POINT, 1.0, ScanConfig(T=10.0, step=1.0, eps=0.5))
+    rep = dataclasses.replace(rep, ts=ts, ds=ds)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(rep, path)
+    rows = [f"{t:.17g},{d:.17g}" for t, d in zip(ts.tolist(), ds.tolist())]
+    assert path.read_bytes() == ("\n".join(["t,D", *rows]) + "\n").encode("ascii")
+
+
 # ---------------------------------------------------------------- line mode
 
 

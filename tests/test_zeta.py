@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -344,6 +345,57 @@ def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
     for result in results[1:]:
         for a, b in zip(results[0], result):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_values_do_not_depend_on_the_weighting_runs(monkeypatch, with_rows):
+    # at 0.1 terms per unit t N runs from 20 to 101 across the 125 pairs of
+    # one call; 110 of them double to N <= 202, most past the rows of
+    # T = 1e3, and 51 again, to N <= 404.  With the weighting bound at 64
+    # cutoffs every call of more than two pairs is split into runs of one
+    # or two, and the values, estimates and exhausted flags are those of
+    # one weighting pass per call
+    params = ZetaParams(terms_per_unit_t=0.1)
+    points = np.array([0.6 + 0.1j, 0.8 + 0.1j, 0.7 + 3.0j, 0.75, 0.9 - 2.0j])
+    shifts = np.concatenate((np.linspace(0.0, 990.0, 23), [1e3, 1e3]))
+    rows = zeta_mod.shift_rows(points, 1e3, params) if with_rows else None
+    partial_sums = zeta_mod._partial_sums
+    results, runs = [], []
+
+    def recording(table, f_idx, shift, ts, counts):
+        runs[-1].append((len(counts), int(counts.max())))
+        return partial_sums(table, f_idx, shift, ts, counts)
+
+    monkeypatch.setattr(zeta_mod, "_partial_sums", recording)
+    for bound in (1 << 30, zeta_mod._WEIGHT_ENTRIES, 64):
+        monkeypatch.setattr(zeta_mod, "_WEIGHT_ENTRIES", bound)
+        runs.append([])
+        results.append(zeta_mod._evaluate(points, shifts, params, rows))
+    assert runs[0] == runs[1] and sum(k for k, _ in runs[0]) == 125 + 110 + 51
+    assert max(n for _, n in runs[0]) == 404
+    assert sum(k for k, _ in runs[2] if k <= 2) == 125 + 110 + 51
+    for result in results[1:]:
+        for a, b in zip(results[0], result):
+            assert np.array_equal(a, b)
+
+
+def test_weighting_pass_memory_is_bounded():
+    # the 49-point rectangle at 600 shifts near t = 4e4 with its scan rows,
+    # 49 x 6 719 entries (5.3 MB): one weighting pass over all 29 400 pairs
+    # would hold about 120 MB of segment sums and weights, and the runs of
+    # _WEIGHT_ENTRIES cutoffs keep the call near 9 MB
+    rect = CantorProduct(np.array([[0.0, 1.0]]), 0.0, 1.0, 0.4, 0.55)
+    points = discretize(rect, DEFAULT_GRID_H).points
+    ts = 4e4 + 0.5 * np.arange(600)
+    rows = zeta_mod.shift_rows(points, ts[-1])
+    assert rows.shape == (49, 6_719)
+    tracemalloc.start()
+    try:
+        zeta_mod._evaluate(points, ts, DEFAULT_PARAMS, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows.nbytes
 
 
 def test_shift_rows_keep_the_first_points_that_fit():
