@@ -10,8 +10,9 @@ iteratively reweighted (Lawson) fit then solves its small Gram system
 G = Q^H W Q in that basis, one BLAS-3 product and two (degree+1)-size
 solves, with one corrected semi-normal step (Bjorck, Linear Algebra Appl.
 88/89, 1987).  ``approximate`` fits in the centred, scaled variable
-(z - c) / rho of the set's frame, in which the set lies in the unit disk;
-the sample grid stays in world units.  When the frame points lie on the
+(z - c) / rho of the set's frame, whose disk |z - c| <= rho holds the set
+and is where a ``FitResult`` states its between-samples slack; the sample
+grid stays in world units.  When the frame points lie on the
 real or the imaginary axis (a horizontal or vertical segment, a collinear
 point set, one row of a Cantor product), they are u * y with y real and
 u = 1 or i, by the one axis rule that ``polynomial.evaluate`` follows too
@@ -30,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,13 +56,30 @@ _GRID_CAP = 20_000
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit: its sup error on a grid of covering radius h, and the slack
+    L_P * h between samples, L_P a bound for |p'| on the frame disk
+    |z - center| <= scale, which ``set_frame`` makes hold the set."""
+
     polynomial: Polynomial
     sup_error_on_samples: float
     degree_used: int
     iterations: int
-    # covering radius h of the grid the sup error was measured on; together
-    # with a derivative bound L_P it states the between-samples slack L_P * h
     grid_covering_radius: float = float("nan")
+
+    @property
+    def derivative_bound_LP(self) -> float:
+        return derivative_bound(self.polynomial, self.polynomial.scale, self.polynomial.center)
+
+    @property
+    def between_samples_slack(self) -> float:
+        return self.grid_covering_radius * self.derivative_bound_LP
+
+    def to_spec(self) -> dict:
+        spec = {field.name: getattr(self, field.name) for field in fields(self)}
+        spec["polynomial"] = self.polynomial.to_spec()  # keeps its first place
+        spec["derivative_bound_LP"] = self.derivative_bound_LP
+        spec["between_samples_slack"] = self.between_samples_slack
+        return spec
 
 
 def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int, held=None):
@@ -332,7 +350,7 @@ def approximate(
     # one re-fit if the fitted polynomial's derivative bound invalidates the
     # grid choice; skipped when no feasible density could restore the slack
     # (the certificate then reports the oversized L_P * h honestly)
-    lp = derivative_bound(fit.polynomial, scale, center)
+    lp = fit.derivative_bound_LP
     if grid.covering_radius * lp > budget:
         h1 = budget / (10.0 * lp)
         if h0 / 64.0 <= h1 < grid.covering_radius:

@@ -21,7 +21,7 @@ import time
 from . import __version__
 from . import geometry, scan as scan_mod, zeta as zeta_mod
 from .errors import BudgetInfeasible, BudgetNotMet, InvalidSpec, StriplabError
-from .polynomial import evaluate_factored, derivative_bound
+from .polynomial import evaluate_factored
 from .repair import approximate_nonvanishing
 from .targets import TargetFunction
 
@@ -62,7 +62,7 @@ def _load_target(arg: str):
     )
 
 
-def _record(args, config: dict, digests: dict, body, K=None) -> int:
+def _record(args, config: dict, digests: dict, body) -> int:
     """Run body() -> (payload, exit code) and write the command's one record
     to its output path (stdout when none is given): a fit that misses its
     budget becomes exit 2 with the best attempt as "fit", a repair that
@@ -71,7 +71,7 @@ def _record(args, config: dict, digests: dict, body, K=None) -> int:
     try:
         payload, code = body()
     except BudgetNotMet as exc:
-        payload, code = {"error": f"budget not met: {exc}", "fit": _fit_payload(exc.best, K)}, 2
+        payload, code = {"error": f"budget not met: {exc}", "fit": exc.best.to_spec()}, 2
     except BudgetInfeasible as exc:
         payload = {"error": f"repair budget infeasible: {exc}", "required_delta": exc.required_delta}
         code = 2
@@ -106,21 +106,9 @@ def _add_zeta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bernoulli-terms", type=int, default=defaults.bernoulli_terms)
 
 
-def _fit_payload(fit, K) -> dict:
-    # the certificate statement: sup error over a grid of covering radius h,
-    # plus the rigorous between-samples slack L_P * h from the derivative
-    # bound on the smallest disk about the fit's frame centre holding K
-    center = fit.polynomial.center
-    lp = derivative_bound(fit.polynomial, geometry.bounding_radius(K, center), center)
-    return {
-        "polynomial": fit.polynomial.to_spec(),
-        "sup_error_on_samples": fit.sup_error_on_samples,
-        "degree_used": fit.degree_used,
-        "iterations": fit.iterations,
-        "grid_covering_radius": fit.grid_covering_radius,
-        "derivative_bound_LP": lp,
-        "between_samples_slack": fit.grid_covering_radius * lp,
-    }
+def _certified_blocks(fp, fit, cert) -> dict:
+    """An approximate_nonvanishing result as the record states it."""
+    return {"fit": fit.to_spec(), "factored_polynomial": fp.to_spec(), "certificate": cert.to_spec()}
 
 
 def cmd_approx(args) -> int:
@@ -136,13 +124,11 @@ def cmd_approx(args) -> int:
     def body():
         fp, fit, cert = approximate_nonvanishing(K, target_spec, args.eps, args.max_degree)
         return {
-            "fit": _fit_payload(fit, K),
-            "factored_polynomial": fp.to_spec(),
-            "certificate": cert.to_spec(),
+            **_certified_blocks(fp, fit, cert),
             "certified_total_error": fit.sup_error_on_samples + cert.perturbation_bound_value,
         }, 0
 
-    return _record(args, config, {"set": set_digest, "target": target_digest}, body, K)
+    return _record(args, config, {"set": set_digest, "target": target_digest}, body)
 
 
 def cmd_scan(args) -> int:
@@ -171,12 +157,7 @@ def cmd_scan(args) -> int:
             surrogate = TargetFunction(evaluate_factored(fp, grid.points))
             half = dataclasses.replace(config, eps=args.eps / 2.0)
             report = scan_mod.scan_on_grid(grid, surrogate, half, params)
-            payload["via_polynomial"] = {
-                "fit": _fit_payload(fit, K),
-                "factored_polynomial": fp.to_spec(),
-                "certificate": cert.to_spec(),
-                "scan_eps": args.eps / 2.0,
-            }
+            payload["via_polynomial"] = {**_certified_blocks(fp, fit, cert), "scan_eps": args.eps / 2.0}
         else:
             report = scan_mod.scan_density(K, target_spec, config, params, grid_h=args.grid_h)
         if args.out_csv:
@@ -187,7 +168,7 @@ def cmd_scan(args) -> int:
         payload["error"] = "no hit intervals below eps in the scanned range"
         return payload, 3
 
-    return _record(args, config_echo, {"set": set_digest, "target": target_digest}, body, K)
+    return _record(args, config_echo, {"set": set_digest, "target": target_digest}, body)
 
 
 def cmd_zeta(args) -> int:

@@ -222,7 +222,7 @@ def fat_cantor(depth: int) -> np.ndarray:
 def fiber_edges(cp: CantorProduct) -> CantorProduct:
     """Empty-interior skeleton of a product: the vertical edge segments of
     every rectangle, as a degenerate-interval product."""
-    edges = np.sort(cp.intervals.ravel())
+    edges = np.unique(cp.intervals)
     return CantorProduct(
         intervals=np.column_stack([edges, edges]),
         y_lo=cp.y_lo,
@@ -405,7 +405,7 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
         height = y_hi - y_lo
         # lattice cell half-diagonal <= h_target
         cell = h_target * math.sqrt(2.0)
-        ny = _intervals(height, cell) if height > 0 else 1
+        ny = _intervals(height, cell)
         # the widest interval alone at cap intervals is past the cap; stopping
         # there keeps every count within the integer cast below
         if _intervals(float(np.max(widths)), cell) >= cap:
@@ -417,11 +417,11 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
         count = int(np.sum(columns)) * rows
         if count > cap:
             raise BudgetExceeded(f"cantor_product discretization needs {count} > {cap} samples")
-        ys = np.linspace(y_lo, y_hi, ny + 1) if height > 0 else np.array([y_lo])
+        ys = np.linspace(y_lo, y_hi, rows)
         chunks = []
         radius = 0.0
-        for lo, hi, n in zip(x_lo, x_hi, nx):
-            xs = np.linspace(lo, hi, n + 1) if hi > lo else np.array([lo])
+        for lo, hi, n, m in zip(x_lo, x_hi, nx, columns):
+            xs = np.linspace(lo, hi, m)
             dx = (hi - lo) / n
             dy = height / ny
             radius = max(radius, math.hypot(dx, dy) / 2.0)

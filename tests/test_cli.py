@@ -10,6 +10,8 @@ from striplab import (
     PointSet,
     Polyline,
     Polynomial,
+    approximate_nonvanishing,
+    derivative_bound,
     discretize,
     from_roots,
     lawson_refine,
@@ -19,7 +21,7 @@ from striplab import (
 )
 from striplab.approximation import _weighted_basis
 from striplab.cli import main
-from striplab.errors import InvalidSpec
+from striplab.errors import BudgetNotMet, InvalidSpec
 from striplab.geometry import bounding_box, bounding_radius, build_set, distance, to_spec
 from striplab.repair import RepairCertificate, original_roots
 from striplab.scan import ScanConfig, discrepancy, scan_on_grid
@@ -494,6 +496,44 @@ def test_approx_output_matches_library_call(tmp_path, segment_set):
     assert payload["fit"]["sup_error_on_samples"] == fit.sup_error_on_samples
     assert payload["certificate"]["perturbation_bound_value"] == cert.perturbation_bound_value
     assert payload["factored_polynomial"]["roots"] == [[r.real, r.imag] for r in fp.roots]
+
+
+_SEGMENT = {"variant": "segment", "a": [-0.1, 0.0], "b": [0.1, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "set_spec, target, eps, max_degree, exit_code",
+    [
+        (_SEGMENT, "identity", 0.1, 60, 0),
+        ({"variant": "arc", "center": [0.75, 0.0], "radius": 0.1,
+          "angle_start": 0.0, "angle_end": 1.5 * math.pi}, "conj", 1e-2, 60, 0),
+        ({"variant": "points", "points": [[0.75, 0.0]]}, "identity", 0.1, 60, 0),
+        (_SEGMENT, "abs", 1e-15, 4, 2),
+    ],
+    ids=["segment", "criterion-1 arc", "one point", "budget not met"],
+)
+def test_approx_fit_block_is_the_fit_spec(tmp_path, set_spec, target, eps, max_degree, exit_code):
+    # the record's fit block is FitResult.to_spec(); its L_P is stated on the
+    # frame disk, which is the least disk about the frame centre holding the
+    # set, so it equals the bound on that disk recomputed from the set (a
+    # point's frame disk has radius 1, but its fit is a constant, L_P = 0)
+    out = tmp_path / "out.json"
+    code = main(["approx", "--set", write_json(tmp_path / "set.json", set_spec), "--target", target,
+                 "--eps", str(eps), "--max-degree", str(max_degree), "--out", str(out)])
+    assert code == exit_code
+
+    K = build_set(set_spec)
+    target_spec = {"kind": "builtin", "name": target}
+    if exit_code == 2:
+        with pytest.raises(BudgetNotMet) as caught:
+            approximate_nonvanishing(K, target_spec, eps, max_degree)
+        fit = caught.value.best
+    else:
+        _, fit, _ = approximate_nonvanishing(K, target_spec, eps, max_degree)
+    assert read_json(out)["fit"] == json.loads(json.dumps(fit.to_spec()))
+    p = fit.polynomial
+    assert fit.derivative_bound_LP == derivative_bound(p, bounding_radius(K, p.center), p.center)
+    assert fit.between_samples_slack == fit.grid_covering_radius * fit.derivative_bound_LP
 
 
 def test_cantor_emits_product_set(tmp_path):

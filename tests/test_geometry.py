@@ -368,6 +368,17 @@ def test_fiber_edges_have_empty_interior():
     assert distance(edges, complex(mid, 0.5)) > 0.0
 
 
+def test_fiber_edges_of_degenerate_intervals():
+    # a degenerate interval is its own edge: the skeleton of a skeleton is
+    # itself, and a product mixing the two kinds keeps each edge once
+    edges = fiber_edges(CantorProduct(fat_cantor(2), 0.0, 0.3, 0.4, 0.55 + 0.1j))
+    again = fiber_edges(edges)
+    assert np.array_equal(again.intervals, edges.intervals)
+    assert (again.y_lo, again.y_hi, again.scale, again.offset) == (0.0, 0.3, 0.4, 0.55 + 0.1j)
+    mixed = fiber_edges(CantorProduct([[0.0, 0.0], [0.5, 1.0]], 0.0, 0.3))
+    assert mixed.intervals.tolist() == [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
+
+
 # ---------------------------------------------------------------- radius
 
 
