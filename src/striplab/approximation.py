@@ -23,14 +23,22 @@ right-hand sides, and so does the recomputation of each iterate's residuals
 complex Horner loop.  The returned polynomial is always coefficient form in
 its frame variable after basis back-substitution, and its reported sup
 error is recomputed from those coefficients, so conversion loss is
-measured, never hidden.
+measured, never hidden.  ``approximate`` and ``lawson_refine`` run numpy's
+OpenBLAS on one thread for the length of the call and then give the caller
+back its own thread count (``_one_blas_thread``), so a fit costs one core
+and returns the same bits whatever count the caller runs.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
 import math
 import operator
+import os
+import sys
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,6 +60,97 @@ _LAWSON_ITERS = 10
 _LOWER_BOUND_MARGIN = 1e-6
 # most samples ``approximate`` puts on a set
 _GRID_CAP = 20_000
+
+# (get, set) thread-count symbol pairs of OpenBLAS builds, in the order they
+# are looked for: numpy's wheels bundle the 64-bit-integer scipy-openblas
+# build, scipy's the 32-bit one, and a system OpenBLAS has the plain names
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_paths() -> list[str]:
+    """Paths of the OpenBLAS libraries that may be loaded in this process:
+    on Linux every one mapped into it, elsewhere numpy's bundled copies."""
+    if sys.platform.startswith("linux"):
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                rows = [line.split(maxsplit=5) for line in fh]
+        except OSError:
+            return []
+        paths = [row[5].rstrip("\n") for row in rows if len(row) == 6]
+    else:
+        root = os.path.dirname(np.__file__)
+        dirs = [os.path.join(os.path.dirname(root), "numpy.libs"), os.path.join(root, ".dylibs")]
+        paths = [os.path.join(d, name) for d in dirs if os.path.isdir(d) for name in sorted(os.listdir(d))]
+    # the whole path, for a system BLAS such as .../openblas-pthread/libblas.so.3
+    return [p for p in dict.fromkeys(paths) if "openblas" in p.lower()]
+
+
+def _openblas_thread_calls() -> tuple:
+    """(get, set) for the thread count of the OpenBLAS that numpy has
+    loaded, or () when none is found (numpy on Accelerate or MKL).  Each
+    library is opened with RTLD_NOLOAD, so one that is not loaded already
+    stays unloaded and no second copy is ever made."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return ()
+    libs = []
+    for path in _openblas_paths():
+        try:
+            libs.append(ctypes.CDLL(path, mode=noload))
+        except OSError:
+            continue
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        for lib in libs:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return ()
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Runs what it wraps with OpenBLAS on one thread.
+
+    A fit's products are small (20 000 x 61 at most under the default degree
+    cap): a second OpenBLAS thread saves them no wall time, doubles their CPU
+    time, slows them several times over when another process holds a core,
+    and moves their last bits (a fit's sup error by up to rel 1.7e-8).  The thread count is process-wide, so one
+    lock and one depth count cover every Python thread: the outermost entry
+    saves the caller's count and sets 1, the last exit restores it, also when
+    the call raises.  The library is looked up on the first entry, not at
+    import; where none is found the context does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+        self._calls = None  # (get, set) once looked up, () if none was found
+
+    def __enter__(self):
+        with self._lock:
+            if self._calls is None:
+                self._calls = _openblas_thread_calls()
+            if self._calls and self._depth == 0:
+                get, set_ = self._calls
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._calls and self._depth == 0:
+                self._calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 @dataclass(frozen=True)
@@ -208,6 +307,7 @@ def _validate_fit_args(
     return degree, max_iters
 
 
+@_one_blas_thread
 def lawson_refine(
     grid: SampleGrid,
     target: TargetFunction,
@@ -301,6 +401,7 @@ def lawson_refine(
     return FitResult(best_poly, best_sup, degree, iterations, grid.covering_radius)
 
 
+@_one_blas_thread
 def approximate(
     K: CompactSet,
     target_spec,

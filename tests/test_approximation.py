@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -693,3 +698,195 @@ def test_target_resolution_errors():
         resolve_target(object(), g)
     with pytest.raises(InvalidSpec):
         TargetFunction((float("nan") + 0j,))
+
+
+# ---------------------------------------------------------------- one BLAS thread
+
+
+def _blas_thread_calls():
+    """(get, set) for numpy's OpenBLAS thread count, as the fits find them.
+    Skips where numpy has no OpenBLAS; fails where numpy names OpenBLAS but
+    no thread-count symbol is found, so a renamed symbol cannot switch the
+    one-thread scope off unseen."""
+    calls = approximation._openblas_thread_calls()
+    if not calls:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert "openblas" not in str(blas.get("name")).lower(), f"no thread-count symbols in {blas}"
+        pytest.skip(f"numpy's BLAS is {blas.get('name')}, not OpenBLAS")
+    return calls
+
+
+@pytest.fixture
+def two_blas_threads():
+    """get() of the BLAS thread count, which the test starts at 2; the
+    count from before the test is put back after it."""
+    get, set_ = _blas_thread_calls()
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+def _abs_reading(get, seen):
+    # a callable target that records the BLAS thread count it runs under
+    def target(z):
+        seen.append(get())
+        return abs(z)
+
+    return target
+
+
+def test_a_fit_runs_on_one_blas_thread_and_gives_the_count_back(monkeypatch, two_blas_threads):
+    # approximate resolves the target, every degree attempt's lawson_refine
+    # evaluates its iterates, and approximate reads the fit's L_P once the
+    # last attempt has returned: all on one thread.  lawson_refine called
+    # alone runs on one thread too
+    get = two_blas_threads
+    seen = {"target": [], "evaluate": [], "derivative_bound": []}
+
+    def spy(name):
+        fn = getattr(approximation, name)
+
+        def wrapped(*args, **kwargs):
+            seen[name].append(get())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(approximation, name, wrapped)
+
+    spy("evaluate")
+    spy("derivative_bound")
+    fit = approximate(Segment(-0.5, 0.5), _abs_reading(get, seen["target"]), 1e-2)
+    assert fit.degree_used > 1 and all(seen.values())
+    assert set().union(*seen.values()) == {1}
+    assert get() == 2
+    seen["evaluate"].clear()
+    lawson_refine(segment_grid(20), TargetFunction(np.ones(20)), 3)
+    assert seen["evaluate"] and set(seen["evaluate"]) == {1}
+    assert get() == 2
+
+
+def test_a_fit_within_a_fit_keeps_one_blas_thread(two_blas_threads):
+    # the inner approximate returns while the outer one is resolving its
+    # target: the outer one's later samples still run on one thread
+    get = two_blas_threads
+    seen = []
+
+    def target(z):
+        if not seen:
+            approximate(Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 1e-1)
+        seen.append(get())
+        return abs(z)
+
+    approximate(Segment(-0.5, 0.5), target, 1e-1)
+    assert set(seen) == {1}
+    assert get() == 2
+
+
+def test_the_callers_blas_thread_count_comes_back_when_a_fit_raises(two_blas_threads):
+    get = two_blas_threads
+    seen = []
+    with pytest.raises(BudgetNotMet):
+        approximate(ARC, _abs_reading(get, seen), 1e-6, 2)
+    assert set(seen) == {1}
+    assert get() == 2
+    g = segment_grid(5)
+    with pytest.raises(InvalidSpec):
+        lawson_refine(g, TargetFunction(np.ones(5)), 5)
+    assert get() == 2
+
+
+def test_fits_on_two_python_threads_at_once_share_one_blas_thread(two_blas_threads):
+    # both fits are inside approximate before either goes on; the second one
+    # reads the count again only once the first has returned, which a save
+    # and restore per call would have set back to 2 by then
+    get = two_blas_threads
+    both_in = threading.Barrier(2, timeout=30)
+    first_done = threading.Event()
+    seen = {"first": [], "second": []}
+    errors = []
+
+    def target_of(name):
+        def target(z):
+            if not seen[name]:
+                both_in.wait()
+                if name == "second":
+                    first_done.wait(timeout=30)
+            seen[name].append(get())
+            return abs(z)
+
+        return target
+
+    def run(name):
+        try:
+            approximate(Segment(-0.5, 0.5), target_of(name), 1e-1)
+        except Exception as exc:  # read after the join
+            errors.append(exc)
+        finally:
+            if name == "first":
+                first_done.set()
+
+    workers = [threading.Thread(target=run, args=(name,)) for name in seen]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors
+    assert first_done.is_set() and seen["first"] and seen["second"]
+    assert set(seen["first"]) == set(seen["second"]) == {1}
+    assert get() == 2
+
+
+def _child_env(**overrides):
+    # the environment of a child process that imports this striplab
+    src = os.path.dirname(os.path.dirname(approximation.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in overrides}
+    env.update({k: v for k, v in overrides.items() if v is not None})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_striplab_looks_up_no_blas_library():
+    code = (
+        "import sys, striplab, striplab.cli; from striplab import approximation; "
+        "sys.exit(approximation._one_blas_thread._calls is not None)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=_child_env(), timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "set_spec, target, eps",
+    [
+        ({"variant": "arc", "center": [0.75, 0.0], "radius": 0.1,
+          "angle_start": 0.0, "angle_end": 1.5 * math.pi}, "conj", 1e-2),
+        ({"variant": "segment", "a": [-0.5, 0.0], "b": [0.5, 0.0]}, "abs", 9e-3),
+    ],
+    ids=["criterion-1 arc", "axis segment"],
+)
+def test_fit_records_do_not_depend_on_the_callers_blas_thread_count(tmp_path, set_spec, target, eps):
+    # fits that ran on the caller's OpenBLAS thread count had these two sup
+    # errors move by rel 4.3e-10 and 2.0e-8 between one thread and two
+    _blas_thread_calls()
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps(set_spec), encoding="utf-8")
+    records = []
+    for threads in ("1", "2", None):
+        out = tmp_path / f"threads-{threads}.json"
+        done = subprocess.run(
+            [sys.executable, "-c", "from striplab.cli import entry; entry()", "approx",
+             "--set", str(set_path), "--target", target, "--eps", str(eps), "--out", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        record = json.loads(out.read_text(encoding="utf-8"))
+        del record["manifest"]["wall_time_s"]
+        records.append(json.dumps(record))
+    assert records[1] == records[0]
+    assert records[2] == records[0]
