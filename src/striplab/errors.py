@@ -54,7 +54,10 @@ class BudgetInfeasible(StriplabError):
 
 
 class PrecisionExhausted(StriplabError):
-    """The truncation-error estimate stayed above threshold after N-doubling.
+    """The truncation-error estimate is above threshold, or the value not
+    finite, at the largest N tried: 4 N0, four times the N that the zeta
+    parameters give, which every point whose estimate at N0 and 2 N0 is
+    above threshold is summed at.
 
     ``index`` identifies the offending grid point in batched evaluation,
     if applicable.

@@ -8,21 +8,22 @@ For s != 1 with Re(s) > -1 and N = max(min_terms, ceil(terms_per_unit_t * |Im s|
 The reported error estimate is Edwards' bound on the remainder (Riemann's
 Zeta Function, 1974, sec. 6.4): the magnitude of the first omitted
 correction term times |s + 2K + 1| / (Re s + 2K + 1), which bounds the
-truncation error for Re s > -(2K + 1); N is doubled (at most twice) when
-that estimate exceeds 1e-6.  It leaves rounding out.  The default N =
-|Im s| / 2 (half a term per unit t) with K = 24 leaves truncation far
-below rounding: the first omitted term, |B_50| / 50! * |s(s+1)...(s+48)| *
-N^(-Re s - 49), is about 2.5e-40 (|s| / N)^49 N^(-Re s), so about 1.4e-25
-N^(-Re s) at N = |t| / 2, and the bound reads at most 2.9e-22 in the strip
-1/2 <= Re s <= 1 (near t = 40, where N = |t| / 2 takes over from N = 20)
-and 4.0e-24 at t = 1e6.  Everything is double precision, on every
-platform.  The phases of n^-s = n^(-Re s) * exp(-i Im s ln n) are taken at
-the primes from double-double logs (Dekker 1971) with the argument reduced
-mod 2*pi in the manner of Cody and Waite (1980), to within 2.3e-16 rad;
-since n^-s is completely multiplicative each composite entry is the
-product of two earlier ones.  The estimate makes precision loss visible
-instead of hiding it behind arbitrary-precision arithmetic.  At most
-_MAX_TERMS terms are summed for any point.
+truncation error for Re s > -(2K + 1).  It depends only on s, N and K, so
+each point is summed once, at the first of N, 2N and 4N where it is at most
+1e-6, else at 4N.  It leaves rounding out.  The default N = |Im s| / 2
+(half a term per unit t) with K = 24 leaves truncation far below rounding:
+the first omitted term, |B_50| / 50! * |s(s+1)...(s+48)| * N^(-Re s - 49),
+is about 2.5e-40 (|s| / N)^49 N^(-Re s), so about 1.4e-25 N^(-Re s) at N =
+|t| / 2, and the bound reads at most 2.9e-22 in the strip 1/2 <= Re s <= 1
+(near t = 40, where N = |t| / 2 takes over from N = 20) and 4.0e-24 at t =
+1e6.  Everything is double precision, on every platform.  The phases of
+n^-s = n^(-Re s) * exp(-i Im s ln n) are taken at the primes from
+double-double logs (Dekker 1971) with the argument reduced mod 2*pi in the
+manner of Cody and Waite (1980), to within 2.3e-16 rad; since n^-s is
+completely multiplicative each composite entry is the product of two
+earlier ones.  The estimate makes precision loss visible instead of hiding
+it behind arbitrary-precision arithmetic.  At most _MAX_TERMS terms are
+summed for any point.
 
 Only the n coprime to 6 (1, 5, 7, 11, 13, ...), a third of them, have
 terms of their own.  Every n < N is d m with d = 2^a 3^b and m coprime to
@@ -70,7 +71,7 @@ _MAX_IM = 1e8
 # of log and 4 of buffer position per term coprime to 6, and |Im s| near the
 # 1e8 guard would ask for 1e8 terms at one term per unit t, about 400 MB of
 # those alone.  The default half a term per unit t asks for at most 5e7
-# there, so only explicit parameters (or a doubling of N) reach the cap
+# there, so only explicit parameters (or the 4N of _decide_n) reach the cap
 _MAX_TERMS = 1 << 26
 
 
@@ -425,8 +426,7 @@ def _phase_table(taus, count: int) -> np.ndarray:
 
 
 def _choose_n(tau, params: ZetaParams) -> np.ndarray:
-    # clipped past the term cap, so that the cast cannot overflow;
-    # _factor_plan rejects such a count
+    # clipped past the term cap, so that no cast or 4 N overflows; _factor_plan rejects it
     n = np.minimum(np.ceil(params.terms_per_unit_t * np.abs(tau)), _MAX_TERMS + 1)
     return np.maximum(params.min_terms, n).astype(np.int64)
 
@@ -665,23 +665,20 @@ def _check_range(shifted: np.ndarray) -> None:
     raise InvalidSpec(f"|Im(s)| = {abs(s.imag)} exceeds the precision guard {_MAX_IM:g}")
 
 
-def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndarray, rows):
-    """_partial_sums for the flat pair indices b * len(points) + j: the row
-    of z_j from rows, the shift_rows of the first points, where they hold
-    one wide enough, else built for groups of as many points as the call has
-    shifts (at least one _BLOCK_ENTRIES table, at most _SCAN_ENTRIES
+def _sums(points: np.ndarray, ts: np.ndarray, counts: np.ndarray, rows):
+    """_partial_sums for each pair b * len(points) + j at N = counts[pair]:
+    the row of z_j from rows, the shift_rows of the first points, where they
+    hold one wide enough, else built for groups of as many points as the call
+    has shifts (at least one _BLOCK_ENTRIES table, at most _SCAN_ENTRIES
     entries), times the phase row of t_b."""
-    b, j = np.divmod(pairs, len(points))
-    partial = np.empty(len(pairs), dtype=complex)
-    last = np.empty(len(pairs), dtype=complex)
-    # the term cap is checked, and the plan grown to the longest pair, before
-    # any table is built
-    longest = int(counts.max())
+    b, j = np.divmod(np.arange(len(counts)), len(points))
+    partial, last = np.empty((2, len(counts)), dtype=complex)
+    # the term cap is checked, and the plan grown to the longest pair (or N = 2), before any table is built
+    longest = int(counts.max(initial=2))
     _factor_plan(longest)
     width = _row_width(longest)
     # the pairs run shift by shift, as _partial_sums takes them
-    if rows is None:
-        rows = np.empty((0, 0), dtype=complex)
+    rows = np.empty((0, 0), dtype=complex) if rows is None else rows
     cached = (j < len(rows)) & (_row_width(counts) <= rows.shape[1])
     if cached.any():
         k = np.flatnonzero(cached)
@@ -705,39 +702,45 @@ def _sums(points: np.ndarray, ts: np.ndarray, pairs: np.ndarray, counts: np.ndar
     return partial, last
 
 
+def _edwards_estimate(s: np.ndarray, counts: np.ndarray, params: ZetaParams, screen: bool = False):
+    """Edwards' estimate |q_{K+1}| prod_{j=0}^{2K+1} |s + j| / (Re s + 2K + 1)
+    / N^(Re s + 2K + 1) at the float N = counts, the exp of a sum of logs (inf
+    on overflow, 0 at s = 0); screen bounds each |s + j| by |s| + 2K + 1."""
+    top = 2 * params.bernoulli_terms + 1
+    rate = s.real + top
+    with np.errstate(divide="ignore", over="ignore"):
+        logs = ((top + 1) * np.log(np.abs(s) + top) if screen
+                else np.log(np.abs(s[:, None] + np.arange(top + 1.0))).sum(axis=1))
+        logs += math.log(abs(_em_coefficients(params.bernoulli_terms)[-1])) - np.log(rate)
+        return np.exp(logs - rate * np.log(counts.astype(np.float64)))
+
+
+def _decide_n(shifted: np.ndarray, params: ZetaParams) -> np.ndarray:
+    """Each pair's N: the first of N0, 2 N0 and 4 N0 (_choose_n) whose
+    _edwards_estimate, falling in N, is at most _ERR_THRESHOLD, else 4 N0.
+    The screen, above it by far more than rounding, settles most at N0."""
+    counts = _choose_n(shifted.imag, params)
+    k = np.flatnonzero(_edwards_estimate(shifted, counts, params, screen=True) > _ERR_THRESHOLD)
+    counts[k] <<= sum(_edwards_estimate(shifted[k], counts[k] << m, params) > _ERR_THRESHOLD for m in (0, 1))
+    return counts
+
+
 def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
     """(values, error estimates, exhausted), each len(points) x len(ts), of
-    zeta at z_j + i t_b; rows, when given, are the points' shift_rows.  N
-    is doubled, at most twice, only for the pairs whose estimate is above
-    threshold or whose value is not finite; a pair that still is keeps its
-    last value and estimate and is marked exhausted, and the caller
-    decides."""
+    zeta at z_j + i t_b, each summed once at the N of _decide_n; rows, when
+    given, are the points' shift_rows.  The caller decides on a pair whose
+    estimate is above threshold or value not finite, marked exhausted."""
     points = np.asarray(points, dtype=complex)
     ts = np.asarray(ts, dtype=np.float64)
     # pairs run shift by shift
     shape = (len(ts), len(points))
     shifted = np.empty(shape, dtype=complex)
-    shifted.real = points.real
-    shifted.imag = points.imag + ts[:, None]
+    shifted.real, shifted.imag = points.real, points.imag + ts[:, None]
     shifted = shifted.reshape(-1)
     _check_range(shifted)
-    counts = _choose_n(shifted.imag, params)
-    values = np.empty(len(shifted), dtype=complex)
-    errors = np.empty(len(shifted))
-    pending = np.arange(len(shifted))
-    # no pairs at all (no points or no shifts) leave the values empty
-    for attempt in range(3):
-        if not len(pending):
-            break
-        if attempt:
-            counts[pending] *= 2
-        n = counts[pending]
-        partial, last = _sums(points, ts, pending, n, rows)
-        v, e = _em_tail(shifted[pending], n, partial, last, params.bernoulli_terms)
-        values[pending], errors[pending] = v, e
-        pending = pending[~((e <= _ERR_THRESHOLD) & np.isfinite(v))]
-    exhausted = np.zeros(len(shifted), dtype=bool)
-    exhausted[pending] = True
+    counts = _decide_n(shifted, params)
+    values, errors = _em_tail(shifted, counts, *_sums(points, ts, counts, rows), params.bernoulli_terms)
+    exhausted = ~((errors <= _ERR_THRESHOLD) & np.isfinite(values))
     return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
 
 
@@ -748,11 +751,8 @@ def _evaluate_at(points: np.ndarray, t: float, params: ZetaParams):
     if exhausted.any():
         i = int(np.argmax(exhausted[:, 0]))
         s = complex(points[i].real, points[i].imag + t)
-        raise PrecisionExhausted(
-            f"error estimate {errors[i, 0]:g} above {_ERR_THRESHOLD:g} at s = {s} "
-            "after doubling N twice",
-            index=i,
-        )
+        msg = f"error estimate {errors[i, 0]:g} above {_ERR_THRESHOLD:g} at s = {s} after doubling N twice"
+        raise PrecisionExhausted(msg, index=i)
     return values[:, 0], errors[:, 0]
 
 

@@ -1,4 +1,5 @@
-"""Shared randomized-case machinery for the repair and acceptance suites."""
+"""Shared randomized-case machinery for the repair and acceptance suites,
+and the doubling rule that zeta's decided N is checked against."""
 
 import math
 
@@ -13,8 +14,38 @@ from striplab import (
     evaluate_factored,
     from_roots,
 )
+from striplab import zeta as zeta_mod
 
 EPS = np.finfo(float).eps
+
+
+def shifted_pairs(points, ts):
+    """The points z_j + i t_b of zeta._evaluate's pairs, shift by shift, as
+    it builds them: Re z_j, and Im z_j + t_b rounded once."""
+    points, ts = np.asarray(points, dtype=complex), np.asarray(ts, dtype=np.float64)
+    shifted = np.empty((len(ts), len(points)), dtype=complex)
+    shifted.real, shifted.imag = points.real, points.imag + ts[:, None]
+    return shifted.reshape(-1)
+
+
+def doubling_reference(points, ts, params, rows=None):
+    """(values, estimates, exhausted), each len(points) x len(ts), by the
+    doubling rule: each pair summed at N0, then at 2 N0 and 4 N0 while its
+    estimate is above threshold or its value is not finite, keeping the
+    first N that passes, else 4 N0, and marked exhausted if none passes.
+    Each N is summed for every pair through _sums and _em_tail: a pair's
+    value does not depend on the other pairs of a call."""
+    shifted = shifted_pairs(points, ts)
+    n0 = zeta_mod._choose_n(shifted.imag, params)
+    values, errors = np.empty(len(shifted), dtype=complex), np.empty(len(shifted))
+    exhausted = np.ones(len(shifted), dtype=bool)
+    for m in (1, 2, 4):
+        partial, last = zeta_mod._sums(points, ts, m * n0, rows)
+        v, e = zeta_mod._em_tail(shifted, m * n0, partial, last, params.bernoulli_terms)
+        values[exhausted], errors[exhausted] = v[exhausted], e[exhausted]
+        exhausted &= ~((e <= zeta_mod._ERR_THRESHOLD) & np.isfinite(v))
+    shape = (len(ts), len(points))
+    return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
 
 
 def point_on(K, rng):

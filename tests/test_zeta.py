@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import doubling_reference, shifted_pairs
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
@@ -251,14 +253,15 @@ def test_doubling_past_the_rows_leaves_them_at_their_width():
 
 def test_rows_built_for_scattered_points_match_the_call_without_rows(monkeypatch):
     # at 0.1 terms per unit t the rows hold N = 100, 35 entries; points 1, 3
-    # and 5 (Im 1e3) double past them to N = 200 and 400 and get rows built
-    # for them among points that take the scan's rows.  At two rows of
-    # N = 200 per block, points 1 and 3 are built together as one group and
-    # point 5 alone
+    # and 5 (Im 1e3) are decided at N = 400, past them, and get rows built
+    # for them among points that take the scan's rows, once each.  At two
+    # rows of N = 400 per block, points 1 and 3 are built together as one
+    # group and point 5 alone
     points = np.array([0.75, 0.75 + 1e3j, 0.8, 0.8 + 1e3j, 0.7, 0.7 + 1e3j, 0.6 + 0.5j])
     params = ZetaParams(terms_per_unit_t=0.1)
     rows = zeta_mod.shift_rows(points, 0.0, params)
     assert rows.shape == (7, 35)
+    assert zeta_mod._decide_n(points, params).tolist() == [20, 400, 20, 400, 20, 400, 20]
     expected = zeta_mod._evaluate(points, [0.0], params)
     dirichlet_table = zeta_mod._dirichlet_table
     built = []
@@ -268,9 +271,9 @@ def test_rows_built_for_scattered_points_match_the_call_without_rows(monkeypatch
         return dirichlet_table(group, count)
 
     monkeypatch.setattr(zeta_mod, "_dirichlet_table", recording)
-    monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", 2 * _row_width(200))
+    monkeypatch.setattr(zeta_mod, "_BLOCK_ENTRIES", 2 * _row_width(400))
     result = zeta_mod._evaluate(points, [0.0], params, rows)
-    assert built[:2] == [([0.75 + 1e3j, 0.8 + 1e3j], 200), ([0.7 + 1e3j], 200)]
+    assert built == [([0.75 + 1e3j, 0.8 + 1e3j], 400), ([0.7 + 1e3j], 400)]
     for a, b in zip(expected, result):
         assert np.array_equal(a, b)
 
@@ -349,12 +352,13 @@ def test_values_do_not_depend_on_the_blocks_where_n_varies(monkeypatch):
 
 @pytest.mark.parametrize("with_rows", [False, True])
 def test_values_do_not_depend_on_the_weighting_runs(monkeypatch, with_rows):
-    # at 0.1 terms per unit t N runs from 20 to 101 across the 125 pairs of
-    # one call; 110 of them double to N <= 202, most past the rows of
-    # T = 1e3, and 51 again, to N <= 404.  With the weighting bound at 64
-    # cutoffs every call of more than two pairs is split into runs of one
-    # or two, and the values, estimates and exhausted flags are those of
-    # one weighting pass per call
+    # at 0.1 terms per unit t N0 runs from 20 to 101 across the 125 pairs of
+    # one call; 110 of them are decided past N0, to N <= 202, most past the
+    # rows of T = 1e3, and 51 of those to 4 N0 <= 404.  Each pair is summed
+    # once, at its decided N.  With the weighting bound at 64 cutoffs every
+    # call of more than two pairs is split into runs of one or two, and the
+    # values, estimates and exhausted flags are those of one weighting pass
+    # per call
     params = ZetaParams(terms_per_unit_t=0.1)
     points = np.array([0.6 + 0.1j, 0.8 + 0.1j, 0.7 + 3.0j, 0.75, 0.9 - 2.0j])
     shifts = np.concatenate((np.linspace(0.0, 990.0, 23), [1e3, 1e3]))
@@ -363,7 +367,7 @@ def test_values_do_not_depend_on_the_weighting_runs(monkeypatch, with_rows):
     results, runs = [], []
 
     def recording(table, f_idx, shift, ts, counts):
-        runs[-1].append((len(counts), int(counts.max())))
+        runs[-1].append(counts.copy())
         return partial_sums(table, f_idx, shift, ts, counts)
 
     monkeypatch.setattr(zeta_mod, "_partial_sums", recording)
@@ -371,9 +375,14 @@ def test_values_do_not_depend_on_the_weighting_runs(monkeypatch, with_rows):
         monkeypatch.setattr(zeta_mod, "_WEIGHT_ENTRIES", bound)
         runs.append([])
         results.append(zeta_mod._evaluate(points, shifts, params, rows))
-    assert runs[0] == runs[1] and sum(k for k, _ in runs[0]) == 125 + 110 + 51
-    assert max(n for _, n in runs[0]) == 404
-    assert sum(k for k, _ in runs[2] if k <= 2) == 125 + 110 + 51
+    shifted = shifted_pairs(points, shifts)
+    n0, counts = zeta_mod._choose_n(shifted.imag, params), zeta_mod._decide_n(shifted, params)
+    assert ((counts > n0).sum(), (counts > 2 * n0).sum(), counts.max()) == (110, 51, 404)
+    # the split calls' runs, of one or two pairs, hold every pair once
+    runs[2] = [c for c in runs[2] if len(c) <= 2]
+    for run in runs:
+        assert np.array_equal(np.sort(np.concatenate(run)), np.sort(counts))
+    assert [len(c) for c in runs[0]] == [len(c) for c in runs[1]]
     for result in results[1:]:
         for a, b in zip(results[0], result):
             assert np.array_equal(a, b)
@@ -733,39 +742,191 @@ def _tails_checked(monkeypatch, t, params):
 
 
 def _checked_after_doubling(monkeypatch, t, per_unit_t):
-    # the Ns that _check_against_mpmath used at t
+    # the N at which _check_against_mpmath summed each sigma at t, in the
+    # order of ORACLE_SIGMAS: one _em_tail call for the grid's three pairs
+    # and one for each one-point call, and each pair at one N
     seen = _tails_checked(monkeypatch, t, ZetaParams(terms_per_unit_t=per_unit_t))
-    return sorted({N for _, N, _, _ in seen})
+    assert sorted(s.real for s, _, _, _ in seen) == sorted(2 * ORACLE_SIGMAS)
+    ns = {sigma: {N for s, N, _, _ in seen if s.real == sigma} for sigma in ORACLE_SIGMAS}
+    assert all(len(n) == 1 for n in ns.values())
+    return [n.pop() for n in ns.values()]
 
 
-@pytest.mark.parametrize("per_unit_t, ns", [(0.15, [150, 300]), (0.1, [100, 200, 400])])
+@pytest.mark.parametrize("per_unit_t, ns", [(0.15, [300, 300, 300]), (0.1, [400, 400, 200])])
 def test_against_mpmath_after_doubling(monkeypatch, per_unit_t, ns):
-    # at t = 1e3 the first N leaves the estimate above 1e-6 at every sigma
+    # at t = 1e3 the first N leaves the estimate above 1e-6 at every sigma:
+    # each sigma is summed once, at 2 N0, or at 4 N0 where 2 N0 leaves it
+    # above too
     assert _checked_after_doubling(monkeypatch, 1e3, per_unit_t) == ns
 
 
 def test_against_mpmath_after_doubling_past_the_product_cut(monkeypatch):
-    # at t = 1e4 N doubles from 1000 and 2000 to 4000
-    assert _checked_after_doubling(monkeypatch, 1e4, 0.1) == [1000, 2000, 4000]
+    # at t = 1e4 N0 = 1000; sigma 0.95 is summed at 2000, the others at 4000
+    assert _checked_after_doubling(monkeypatch, 1e4, 0.1) == [4000, 4000, 2000]
 
 
 def test_edwards_bound_covers_what_twice_the_first_omitted_term_misses(monkeypatch):
     # at t = 1e3, 0.1 terms per unit t and K = 20 corrections the series
     # decays slowly: at N = 200 the error is above twice the first omitted
     # term at every sigma (4.8e-7 against 3.6e-7 at 0.95, below the 1e-6
-    # threshold, so N would stop there), while Edwards' bound, that term
-    # times |s + 41| / (sigma + 41), about 24 times it here, covers the error
-    # at every N and sends N on to 400
+    # threshold, so a rule on that term would stop there), while Edwards'
+    # bound, that term times |s + 41| / (sigma + 41), about 24 times it
+    # here, covers the error at N = 200 and decides N = 400, where it covers
+    # the error again.  The N = 200 values come straight from the sums
     mpmath = pytest.importorskip("mpmath")
     kb = 20
-    seen = _tails_checked(monkeypatch, 1e3, ZetaParams(terms_per_unit_t=0.1, bernoulli_terms=kb))
-    assert sorted({N for _, N, _, _ in seen}) == [100, 200, 400]
-    exact = {s: _mpmath_at_shift(mpmath, s, 0.0) for s, _, _, _ in seen}
-    for s, N, v, err in seen:
-        gap = abs(v - exact[s])
-        assert gap <= max(err, 1e-11)
-        if N == 200:
-            assert gap > 2.0 * err * (s.real + 2 * kb + 1) / abs(s + 2 * kb + 1)
+    params = ZetaParams(terms_per_unit_t=0.1, bernoulli_terms=kb)
+    s = np.array(ORACLE_SIGMAS) + 1e3j
+    N = np.full(len(s), 200)
+    values, errors = zeta_mod._em_tail(s, N, *zeta_mod._sums(s, np.array([0.0]), N, None), kb)
+    assert (errors > 1e-6).all()
+    assert zeta_mod._decide_n(s, params).tolist() == [400, 400, 400]
+    seen = _tails_checked(monkeypatch, 1e3, params)
+    assert {N for _, N, _, _ in seen} == {400}
+    exact = {z: _mpmath_at_shift(mpmath, z, 0.0) for z in s}
+    for z, v, err in zip(s, values, errors):
+        gap = abs(v - exact[z])
+        assert 2.0 * err * (z.real + 2 * kb + 1) / abs(z + 2 * kb + 1) < gap <= err
+    for z, _, v, err in seen:
+        assert abs(v - exact[z]) <= max(err, 1e-11)
+
+
+# ---------------------------------------------------------------- decided N
+
+
+def _near_threshold(shifted, params):
+    # an a-priori estimate at N0, 2 N0 or 4 N0 within rounding of the
+    # threshold, where the decision and the doubling rule may differ
+    n0 = zeta_mod._choose_n(shifted.imag, params)
+    estimates = [zeta_mod._edwards_estimate(shifted, m * n0, params) for m in (1, 2, 4)]
+    return np.any(np.abs(np.array(estimates) / zeta_mod._ERR_THRESHOLD - 1.0) < 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.01, 1.0),
+    st.integers(2, 40),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.floats(-0.95, 3.0), st.floats(-30.0, 30.0)), min_size=1, max_size=4),
+    st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_decided_n_agrees_with_the_doubling_rule(per_unit_t, min_terms, kb, points, ts, with_rows):
+    # low-term parameters, under which pairs double and exhaust: each pair
+    # summed once, at its decided N, gives the values, estimates and
+    # exhausted marks of the doubling rule bit for bit.  A pair not marked
+    # exhausted has a finite value and an estimate at most the threshold
+    params = ZetaParams(terms_per_unit_t=per_unit_t, min_terms=min_terms, bernoulli_terms=kb)
+    points, ts = np.array([complex(*z) for z in points]), np.array(ts)
+    shifted = shifted_pairs(points, ts)
+    assume(np.all(np.abs(shifted - 1.0) >= 1e-12) and not _near_threshold(shifted, params))
+    rows = zeta_mod.shift_rows(points, float(np.max(np.abs(ts))), params) if with_rows else None
+    result = zeta_mod._evaluate(points, ts, params, rows)
+    for a, b in zip(result, doubling_reference(points, ts, params, rows)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    values, errors, exhausted = result
+    assert np.isfinite(values[~exhausted]).all() and (errors[~exhausted] <= zeta_mod._ERR_THRESHOLD).all()
+
+
+def _summed_at(monkeypatch):
+    # the N of each pair that _em_tail is given, call by call
+    em_tail = zeta_mod._em_tail
+    seen = []
+
+    def recording(s, N, partial, last, kb):
+        seen.append(N.tolist())
+        return em_tail(s, N, partial, last, kb)
+
+    monkeypatch.setattr(zeta_mod, "_em_tail", recording)
+    return seen
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_a_tie_with_the_threshold_passes(monkeypatch, m):
+    # sigma 0.95 at t = 1e3 and 0.1 terms per unit t, N0 = 100: with the
+    # threshold at the pair's own a-priori estimate at m N0, or one ulp
+    # above, the pair is decided at m N0; one ulp below, at the next N,
+    # and at 4 N0 still past the last
+    params = ZetaParams(terms_per_unit_t=0.1)
+    s = np.array([0.95 + 1e3j])
+    tie = float(zeta_mod._edwards_estimate(s, np.array([100 * m]), params)[0])
+    seen = _summed_at(monkeypatch)
+    below = np.nextafter(tie, 0.0)
+    outcomes = ((tie, 100 * m), (np.nextafter(tie, np.inf), 100 * m), (below, min(200 * m, 400)))
+    for threshold, n in outcomes:
+        monkeypatch.setattr(zeta_mod, "_ERR_THRESHOLD", threshold)
+        assert zeta_mod._decide_n(s, params).tolist() == [n]
+        values, errors, exhausted = zeta_mod._evaluate(s, [0.0], params)
+        assert seen.pop() == [n]
+        assert exhausted[0, 0] == (not (errors[0, 0] <= threshold and np.isfinite(values[0, 0])))
+
+
+def test_zeta_at_zero_with_the_fewest_terms():
+    # s + 0 = 0 is a factor of Edwards' estimate: its log is -inf, with no
+    # divide-by-zero warning, and the estimate 0 passes at N0 = 2
+    params = ZetaParams(min_terms=2, bernoulli_terms=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta_mod._decide_n(np.array([0j]), params).tolist() == [2]
+        zv = zeta_em(0j, params)
+    assert (zv.value, zv.error_estimate) == (-0.5, 0.0)
+
+
+@pytest.mark.parametrize("s, kb", [(0.75 + 2e5j, 12), (0.75 + 1e7j, 30)])
+def test_far_past_the_threshold_decides_4_n0_without_a_warning(s, kb):
+    # N0 = 2 at 1e-9 terms per unit t.  At 0.75 + 2e5 i with 12 corrections
+    # (test_precision_exhausted_at_extreme_params) the estimate reads
+    # 1.6e108 at N = 2 and 5.1e92 at 8; at 0.75 + 1e7 i with 30 it is past
+    # the largest double at every N, and its log is not
+    params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=kb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeta_mod._decide_n(np.array([s]), params).tolist() == [8]
+        assert zeta_mod._evaluate([s], [0.0], params)[2].all()
+        with pytest.raises(PrecisionExhausted):
+            zeta_em(s, params)
+
+
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_one_sum_and_one_tail_per_call(monkeypatch, with_rows):
+    # pairs decided at N0, 2 N0 and 4 N0 in one call are summed by one _sums
+    # call and finished by one _em_tail call
+    params = ZetaParams(terms_per_unit_t=0.1)
+    points = np.array([0.55, 0.75, 0.95, 0.6 + 0.5j])
+    ts = np.array([0.0, 1e3, 1e4])
+    counts = zeta_mod._decide_n(shifted_pairs(points, ts), params)
+    assert set((counts // zeta_mod._choose_n(shifted_pairs(points, ts).imag, params)).tolist()) == {1, 2, 4}
+    rows = zeta_mod.shift_rows(points, 1e4, params) if with_rows else None
+    calls = []
+
+    def counting(name, call):
+        def counted(*args):
+            calls.append(name)
+            return call(*args)
+
+        return counted
+
+    for name in ("_sums", "_em_tail"):
+        monkeypatch.setattr(zeta_mod, name, counting(name, getattr(zeta_mod, name)))
+    zeta_mod._evaluate(points, ts, params, rows)
+    assert calls == ["_sums", "_em_tail"]
+
+
+def test_term_cap_is_decided_before_any_work(monkeypatch):
+    # at Im s = 1e8 with one correction the estimate stays above 1e-6 at
+    # N0 = 5e7 and at 1e8, so 4 N0 = 2e8 terms are decided, past the 2^26
+    # cap: the term cap's InvalidSpec comes before any plan, row or sum
+    def refused(*args):
+        raise AssertionError("built before the term cap was checked")
+
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    monkeypatch.setattr(zeta_mod, "_dirichlet_table", refused)
+    monkeypatch.setattr(zeta_mod, "_partial_sums", refused)
+    params = ZetaParams(bernoulli_terms=1)
+    assert zeta_mod._decide_n(np.array([0.75 + 1e8j]), params).tolist() == [200_000_000]
+    with pytest.raises(InvalidSpec, match="term cap 67108864"):
+        zeta_em(0.75 + 1e8j, params)
+    assert zeta_mod._plan_cache is None
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
@@ -822,7 +983,7 @@ def _exact_sums(z, t, counts):
 def _check_sums(points, ts, counts):
     # the partial sums and last terms of the pairs b * len(points) + j, as
     # _evaluate takes them, within 8 u sum_{n<=N} n^-Re s of 30 digits
-    partial, last = zeta_mod._sums(points, ts, np.arange(len(counts)), np.asarray(counts), None)
+    partial, last = zeta_mod._sums(points, ts, np.asarray(counts), None)
     for k, N in enumerate(counts):
         b, j = divmod(k, len(points))
         [(exact_partial, exact_last, scale)] = _exact_sums(points[j], ts[b], [N])
@@ -864,8 +1025,7 @@ def test_partial_sums_at_the_three_smooth_edges(z, t):
     counts = _three_smooth_edges(2000)
     assert len(counts) == 89 and counts[:10] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
     # one point per N in one call, so that the N share blocks
-    pairs = np.arange(len(counts))
-    partial, last = zeta_mod._sums(np.full(len(counts), z), np.array([t]), pairs, np.array(counts), None)
+    partial, last = zeta_mod._sums(np.full(len(counts), z), np.array([t]), np.array(counts), None)
     for k, (exact_partial, exact_last, scale) in enumerate(_exact_sums(z, t, counts)):
         assert abs(partial[k] - exact_partial) <= 8 * U * scale
         assert abs(last[k] - exact_last) <= 8 * U * scale
