@@ -23,10 +23,13 @@ right-hand sides, and so does the recomputation of each iterate's residuals
 complex Horner loop.  The returned polynomial is always coefficient form in
 its frame variable after basis back-substitution, and its reported sup
 error is recomputed from those coefficients, so conversion loss is
-measured, never hidden.  ``approximate`` and ``lawson_refine`` run numpy's
-OpenBLAS on one thread for the length of the call and then give the caller
-back its own thread count (``_one_blas_thread``), so a fit costs one core
-and returns the same bits whatever count the caller runs.
+measured, never hidden.  The degree search runs each attempt only until it
+knows whether the budget is met, and the chosen degree's Lawson loop then
+continues from where its attempt stopped, never starting over.
+``approximate`` and ``lawson_refine`` run numpy's OpenBLAS on one thread
+for the length of the call and then give the caller back its own thread
+count (``_one_blas_thread``), so a fit costs one core and returns the same
+bits whatever count the caller runs.
 """
 
 from __future__ import annotations
@@ -318,6 +321,7 @@ def lawson_refine(
     *,
     budget: float | None = None,
     _basis: tuple[np.ndarray, np.ndarray, complex] | None = None,
+    _state: dict | None = None,
 ) -> FitResult:
     """Iteratively reweighted least squares toward the sup-norm objective,
     in the frame variable (z - center) / scale.
@@ -346,7 +350,14 @@ def lawson_refine(
     (``_turn``).  ``_basis`` is private: the degree search passes (Q, P, u),
     the ``_weighted_basis`` of those points with weights 1/n, of at least
     this degree, and u, so its attempts share one build and use its leading
-    columns.
+    columns.  ``_state`` is private too: a dict that the call leaves holding
+    its loop's state (weights, residuals, weighted residual, best iterate,
+    its sup error and the fit count).  When it already holds one, left by a
+    call with the same arguments but perhaps another budget, the call
+    continues that loop instead of starting over: the degree search
+    continues a budgeted attempt to the full loop, whose first fits those
+    are.  The weighted residual left by a call without a budget reads 0, so
+    a budgeted call that continues it makes at least one more fit.
     """
     degree, max_iters = _validate_fit_args(grid, target, degree, max_iters, center, scale, budget)
     n = len(grid)
@@ -383,13 +394,16 @@ def lawson_refine(
             best_sup < budget or lower > budget * (1.0 + _LOWER_BOUND_MARGIN)
         )
 
-    best_poly, r, lower = fit(w)
-    best_sup = float(np.max(r))
-    iterations = 1
+    if _state:
+        w, r, lower = _state["w"], _state["r"], _state["lower"]
+        best_poly, best_sup, iterations = _state["best_poly"], _state["best_sup"], _state["iterations"]
+    else:
+        best_poly, r, lower = fit(w)
+        best_sup = float(np.max(r))
+        iterations = 1
     f_scale = max(1.0, float(np.max(np.abs(f))))
-    for _ in range(max_iters):
-        if best_sup <= 1e-15 * f_scale or settled(best_sup, lower):
-            break
+    # the plain fit, then at most max_iters reweighted ones
+    while iterations <= max_iters and not (best_sup <= 1e-15 * f_scale or settled(best_sup, lower)):
         w = w * r
         w = np.maximum(w / float(np.sum(w)), _LAWSON_WEIGHT_FLOOR)
         w = w / float(np.sum(w))
@@ -398,6 +412,8 @@ def lawson_refine(
         iterations += 1
         if sup < best_sup:
             best_poly, best_sup = poly, sup
+    if _state is not None:
+        _state.update(w=w, r=r, lower=lower, best_poly=best_poly, best_sup=best_sup, iterations=iterations)
     return FitResult(best_poly, best_sup, degree, iterations, grid.covering_radius)
 
 
@@ -423,8 +439,9 @@ def approximate(
     the least sufficient degree.  Raises BudgetNotMet carrying the best
     attempt if the cap is reached.  Each attempt stops as soon as it knows
     whether it meets the budget (``lawson_refine`` with ``budget``); the fit
-    returned, or carried by BudgetNotMet, is re-run without one, so its
-    ``iterations`` counts the fits of the full loop.
+    returned, or carried by BudgetNotMet, continues its attempt's loop
+    without one, from where the attempt stopped, so it is the full loop's
+    fit and its ``iterations`` counts the full loop's fits.
     """
     if not 0 < budget < math.inf:
         raise InvalidSpec("budget must be positive and finite")
@@ -475,8 +492,12 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
     error when even the cap fails.
 
     Each attempt runs Lawson with the budget, so it stops as soon as its
-    yes/no is known; the fits returned are then re-run in full, so they are
-    the ones a search of full attempts returns.
+    yes/no is known; the attempts returned are then continued to the full
+    loop from the state where they stopped (``lawson_refine``'s ``_state``),
+    so they are the fits a search of full attempts returns, made without
+    repeating any fit.  A state is kept only while the search may still
+    continue it: every attempt's until a degree is met, then the least met
+    degree's alone.
 
     All attempts share one uniform-weight basis of the grid, on its frame
     points or their axis coordinate (``_axis_coordinate``): an attempt at a
@@ -484,17 +505,22 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
     its leading columns, which equal a build at the lower degree."""
     cap = min(max_degree, len(grid) - 1)
     fits: dict[int, FitResult] = {}
+    states: dict[int, dict] = {}
     w_frame = (grid.points - center) / scale
     y, unit = _axis_coordinate(w_frame) or (w_frame, 1)
     w = np.full(len(grid), 1.0 / len(grid))
     basis = None
 
     def attempt(d, budget=None):
-        # without a budget, the full Lawson loop
+        # without a budget, the full Lawson loop, continued from the
+        # budgeted attempt at d
         nonlocal basis
         if basis is None or basis[0].shape[1] <= d:
             basis = _weighted_basis(y, w, d, basis)
-        return lawson_refine(grid, target, d, _LAWSON_ITERS, center, scale, budget=budget, _basis=(*basis, unit))
+        return lawson_refine(
+            grid, target, d, _LAWSON_ITERS, center, scale,
+            budget=budget, _basis=(*basis, unit), _state=states.setdefault(d, {}),
+        )
 
     def met(d):
         fits[d] = attempt(d, budget)
@@ -511,10 +537,14 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
         attempts = [fit if fit.iterations > _LAWSON_ITERS else attempt(d) for d, fit in fits.items()]
         return min(attempts, key=lambda fit: fit.sup_error_on_samples), False
     hi = d
+    for failed in [k for k in states if k != hi]:
+        del states[failed]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if met(mid):
+            del states[hi]
             hi = mid
         else:
+            del states[mid]
             lo = mid
     return attempt(hi), True

@@ -280,7 +280,8 @@ def line_universality(
 ) -> ScanReport:
     """Scan with K the vertical segment [sigma, sigma + iC]; the target is a
     function of the imaginary offset t in [0, C] (callable, constant,
-    TargetFunction, or dict spec).  best_t is the shift-witness candidate."""
+    TargetFunction, or dict spec); a callable is called at each t, as a
+    float.  best_t is the shift-witness candidate."""
     if not 0.5 < sigma < 1.0:
         raise InvalidSpec("sigma must lie in the open interval (1/2, 1)")
     if not 0.0 < C < math.inf:
@@ -288,8 +289,11 @@ def line_universality(
     K = Segment(complex(sigma), complex(sigma, C))
     h = grid_h if grid_h is not None else min(DEFAULT_GRID_H, C / 4.0)
     grid = geometry.discretize(K, h)
-    spec = (lambda z: f(float(z.imag))) if callable(f) else f
-    target = targets.resolve_target(spec, grid, params)
+    if callable(f):
+        # f takes the float offset t, one point at a time
+        target = targets.TargetFunction([complex(f(t)) for t in grid.points.imag.tolist()])
+    else:
+        target = targets.resolve_target(f, grid, params)
     return scan_on_grid(grid, target, config, params, threads)
 
 

@@ -605,15 +605,18 @@ def _dirichlet_table(points: np.ndarray, count: int) -> np.ndarray:
 
 
 def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> np.ndarray:
-    """The _dirichlet_table, wide enough for every shift |t| <= t_max, of as
-    many of the first points as fit _SCAN_ENTRIES entries: all of them
-    inside the cut, none when one row is already wider.  Shifts that reach
-    past the precision guard raise its InvalidSpec."""
+    """The _dirichlet_table of as many of the first points as fit
+    _SCAN_ENTRIES entries (all of them inside the cut, none when one row is
+    already wider), as wide as the largest N that _decide_n gives at the
+    horizon, |Im s| = t_max + max |Im z| at the points' real parts: N0
+    there, or 2 N0 or 4 N0 when its estimate asks for them.  Shifts that
+    reach past the precision guard raise its InvalidSpec."""
     points = np.asarray(points, dtype=complex)
     tau = abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0))
     if tau > _MAX_IM:
         raise InvalidSpec(f"|Im(s)| = {tau} exceeds the precision guard {_MAX_IM:g}")
-    count = int(_choose_n(tau, params))
+    # (np.unique here raised line_scan's peak RSS by 1.1 MB, its first call's code)
+    count = int(_decide_n(points.real + 1j * tau, params).max(initial=_choose_n(tau, params)))
     return _dirichlet_table(points[: _SCAN_ENTRIES // _row_width(count)], count)
 
 
@@ -705,10 +708,11 @@ def _sums(points: np.ndarray, ts: np.ndarray, counts: np.ndarray, rows):
 def _edwards_estimate(s: np.ndarray, counts: np.ndarray, params: ZetaParams, screen: bool = False):
     """Edwards' estimate |q_{K+1}| prod_{j=0}^{2K+1} |s + j| / (Re s + 2K + 1)
     / N^(Re s + 2K + 1) at the float N = counts, the exp of a sum of logs (inf
-    on overflow, 0 at s = 0); screen bounds each |s + j| by |s| + 2K + 1."""
+    on overflow, 0 at s = 0, nan where Re s <= -(2K + 1), outside the
+    supported range); screen bounds each |s + j| by |s| + 2K + 1."""
     top = 2 * params.bernoulli_terms + 1
     rate = s.real + top
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logs = ((top + 1) * np.log(np.abs(s) + top) if screen
                 else np.log(np.abs(s[:, None] + np.arange(top + 1.0))).sum(axis=1))
         logs += math.log(abs(_em_coefficients(params.bernoulli_terms)[-1])) - np.log(rate)
@@ -721,7 +725,8 @@ def _decide_n(shifted: np.ndarray, params: ZetaParams) -> np.ndarray:
     The screen, above it by far more than rounding, settles most at N0."""
     counts = _choose_n(shifted.imag, params)
     k = np.flatnonzero(_edwards_estimate(shifted, counts, params, screen=True) > _ERR_THRESHOLD)
-    counts[k] <<= sum(_edwards_estimate(shifted[k], counts[k] << m, params) > _ERR_THRESHOLD for m in (0, 1))
+    if len(k):
+        counts[k] <<= sum(_edwards_estimate(shifted[k], counts[k] << m, params) > _ERR_THRESHOLD for m in (0, 1))
     return counts
 
 

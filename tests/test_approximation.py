@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -361,6 +362,86 @@ def test_lawson_with_a_budget_stops_at_the_first_iterate_below_it():
     assert met.sup_error_on_samples == full.sup_error_on_samples
 
 
+def _counting_fits(monkeypatch):
+    # the number of _gram_fit calls so far, one per Lawson fit
+    gram_fit = approximation._gram_fit
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return gram_fit(*args)
+
+    monkeypatch.setattr(approximation, "_gram_fit", counted)
+    return count
+
+
+@pytest.mark.parametrize("budget_scale", [1.5, 1.01, 0.9])
+def test_a_continued_lawson_run_makes_only_the_fits_left(monkeypatch, budget_scale):
+    # a budgeted run of k fits, met (1.5, 1.01) or refused by its residual
+    # (0.9), continued without the budget: 11 - k more fits, and the fit of
+    # the full loop, bit for bit
+    g = discretize(ARC, 0.005)
+    target = resolve_target({"kind": "builtin", "name": "abs"}, g)
+    full = lawson_refine(g, target, 8)
+    count = _counting_fits(monkeypatch)
+    state = {}
+    stopped = lawson_refine(g, target, 8, budget=full.sup_error_on_samples * budget_scale, _state=state)
+    k = stopped.iterations
+    assert count[0] == k < 11
+    assert lawson_refine(g, target, 8, _state=state) == full
+    assert count[0] == 11 == full.iterations
+    # a run already at its end makes no fit more
+    assert lawson_refine(g, target, 8, _state=state) == full
+    assert count[0] == 11
+
+
+def _attempts(monkeypatch):
+    # (budget, fit) of each lawson_refine call the degree search makes
+    refine = approximation.lawson_refine
+    calls = []
+
+    def recorded(*args, **kwargs):
+        fit = refine(*args, **kwargs)
+        calls.append((kwargs.get("budget"), fit))
+        return fit
+
+    monkeypatch.setattr(approximation, "lawson_refine", recorded)
+    return calls
+
+
+def test_the_chosen_degree_continues_its_attempt(monkeypatch):
+    # sin 8z to 1e-2 on [-1/2, 1/2]: the last call, without a budget,
+    # continues the met attempt of k fits with 11 - k fits, so the search
+    # makes each attempt's fits once
+    count = _counting_fits(monkeypatch)
+    calls = _attempts(monkeypatch)
+    fit = approximate(Segment(-0.5, 0.5), _sin8, 1e-2)
+    attempts, (budget, final) = calls[:-1], calls[-1]
+    assert budget is None and final is fit and fit.iterations == 11
+    met = [a for b, a in attempts if a.degree_used == fit.degree_used]
+    assert len(met) == 1 and met[0].iterations < 11
+    assert count[0] == sum(a.iterations for _, a in attempts) + 11 - met[0].iterations
+
+
+def test_a_search_that_fails_at_the_cap_continues_each_attempt(monkeypatch):
+    # |z| to 1e-4 with degree cap 12: attempts at 1, 2, 4, 8 and 12 all
+    # fail; each that stopped early is continued once, without a budget, to
+    # the full loop's fit, and no fit is made twice
+    count = _counting_fits(monkeypatch)
+    calls = _attempts(monkeypatch)
+    with pytest.raises(BudgetNotMet) as excinfo:
+        approximate(Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 1e-4, 12)
+    attempts = [a for b, a in calls if b is not None]
+    continued = [a for b, a in calls if b is None]
+    assert [a.degree_used for a in attempts] == [1, 2, 4, 8, 12]
+    stopped = [a for a in attempts if a.iterations < 11]
+    assert stopped and [a.degree_used for a in continued] == [a.degree_used for a in stopped]
+    assert all(a.iterations == 11 for a in continued)
+    full = {a.degree_used: a for a in attempts + continued if a.iterations == 11}
+    assert count[0] == sum(a.iterations for a in full.values())
+    assert excinfo.value.best == min(full.values(), key=lambda a: a.sup_error_on_samples)
+
+
 # ---------------------------------------------------------------- escalation
 
 
@@ -492,6 +573,10 @@ def _full_search(grid, target, budget, max_degree, center, scale):
         (Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 2e-2, 60),
         (Segment(-0.5, 0.5), lambda z: np.sin(8 * z), 1e-2, 60),
         (Segment(-0.5, 0.5), {"kind": "builtin", "name": "abs"}, 1e-4, 12),  # BudgetNotMet
+        # the fits of the approx benchmark's cos 6z and zeta problems
+        (Segment(-1.0, 1.0), lambda z: np.cos(6.0 * z), 5e-4, 60),
+        (Segment(0.75, 0.75 + 1j), {"kind": "zeta"}, 5e-4, 60),
+        (Segment(0.6, 0.9), {"kind": "zeta"}, 1e-3, 60),
     ],
 )
 def test_degree_search_returns_the_fit_of_a_search_of_full_attempts(monkeypatch, K, spec, budget, max_degree):
@@ -530,7 +615,11 @@ def test_a_set_on_a_line_is_fitted_on_a_real_basis(monkeypatch, K, unit):
     g = discretize(K, 2e-3)
     y, u = _axis_coordinate((g.points - c) / rho)
     assert y.dtype == np.float64 and u == unit
-    target = resolve_target(_wave, g)
+    # sampled point by point: numpy's complex array products round apart
+    # from its scalar ones, and on the vertical points the degree-24 fits,
+    # at the rounding floor, read 2.3e-12 (real) against 5.3e-13 (complex)
+    # from one array call where these samples give 1.9e-12 and 1.8e-12
+    target = TargetFunction([complex(_wave(z)) for z in g.points])
     n = len(g)
     for d in (1, 6, 12, 24):
         fit = lawson_refine(g, target, d, center=c, scale=rho)
@@ -698,6 +787,82 @@ def test_target_resolution_errors():
         resolve_target(object(), g)
     with pytest.raises(InvalidSpec):
         TargetFunction((float("nan") + 0j,))
+
+
+# ---------------------------------------------------------------- callable targets
+
+
+def _sin8(z):
+    return np.sin(8.0 * z)
+
+
+def _per_point(spec, g):
+    return np.array([complex(spec(z)) for z in g.points])
+
+
+def test_a_numpy_callable_is_sampled_in_one_call():
+    g = segment_grid(41)
+    calls = []
+
+    def sin8(z):
+        calls.append(np.shape(z))
+        return _sin8(z)
+
+    target = resolve_target(sin8, g)
+    assert calls == [g.points.shape]
+    assert np.array_equal(target.samples, _sin8(g.points))
+
+
+def _raises_on_arrays(z):
+    if isinstance(z, np.ndarray):
+        raise ValueError("one point at a time")
+    return _sin8(z)
+
+
+def _drops_the_last_point(z):
+    return z[:-1] if isinstance(z, np.ndarray) else _sin8(z)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cmath.exp, lambda z: 2.5, _raises_on_arrays, _drops_the_last_point],
+    ids=["cmath.exp", "scalar", "raises on arrays", "another shape"],
+)
+def test_a_callable_that_takes_no_array_is_sampled_point_by_point(spec):
+    g = segment_grid(41)
+    assert np.array_equal(resolve_target(spec, g).samples, _per_point(spec, g))
+
+
+def test_a_one_point_grid_is_sampled_point_by_point():
+    # numpy would hand a scalar-only callable a size-1 array as a scalar
+    g = discretize(PointSet((0.75,)), 0.1)
+    calls = []
+
+    def exp(z):
+        calls.append(type(z))
+        return cmath.exp(z)
+
+    assert resolve_target(exp, g).samples.tolist() == [cmath.exp(0.75)]
+    assert calls == [np.complex128]
+
+
+@pytest.mark.parametrize("unlock", [False, True])
+def test_a_callable_that_writes_into_its_argument_leaves_the_grid(unlock):
+    # the array call's argument is a read-only view: neither writing into it
+    # nor setting it writeable reaches the grid, and the callable is then
+    # sampled point by point
+    g = segment_grid(41)
+    before = g.points.copy()
+
+    def doubling(z):
+        if unlock and isinstance(z, np.ndarray):
+            z.flags.writeable = True
+        z *= 2.0
+        return z
+
+    target = resolve_target(doubling, g)
+    assert np.array_equal(g.points, before) and not g.points.flags.writeable
+    assert np.array_equal(target.samples, 2.0 * before)
 
 
 # ---------------------------------------------------------------- one BLAS thread

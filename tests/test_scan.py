@@ -289,6 +289,44 @@ def test_scan_past_the_rows_cut_is_the_scan_with_rows(monkeypatch, kept):
     assert past.max_zeta_error == cached.max_zeta_error
 
 
+def test_scan_rows_hold_the_n_decided_at_the_horizon(monkeypatch):
+    # at 0.1 terms per unit t the pairs near T = 2000 are decided at 4 N0
+    # (N = 804 at the horizon, N0 = 201): the scan's rows are built that
+    # wide, once, and serve every pair; rows of N0 left 19 calls to build
+    # their own.  Every figure of the report is the same bit for bit
+    K, cfg = Segment(0.75, 0.75 + 0.2j), ScanConfig(T=2000.0, step=20.0, eps=0.5)
+    params = ZetaParams(terms_per_unit_t=0.1)
+    dirichlet_table = zeta_mod._dirichlet_table
+    built = []
+
+    def recording(points, count):
+        built.append(count)
+        return dirichlet_table(points, count)
+
+    monkeypatch.setattr(zeta_mod, "_dirichlet_table", recording)
+    report = scan_density(K, 1.0, cfg, params)
+    assert built == [804]
+    built.clear()
+    monkeypatch.setattr(zeta_mod, "shift_rows", lambda points, t_max, params: dirichlet_table(points, 201))
+    narrow = scan_density(K, 1.0, cfg, params)
+    assert len(built) == 19 and max(built) == 804
+    assert np.array_equal(narrow.ts, report.ts) and np.array_equal(narrow.ds, report.ds)
+    assert narrow.hit_intervals == report.hit_intervals
+    assert (narrow.best_t, narrow.best_d) == (report.best_t, report.best_d)
+    assert narrow.max_zeta_error == report.max_zeta_error
+
+
+@pytest.mark.parametrize(
+    "params, T", [(DEFAULT_PARAMS, 500.0), (DEFAULT_PARAMS, 1e5), (ZetaParams(terms_per_unit_t=0.35), 1e5)]
+)
+def test_scan_rows_of_default_and_a6_scans_hold_n0(params, T):
+    # at the default and the A6 rates no pair is decided past N0 at the
+    # horizon, so the rows keep N0's width
+    grid = discretize(Segment(0.8, 0.8 + 0.2j), 0.05)
+    n0 = math.ceil(params.terms_per_unit_t * (T + 0.2))
+    assert zeta_mod.shift_rows(grid.points, T, params).shape == (3, zeta_mod._row_width(n0))
+
+
 def test_precision_loss_inside_a_block_truncates_where_the_per_t_path_does():
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     cfg = ScanConfig(T=2000.0, step=100.0, eps=0.5)
@@ -440,6 +478,22 @@ def test_line_self_similar_hits_at_zero():
     rep = line_universality(0.75, 0.2, f, cfg)
     check_report(rep)
     assert rep.hit_intervals and rep.hit_intervals[0][0] == 0.0
+
+
+def test_line_target_is_called_at_each_offset_as_a_float():
+    # one call per grid point, each on the float Im z, never on an array
+    cfg = ScanConfig(T=5.0, step=0.25, eps=0.25)
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return math.cos(t)
+
+    rep = line_universality(0.75, 0.2, f, cfg)
+    grid = discretize(Segment(0.75, 0.75 + 0.2j), scan_mod.DEFAULT_GRID_H)
+    assert all(type(t) is float for t in seen) and seen == grid.points.imag.tolist()
+    target = TargetFunction([math.cos(t) for t in seen])
+    assert np.array_equal(rep.ds, scan_mod.scan_on_grid(grid, target, cfg).ds)
 
 
 def test_line_degenerate_matches_point_scan():

@@ -216,15 +216,18 @@ def test_grid_propagates_offending_index():
 
 
 def test_grid_offending_index_with_rows_past_their_width():
-    # the rows hold N = 2: 2, 3 and the one n = 1 coprime to 6, which serve
+    # rows of N = 2 hold 2, 3 and the one n = 1 coprime to 6, which serve
     # N = 4 as well; the offender at index 5 doubles past them to N = 8 and
-    # fails in rows built for it, at its index in the grid
+    # fails in rows built for it, at its index in the grid.  shift_rows
+    # sizes its rows for that N = 8, and the offender fails in them too
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     grid = discretize(PointSet(tuple(0.75 + 0.1j * k for k in range(5)) + (0.75 + 2e5j, 0.8)), 0.01)
+    narrow = zeta_mod._dirichlet_table(grid.points, 2)
     rows = zeta_mod.shift_rows(grid.points, 0.0, params)
-    assert rows.shape == (7, 3)
-    _, _, exhausted = zeta_mod._evaluate(grid.points, [0.0], params, rows)
-    assert np.flatnonzero(exhausted[:, 0]).tolist() == [5]
+    assert narrow.shape == (7, 3) and rows.shape == (7, _row_width(8)) == (7, 5)
+    for held in (narrow, rows):
+        _, _, exhausted = zeta_mod._evaluate(grid.points, [0.0], params, held)
+        assert np.flatnonzero(exhausted[:, 0]).tolist() == [5]
 
 
 def test_grid_with_scan_rows_matches_one_shot():
@@ -240,12 +243,12 @@ def test_grid_with_scan_rows_matches_one_shot():
 
 
 def test_doubling_past_the_rows_leaves_them_at_their_width():
-    # at t = 1e3 N doubles twice (100 -> 400) past the rows' width, 2, 3
-    # and the 33 n <= 100 coprime to 6; the doubled points get rows built
-    # for them and the scan's rows do not grow
+    # at t = 1e3 N doubles twice (100 -> 400) past the width of rows of
+    # N0 = 100, 2, 3 and the 33 n <= 100 coprime to 6; the doubled points
+    # get rows built for them and the rows given do not grow
     grid = discretize(PointSet(ORACLE_SIGMAS), 0.1)
     params = ZetaParams(terms_per_unit_t=0.1)
-    rows = zeta_mod.shift_rows(grid.points, 1e3, params)
+    rows = zeta_mod._dirichlet_table(grid.points, 100)
     for a, b in zip(zeta_shifted_grid(grid, 1e3, params), zeta_mod._evaluate(grid.points, [1e3], params, rows)):
         assert np.array_equal(a, b[:, 0])
     assert rows.shape == (3, _row_width(100)) == (3, 35)
@@ -259,7 +262,7 @@ def test_rows_built_for_scattered_points_match_the_call_without_rows(monkeypatch
     # group and point 5 alone
     points = np.array([0.75, 0.75 + 1e3j, 0.8, 0.8 + 1e3j, 0.7, 0.7 + 1e3j, 0.6 + 0.5j])
     params = ZetaParams(terms_per_unit_t=0.1)
-    rows = zeta_mod.shift_rows(points, 0.0, params)
+    rows = zeta_mod._dirichlet_table(points, 100)
     assert rows.shape == (7, 35)
     assert zeta_mod._decide_n(points, params).tolist() == [20, 400, 20, 400, 20, 400, 20]
     expected = zeta_mod._evaluate(points, [0.0], params)
@@ -417,6 +420,20 @@ def test_shift_rows_keep_the_first_points_that_fit():
     assert rows.shape == ((1 << 22) // 66_669, 66_669) == (62, _row_width(200_000))
     assert np.array_equal(rows[61], zeta_mod._dirichlet_table(points[61:62], 200_000)[0])
     assert zeta_mod.shift_rows(points, 2e2, params).shape == (100, _row_width(200)) == (100, 69)
+
+
+def test_shift_rows_outside_the_supported_range_warn_of_nothing():
+    # with one correction the estimate at Re s = -5 takes the log of
+    # Re s + 3 < 0: it is not a number, doubles nothing and warns of
+    # nothing, and the point's InvalidSpec comes from the call that sums it
+    params = ZetaParams(min_terms=2, bernoulli_terms=1)
+    points = np.array([-5.0 + 0j, 0.75])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = zeta_mod.shift_rows(points, 10.0, params)
+    assert rows.shape == (2, _row_width(max(zeta_mod._decide_n(np.array([0.75 + 10j]), params))))
+    with pytest.raises(InvalidSpec, match="outside the supported range"):
+        zeta_mod._evaluate(points, [10.0], params, rows)
 
 
 def test_factor_plan_holds_no_more_than_the_largest_n(monkeypatch):
@@ -910,6 +927,30 @@ def test_one_sum_and_one_tail_per_call(monkeypatch, with_rows):
         monkeypatch.setattr(zeta_mod, name, counting(name, getattr(zeta_mod, name)))
     zeta_mod._evaluate(points, ts, params, rows)
     assert calls == ["_sums", "_em_tail"]
+
+
+@pytest.mark.parametrize(
+    "params, ts, calls",
+    [
+        # every default-parameter pair passes the screen: the screen alone
+        (DEFAULT_PARAMS, [0.0, 1e3, 1e4], 1),
+        # pairs decided at 2 N0 and 4 N0 fail it: the screen, then the
+        # exact estimate at N0 and at 2 N0
+        (ZetaParams(terms_per_unit_t=0.1), [0.0, 1e3, 1e4], 3),
+    ],
+)
+def test_exact_estimates_only_for_pairs_the_screen_leaves(monkeypatch, params, ts, calls):
+    points = np.array([0.55, 0.75, 0.95, 0.6 + 0.5j])
+    edwards_estimate = zeta_mod._edwards_estimate
+    screens = []
+
+    def recording(s, counts, params, screen=False):
+        screens.append(screen)
+        return edwards_estimate(s, counts, params, screen)
+
+    monkeypatch.setattr(zeta_mod, "_edwards_estimate", recording)
+    zeta_mod._evaluate(points, ts, params)
+    assert screens == [True] + [False] * (calls - 1)
 
 
 def test_term_cap_is_decided_before_any_work(monkeypatch):
