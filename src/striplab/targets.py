@@ -85,10 +85,9 @@ def _sample(spec, points: np.ndarray):
     point is sampled by itself: numpy would hand a size-1 array to a
     scalar-only callable as a scalar."""
     if len(points) > 1:
-        view = points.view()
-        view.flags.writeable = False
+        # a view of the read-only points cannot be made writeable
         try:
-            values = np.asarray(spec(view), dtype=complex)
+            values = np.asarray(spec(points.view()), dtype=complex)
         except Exception:
             values = None
         if values is not None and values.shape == points.shape:

@@ -615,7 +615,8 @@ def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> np.
     tau = abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0))
     if tau > _MAX_IM:
         raise InvalidSpec(f"|Im(s)| = {tau} exceeds the precision guard {_MAX_IM:g}")
-    # (np.unique here raised line_scan's peak RSS by 1.1 MB, its first call's code)
+    # every point's real part, repeats too: np.unique here raised line_scan's
+    # peak RSS by 1.1 MB, the code its first call loads
     count = int(_decide_n(points.real + 1j * tau, params).max(initial=_choose_n(tau, params)))
     return _dirichlet_table(points[: _SCAN_ENTRIES // _row_width(count)], count)
 
