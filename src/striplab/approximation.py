@@ -352,12 +352,10 @@ def lawson_refine(
     this degree, and u, so its attempts share one build and use its leading
     columns.  ``_state`` is private too: a dict that the call leaves holding
     its loop's state (weights, residuals, weighted residual, best iterate,
-    its sup error and the fit count).  When it already holds one, left by a
-    call with the same arguments but perhaps another budget, the call
+    its sup error and the fit count).  When it already holds one, the call
     continues that loop instead of starting over: the degree search
-    continues a budgeted attempt to the full loop, whose first fits those
-    are.  The weighted residual left by a call without a budget reads 0, so
-    a budgeted call that continues it makes at least one more fit.
+    (``_escalate``) continues a budgeted attempt's state without a budget,
+    to the full loop, whose first fits those are.
     """
     degree, max_iters = _validate_fit_args(grid, target, degree, max_iters, center, scale, budget)
     n = len(grid)

@@ -289,11 +289,8 @@ def line_universality(
     K = Segment(complex(sigma), complex(sigma, C))
     h = grid_h if grid_h is not None else min(DEFAULT_GRID_H, C / 4.0)
     grid = geometry.discretize(K, h)
-    if callable(f):
-        # f takes the float offset t, one point at a time
-        target = targets.TargetFunction([complex(f(t)) for t in grid.points.imag.tolist()])
-    else:
-        target = targets.resolve_target(f, grid, params)
+    spec = (lambda z: f(float(z.imag))) if callable(f) else f
+    target = targets.resolve_target(spec, grid, params)
     return scan_on_grid(grid, target, config, params, threads)
 
 

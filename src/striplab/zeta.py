@@ -609,15 +609,23 @@ def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> np.
     _SCAN_ENTRIES entries (all of them inside the cut, none when one row is
     already wider), as wide as the largest N that _decide_n gives at the
     horizon, |Im s| = t_max + max |Im z| at the points' real parts: N0
-    there, or 2 N0 or 4 N0 when its estimate asks for them.  Shifts that
-    reach past the precision guard raise its InvalidSpec."""
+    there, or 2 N0 or 4 N0 when its estimate asks for them and passes
+    there, but at most the term cap.  A pair whose estimate fails even at
+    4 N0 is exhausted, and a scan stops at the first, so no row is widened
+    for it.  Shifts that reach past the precision guard raise its
+    InvalidSpec."""
     points = np.asarray(points, dtype=complex)
     tau = abs(t_max) + float(np.max(np.abs(points.imag), initial=0.0))
     if tau > _MAX_IM:
         raise InvalidSpec(f"|Im(s)| = {tau} exceeds the precision guard {_MAX_IM:g}")
+    n0 = int(_choose_n(tau, params))
     # every point's real part, repeats too: np.unique here raised line_scan's
     # peak RSS by 1.1 MB, the code its first call loads
-    count = int(_decide_n(points.real + 1j * tau, params).max(initial=_choose_n(tau, params)))
+    shifted = points.real + 1j * tau
+    counts = _decide_n(shifted, params)
+    k = np.flatnonzero(counts > 2 * n0)
+    counts[k[_edwards_estimate(shifted[k], counts[k], params) > _ERR_THRESHOLD]] = n0
+    count = max(n0, min(int(counts.max(initial=n0)), _MAX_TERMS))
     return _dirichlet_table(points[: _SCAN_ENTRIES // _row_width(count)], count)
 
 

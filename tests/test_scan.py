@@ -316,6 +316,53 @@ def test_scan_rows_hold_the_n_decided_at_the_horizon(monkeypatch):
     assert narrow.max_zeta_error == report.max_zeta_error
 
 
+@pytest.mark.parametrize("cap", [None, 2000])
+def test_low_term_scan_truncates_without_rows_for_exhausted_pairs(monkeypatch, cap):
+    # with one correction every pair near T = 2000 fails its estimate even
+    # at 4 N0, so the scan truncates at t = 12, inside the first of its
+    # three blocks, and its rows keep N0's width (N0 = 1001 at the horizon)
+    # where 4 N0 would be 4004: the plan grows no wider than the largest N
+    # summed, 4 N0 = 1364 at the block's last shift, and a term cap between
+    # the two leaves the report as it is
+    if cap is not None:
+        monkeypatch.setattr(zeta_mod, "_MAX_TERMS", cap)
+    grid = discretize(Segment(0.75, 0.75 + 0.2j), 0.05)
+    target = resolve_target(1.0, grid)
+    cfg = ScanConfig(T=2000.0, step=2.0, eps=0.5)
+    params = ZetaParams(bernoulli_terms=1)
+    em_tail = zeta_mod._em_tail
+    summed = []
+
+    def recording(s, N, partial, last, kb):
+        summed.extend(N.tolist())
+        return em_tail(s, N, partial, last, kb)
+
+    monkeypatch.setattr(zeta_mod, "_em_tail", recording)
+    monkeypatch.setattr(zeta_mod, "_plan_cache", None)
+    assert len(scan_mod._trace_grid(cfg)) > scan_mod._BLOCK_PAIRS // len(grid)
+    report = scan_mod.scan_on_grid(grid, target, cfg, params)
+    assert report.truncated and report.ts[-1] == 12.0
+    assert max(summed) == 1364
+    assert len(zeta_mod._plan_cache.order) == zeta_mod._row_width(1364)
+    assert zeta_mod.shift_rows(grid.points, cfg.T, params).shape == (3, zeta_mod._row_width(1001))
+    dirichlet_table = zeta_mod._dirichlet_table
+    monkeypatch.setattr(zeta_mod, "shift_rows", lambda points, t_max, params: dirichlet_table(points, 1001))
+    narrow = scan_mod.scan_on_grid(grid, target, cfg, params)
+    assert np.array_equal(narrow.ts, report.ts) and np.array_equal(narrow.ds, report.ds)
+    assert narrow.hit_intervals == report.hit_intervals
+    assert narrow.max_zeta_error == report.max_zeta_error
+
+
+def test_shift_rows_stop_at_the_term_cap(monkeypatch):
+    # the pairs at T = 2000 and 0.1 terms per unit t pass at 4 N0 = 804; a
+    # term cap of 500 cuts the rows there, where N0 = 201 fits under it
+    grid = discretize(Segment(0.75, 0.75 + 0.2j), 0.05)
+    params = ZetaParams(terms_per_unit_t=0.1)
+    assert zeta_mod.shift_rows(grid.points, 2000.0, params).shape == (3, zeta_mod._row_width(804))
+    monkeypatch.setattr(zeta_mod, "_MAX_TERMS", 500)
+    assert zeta_mod.shift_rows(grid.points, 2000.0, params).shape == (3, zeta_mod._row_width(500))
+
+
 @pytest.mark.parametrize(
     "params, T", [(DEFAULT_PARAMS, 500.0), (DEFAULT_PARAMS, 1e5), (ZetaParams(terms_per_unit_t=0.35), 1e5)]
 )

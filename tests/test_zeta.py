@@ -216,18 +216,16 @@ def test_grid_propagates_offending_index():
 
 
 def test_grid_offending_index_with_rows_past_their_width():
-    # rows of N = 2 hold 2, 3 and the one n = 1 coprime to 6, which serve
+    # the rows hold N = 2: 2, 3 and the one n = 1 coprime to 6, which serve
     # N = 4 as well; the offender at index 5 doubles past them to N = 8 and
-    # fails in rows built for it, at its index in the grid.  shift_rows
-    # sizes its rows for that N = 8, and the offender fails in them too
+    # fails in rows built for it, at its index in the grid.  It fails its
+    # estimate at the horizon even at N = 8, so shift_rows keeps N0's width
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12)
     grid = discretize(PointSet(tuple(0.75 + 0.1j * k for k in range(5)) + (0.75 + 2e5j, 0.8)), 0.01)
-    narrow = zeta_mod._dirichlet_table(grid.points, 2)
     rows = zeta_mod.shift_rows(grid.points, 0.0, params)
-    assert narrow.shape == (7, 3) and rows.shape == (7, _row_width(8)) == (7, 5)
-    for held in (narrow, rows):
-        _, _, exhausted = zeta_mod._evaluate(grid.points, [0.0], params, held)
-        assert np.flatnonzero(exhausted[:, 0]).tolist() == [5]
+    assert rows.shape == (7, 3)
+    _, _, exhausted = zeta_mod._evaluate(grid.points, [0.0], params, rows)
+    assert np.flatnonzero(exhausted[:, 0]).tolist() == [5]
 
 
 def test_grid_with_scan_rows_matches_one_shot():
@@ -425,13 +423,16 @@ def test_shift_rows_keep_the_first_points_that_fit():
 def test_shift_rows_outside_the_supported_range_warn_of_nothing():
     # with one correction the estimate at Re s = -5 takes the log of
     # Re s + 3 < 0: it is not a number, doubles nothing and warns of
-    # nothing, and the point's InvalidSpec comes from the call that sums it
+    # nothing, and the point's InvalidSpec comes from the call that sums it.
+    # The other point fails its estimate even at 4 N0 = 20, so the rows
+    # keep N0 = 5
     params = ZetaParams(min_terms=2, bernoulli_terms=1)
     points = np.array([-5.0 + 0j, 0.75])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = zeta_mod.shift_rows(points, 10.0, params)
-    assert rows.shape == (2, _row_width(max(zeta_mod._decide_n(np.array([0.75 + 10j]), params))))
+    assert zeta_mod._decide_n(points + 10j, params).tolist() == [5, 20]
+    assert rows.shape == (2, _row_width(5))
     with pytest.raises(InvalidSpec, match="outside the supported range"):
         zeta_mod._evaluate(points, [10.0], params, rows)
 

@@ -8,8 +8,10 @@ message and index, so that a refusal counts as an output too.  The
 sections:
 
   evaluate  zeta._evaluate over a fixed matrix of parameters, point sets
-            and shift sets, with and without the points' shift_rows; the
-            low-term parameters take 2 N0 or 4 N0 and exhaust precision
+            and shift sets, with and without the points' shift_rows, and
+            those rows cut to N0's width at the horizon (shift_rows may
+            make them wider, which no value shows); the low-term
+            parameters take 2 N0 or 4 N0 and exhaust precision
   zeta_em   zeta_em at fixed points, and the errors some of them raise
   scan500   the criterion-5 density scan through the command line: exit
             code, CSV bytes and the record without its wall time
@@ -141,9 +143,13 @@ EVALUATE_SHIFTS = (
 
 def _evaluations(points, ts, params):
     yield _outcome(zeta_mod._evaluate, points, ts, params)
-    rows = _outcome(zeta_mod.shift_rows, points, float(np.max(np.abs(ts))), params)
-    yield rows
-    if not isinstance(rows, StriplabError):
+    t_max = float(np.max(np.abs(ts)))
+    rows = _outcome(zeta_mod.shift_rows, points, t_max, params)
+    if isinstance(rows, StriplabError):
+        yield rows
+    else:
+        tau = t_max + float(np.max(np.abs(points.imag), initial=0.0))
+        yield rows[:, : zeta_mod._row_width(int(zeta_mod._choose_n(tau, params)))]
         yield _outcome(zeta_mod._evaluate, points, ts, params, rows)
 
 
