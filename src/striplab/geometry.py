@@ -5,6 +5,11 @@ full circle), open non-self-intersecting polylines, finite point sets, and
 vertical-fiber products of a finite interval union with a y-range.  All of
 them have connected complement by construction; no general topology
 validation is attempted.
+
+Each set is a tuple of pieces, and every operation one loop over them, with
+one sampling rule per piece: curves, and boxes of zero width or height, by
+arclength at spacing <= 2h; boxes with interior by the h*sqrt(2) lattice;
+points as themselves.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -63,8 +68,7 @@ class Arc:
             raise InvalidSpec("arc center must be finite")
         if not 0 < self.radius < math.inf:
             raise InvalidSpec("arc radius must be positive and finite")
-        span = self.angle_end - self.angle_start
-        if not 0.0 < span < _TWO_PI:
+        if not 0.0 < self.span < _TWO_PI:
             raise InvalidSpec("arc span must lie strictly between 0 and 2*pi (no full circles)")
 
     @property
@@ -161,16 +165,6 @@ class CantorProduct:
 CompactSet = Union[Segment, Arc, Polyline, PointSet, CantorProduct]
 
 
-def _vertices(K: Segment | Polyline | PointSet) -> tuple[complex, ...]:
-    """The corner points of a set made of straight pieces: a segment is the
-    polyline (a, b), and a point set is its own vertex list."""
-    if isinstance(K, Segment):
-        return (K.a, K.b)
-    if isinstance(K, Polyline):
-        return K.vertices
-    return K.points
-
-
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Finite sample of a CompactSet; every set point is within
@@ -221,7 +215,8 @@ def fat_cantor(depth: int) -> np.ndarray:
 
 def fiber_edges(cp: CantorProduct) -> CantorProduct:
     """Empty-interior skeleton of a product: the vertical edge segments of
-    every rectangle, as a degenerate-interval product."""
+    every rectangle, as a degenerate-interval product.  Its edges are
+    sampled and probed as segments."""
     edges = np.unique(cp.intervals)
     return CantorProduct(
         intervals=np.column_stack([edges, edges]),
@@ -281,73 +276,32 @@ def build_set(spec: dict) -> CompactSet:
     raise InvalidSpec(f"unknown set variant {variant!r}")
 
 
+_VARIANTS = (
+    (Segment, "segment"), (Arc, "arc"), (Polyline, "polyline"), (PointSet, "points"),
+    (CantorProduct, "cantor_product"),
+)
+
+
+def _plain(value):
+    """A field as JSON: a complex number as [re, im], a tuple or an array as a list."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def to_spec(K: CompactSet) -> dict:
     """Inverse of build_set, for embedding sets in output files."""
-    if isinstance(K, Segment):
-        return {"variant": "segment", "a": [K.a.real, K.a.imag], "b": [K.b.real, K.b.imag]}
-    if isinstance(K, Arc):
-        return {
-            "variant": "arc",
-            "center": [K.center.real, K.center.imag],
-            "radius": K.radius,
-            "angle_start": K.angle_start,
-            "angle_end": K.angle_end,
-        }
-    if isinstance(K, Polyline):
-        return {"variant": "polyline", "vertices": [[v.real, v.imag] for v in K.vertices]}
-    if isinstance(K, PointSet):
-        return {"variant": "points", "points": [[p.real, p.imag] for p in K.points]}
-    if isinstance(K, CantorProduct):
-        return {
-            "variant": "cantor_product",
-            "intervals": K.intervals.tolist(),
-            "y_lo": K.y_lo,
-            "y_hi": K.y_hi,
-            "scale": K.scale,
-            "offset": [K.offset.real, K.offset.imag],
-        }
-    raise InvalidSpec(f"unsupported set type {type(K).__name__}")
+    variant = next((name for cls, name in _VARIANTS if isinstance(K, cls)), None)
+    if variant is None:
+        _pieces(K)  # raises InvalidSpec for an unsupported set type
+    return {"variant": variant, **{f.name: _plain(getattr(K, f.name)) for f in fields(K)}}
 
 
 # ---------------------------------------------------------------------------
-# distance
-
-
-def _segment_distance(a: complex, b: complex, z: complex) -> float:
-    d = b - a
-    t = ((z - a) * d.conjugate()).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
-
-
-def distance(K: CompactSet, z: complex) -> float:
-    """Exact Euclidean distance from z to the set (0 iff z lies on it)."""
-    z = complex(z)
-    if isinstance(K, Arc):
-        w = z - K.center
-        rho = abs(w)
-        theta = math.atan2(w.imag, w.real)
-        rel = (theta - K.angle_start) % _TWO_PI
-        if rel <= K.span:
-            return abs(rho - K.radius)
-        e0 = K.center + K.radius * complex(math.cos(K.angle_start), math.sin(K.angle_start))
-        e1 = K.center + K.radius * complex(math.cos(K.angle_end), math.sin(K.angle_end))
-        return min(abs(z - e0), abs(z - e1))
-    if isinstance(K, (Segment, Polyline)):
-        verts = _vertices(K)
-        return min(_segment_distance(u, v, z) for u, v in zip(verts, verts[1:]))
-    if isinstance(K, PointSet):
-        return min(abs(z - p) for p in K.points)
-    if isinstance(K, CantorProduct):
-        x_lo, x_hi, y_lo, y_hi = K.rects()
-        dx = np.maximum(np.maximum(x_lo - z.real, z.real - x_hi), 0.0)
-        dy = max(y_lo - z.imag, z.imag - y_hi, 0.0)
-        return float(np.min(np.hypot(dx, dy)))
-    raise InvalidSpec(f"unsupported set type {type(K).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# discretization
+# pieces: each operation is one loop over a set's pieces, whose formulas stay
+# scalar, on the functions they always called (numpy's forms round apart)
 
 
 def _intervals(length: float, spacing: float) -> int:
@@ -360,100 +314,211 @@ def _intervals(length: float, spacing: float) -> int:
     return max(1, math.ceil(ratio))
 
 
-def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) -> SampleGrid:
-    """Sample the set with covering radius <= h_target.
+class _Points:
+    """Points, their own sample at covering radius 0 whatever the cap.  A
+    curve's points are its ends; a piece's ``corners`` attain its bounds, and
+    its sample(h) yields its sample count, then, resumed once the count has
+    passed the cap, (samples, covering radius)."""
 
-    Curves are sampled by arclength (adjacent spacing <= 2 * covering
-    radius); products get a boundary-and-interior lattice per rectangle;
-    point sets return themselves with covering radius 0.
-    """
-    if not h_target > 0:
-        raise InvalidSpec("h_target must be positive")
+    def __init__(self, points: tuple[complex, ...]):
+        self.points = self.corners = points
 
-    if isinstance(K, PointSet):
-        return SampleGrid(np.array(K.points, dtype=complex), 0.0)
+    def distance(self, z: complex) -> float:
+        return min(abs(z - p) for p in self.points)
 
-    if isinstance(K, Arc):
-        length = K.radius * K.span
-        n_int = _intervals(length, 2.0 * h_target)
-        if n_int + 1 > cap:
-            raise BudgetExceeded(f"arc discretization needs {n_int + 1} > {cap} samples")
-        ts = np.linspace(0.0, 1.0, n_int + 1)
-        pts = K.center + K.radius * np.exp(1j * (K.angle_start + ts * K.span))
-        return SampleGrid(pts, (length / n_int) / 2.0)
+    def normals(self, z: complex) -> list[complex]:
+        return []
 
-    if isinstance(K, (Segment, Polyline)):
-        verts = _vertices(K)
-        chunks = []
-        radius = 0.0
-        total = 0
-        for u, v in zip(verts, verts[1:]):
-            length = abs(v - u)
-            n_int = _intervals(length, 2.0 * h_target)
-            total += n_int
-            if total + 1 > cap:
-                raise BudgetExceeded(f"polyline discretization exceeds {cap} samples")
-            ts = np.linspace(0.0, 1.0, n_int + 1)
-            chunks.append(u + ts[:-1] * (v - u))
-            radius = max(radius, (length / n_int) / 2.0)
-        chunks.append(np.array([verts[-1]], dtype=complex))
-        return SampleGrid(np.concatenate(chunks), radius)
+    def sample(self, h: float):
+        yield 0
+        yield np.array(self.points, dtype=complex), 0.0
 
-    if isinstance(K, CantorProduct):
-        x_lo, x_hi, y_lo, y_hi = K.rects()
-        widths = x_hi - x_lo
-        height = y_hi - y_lo
-        # lattice cell half-diagonal <= h_target
-        cell = h_target * math.sqrt(2.0)
-        ny = _intervals(height, cell)
-        # the widest interval alone at cap intervals is past the cap; stopping
-        # there keeps every count within the integer cast below
-        if _intervals(float(np.max(widths)), cell) >= cap:
-            raise BudgetExceeded(f"cantor_product discretization needs more than {cap} samples")
-        nx = np.maximum(1, np.ceil(widths / cell).astype(int))
-        # a degenerate interval builds one column, a zero height one row
-        columns = np.where(x_hi > x_lo, nx + 1, 1)
-        rows = ny + 1 if height > 0 else 1
-        count = int(np.sum(columns)) * rows
-        if count > cap:
-            raise BudgetExceeded(f"cantor_product discretization needs {count} > {cap} samples")
-        ys = np.linspace(y_lo, y_hi, rows)
-        chunks = []
-        radius = 0.0
-        for lo, hi, n, m in zip(x_lo, x_hi, nx, columns):
-            xs = np.linspace(lo, hi, m)
-            dx = (hi - lo) / n
-            dy = height / ny
-            radius = max(radius, math.hypot(dx, dy) / 2.0)
-            chunks.append((xs[:, None] + 1j * ys[None, :]).ravel())
-        return SampleGrid(np.concatenate(chunks), radius)
-
-    raise InvalidSpec(f"unsupported set type {type(K).__name__}")
+    def reach(self, c: complex) -> float:
+        return max(abs(p - c) for p in self.points)
 
 
-# ---------------------------------------------------------------------------
-# exterior search
+class _Segment(_Points):
+    """The segment a -> b, sampled by arclength.  An edge of a chain leaves
+    its end b to the next edge (end=False), so that a shared vertex is
+    sampled once; a box of zero size, a == b, does too, to be one sample."""
+
+    def __init__(self, a: complex, b: complex, end: bool = True):
+        super().__init__((a, b))
+        self.a, self.b, self.d, self.end = a, b, b - a, end
+
+    def distance(self, z: complex) -> float:
+        t = ((z - self.a) * self.d.conjugate()).real / abs(self.d) ** 2
+        t = min(1.0, max(0.0, t))
+        return abs(z - (self.a + t * self.d))
+
+    def normals(self, z: complex) -> list[complex]:
+        n = 1j * self.d / abs(self.d)
+        return [n, -n]
+
+    def sample(self, h: float):
+        length = abs(self.d)
+        n = _intervals(length, 2.0 * h)
+        yield n + self.end
+        pts = np.empty(n + self.end, dtype=complex)
+        np.add(self.a, np.linspace(0.0, 1.0, n + 1)[:-1] * self.d, out=pts[:n])
+        pts[n:] = self.b  # the end itself, not a + 1.0 * (b - a)
+        yield pts, (length / n) / 2.0
 
 
-def _normal_directions(K: CompactSet, z: complex) -> list[complex]:
-    if isinstance(K, Arc):
-        w = z - K.center
+class _Arc(_Points):
+    """An arc, sampled by arclength; its points are its two ends."""
+
+    def __init__(self, center: complex, radius: float, start: float, end: float):
+        super().__init__(tuple(center + radius * complex(math.cos(a), math.sin(a)) for a in (start, end)))
+        self.center, self.radius, self.start, self.span = center, radius, start, end - start
+        # the axis-extreme points of the circle that the arc passes through
+        self.corners = self.points + tuple(
+            center + radius * direction for k, direction in enumerate((1, 1j, -1, -1j))
+            if (k * math.pi / 2.0 - start) % _TWO_PI <= self.span
+        )
+
+    def distance(self, z: complex) -> float:
+        w = z - self.center
+        theta = math.atan2(w.imag, w.real)
+        if (theta - self.start) % _TWO_PI <= self.span:
+            return abs(abs(w) - self.radius)
+        return super().distance(z)
+
+    def normals(self, z: complex) -> list[complex]:
+        w = z - self.center
         if abs(w) > 0:
             n = w / abs(w)
             return [n, -n]
         return []
-    if isinstance(K, (Segment, Polyline)):
-        verts = _vertices(K)
-        best = None
-        best_d = math.inf
-        for u, v in zip(verts, verts[1:]):
-            d = _segment_distance(u, v, z)
-            if d < best_d:
-                best_d = d
-                best = v - u
-        n = 1j * best / abs(best)
-        return [n, -n]
-    return []
+
+    def sample(self, h: float):
+        length = self.radius * self.span
+        n = _intervals(length, 2.0 * h)
+        yield n + 1
+        ts = np.linspace(0.0, 1.0, n + 1)
+        yield self.center + self.radius * np.exp(1j * (self.start + ts * self.span)), (length / n) / 2.0
+
+    def reach(self, c: complex) -> float:
+        w = self.center - c
+        # the circle's point farthest from c, if the arc passes through it
+        if not abs(w) > 0 or (math.atan2(w.imag, w.real) - self.start) % _TWO_PI <= self.span:
+            return max(super().reach(c), abs(w) + self.radius)
+        return super().reach(c)
+
+
+class _Boxes:
+    """Boxes [x_lo, x_hi] x [y_lo, y_hi], as ``rects`` gives them, at the box
+    formula's distance, exactly 0 on every box.  A box of zero width or
+    height (an axis segment, or a point) is sampled and given normals by its
+    segment piece in ``edges``, the others by a lattice on shared rows."""
+
+    def __init__(self, x_lo: np.ndarray, x_hi: np.ndarray, y_lo: float, y_hi: float):
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
+        self.corners = complex(np.min(x_lo), y_lo), complex(np.max(x_hi), y_hi)
+        self.edges = [
+            _Segment(complex(lo, y_lo), complex(hi, y_hi), lo < hi or y_lo < y_hi)
+            if lo == hi or y_lo == y_hi else None
+            for lo, hi in zip(x_lo.tolist(), x_hi.tolist())
+        ]
+
+    def _gaps(self, z: complex) -> np.ndarray:
+        dx = np.maximum(np.maximum(self.x_lo - z.real, z.real - self.x_hi), 0.0)
+        dy = max(self.y_lo - z.imag, z.imag - self.y_hi, 0.0)
+        return np.hypot(dx, dy)
+
+    def distance(self, z: complex) -> float:
+        return float(np.min(self._gaps(z)))
+
+    def normals(self, z: complex) -> list[complex]:
+        edge = self.edges[int(np.argmin(self._gaps(z)))]
+        # a box of zero size, a point, has no normal
+        return edge.normals(z) if edge and edge.d else []
+
+    def sample(self, h: float):
+        cell = h * math.sqrt(2.0)
+        height = self.y_hi - self.y_lo
+        ny = _intervals(height, cell) if None in self.edges else 0
+        boxes = list(zip(self.x_lo.tolist(), self.x_hi.tolist(), self.edges))
+        # per box, its edge's samples or its lattice's column intervals
+        plans = [edge.sample(h) if edge else _intervals(hi - lo, cell) for lo, hi, edge in boxes]
+        yield sum(next(plan) if edge else (plan + 1) * (ny + 1) for (_, _, edge), plan in zip(boxes, plans))
+        ys = np.linspace(self.y_lo, self.y_hi, ny + 1)
+        chunks, radii = [], []
+        for (lo, hi, edge), plan in zip(boxes, plans):
+            if edge:
+                pts, radius = next(plan)
+            else:
+                pts = (np.linspace(lo, hi, plan + 1)[:, None] + 1j * ys[None, :]).ravel()
+                radius = math.hypot((hi - lo) / plan, height / ny) / 2.0
+            chunks.append(pts)
+            radii.append(radius)
+        yield np.concatenate(chunks), max(radii)
+
+    def reach(self, c: complex) -> float:
+        corners = [np.hypot(x - c.real, y - c.imag) for x in (self.x_lo, self.x_hi) for y in (self.y_lo, self.y_hi)]
+        return float(np.max(np.concatenate(corners)))
+
+
+def _pieces(K: CompactSet) -> tuple:
+    """K as pieces, built on the first call and kept on K: a segment or an
+    arc is one piece, a polyline its edges as a chain of segment pieces, a
+    point set one points piece and a product one boxes piece."""
+    pieces = getattr(K, "_pieces", None)
+    if pieces is None:
+        if isinstance(K, (Segment, Polyline)):
+            v = (K.a, K.b) if isinstance(K, Segment) else K.vertices
+            pieces = tuple(_Segment(v[i], v[i + 1], i == len(v) - 2) for i in range(len(v) - 1))
+        elif isinstance(K, Arc):
+            pieces = (_Arc(K.center, K.radius, K.angle_start, K.angle_end),)
+        elif isinstance(K, PointSet):
+            pieces = (_Points(K.points),)
+        elif isinstance(K, CantorProduct):
+            pieces = (_Boxes(*K.rects()),)
+        else:
+            raise InvalidSpec(f"unsupported set type {type(K).__name__}")
+        object.__setattr__(K, "_pieces", pieces)
+    return pieces
+
+
+def distance(K: CompactSet, z: complex) -> float:
+    """Exact Euclidean distance from z to the set (0 iff z lies on it)."""
+    z = complex(z)
+    return min(piece.distance(z) for piece in _pieces(K))
+
+
+def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) -> SampleGrid:
+    """Sample the set with covering radius <= h_target, one rule per piece:
+    curves, and boxes of zero width or height, by arclength at spacing <= 2 *
+    covering radius (a chain's shared vertices once); boxes with interior by
+    the lattice of cells of half-diagonal <= h_target; points as themselves,
+    whatever the cap.  The cap is checked before any sample is built.
+    """
+    if not h_target > 0:
+        raise InvalidSpec("h_target must be positive")
+    plans = [piece.sample(h_target) for piece in _pieces(K)]
+    count = sum(map(next, plans))
+    if count > cap:
+        raise BudgetExceeded(f"discretization needs {count} > {cap} samples")
+    points, radii = zip(*map(next, plans))
+    return SampleGrid(points[0] if len(points) == 1 else np.concatenate(points), max(radii))
+
+
+def bounding_radius(K: CompactSet, center: complex = 0j) -> float:
+    """max |z - center| over the set (closed form per piece)."""
+    c = complex(center)
+    return max(piece.reach(c) for piece in _pieces(K))
+
+
+def bounding_box(K: CompactSet) -> tuple[float, float, float, float]:
+    """(x_min, x_max, y_min, y_max) of the set (closed form per piece)."""
+    corners = [p for piece in _pieces(K) for p in piece.corners]
+    xs = [p.real for p in corners]
+    ys = [p.imag for p in corners]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+# ---------------------------------------------------------------------------
+# exterior search
 
 
 _RING = tuple(complex(math.cos(_TWO_PI * k / 16), math.sin(_TWO_PI * k / 16)) for k in range(16))
@@ -470,8 +535,8 @@ def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
     """A point w with |w - z| <= delta lying strictly outside the set.
 
     Already-exterior points (clearance >= delta * 1e-6) are returned
-    unchanged.  Otherwise the exact normal direction is probed first
-    (curve variants), then 16 equally spaced directions, at radii
+    unchanged.  Otherwise the nearest piece's exact normals are probed first
+    (curves and axis segments), then 16 equally spaced directions, at radii
     delta, delta/2, delta/4, ... down to the verification margin.
     """
     if not 0 < delta < math.inf:
@@ -480,7 +545,7 @@ def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
     margin = delta * 1e-6
     if distance(K, z) >= margin:
         return z
-    normals = _normal_directions(K, z)
+    normals = min(_pieces(K), key=lambda piece: piece.distance(z)).normals(z)
     # probing a hair inside each radius keeps |w - z| <= delta after the
     # rounding of z + rho * direction
     shrink = delta * 1e-12 + exterior_resolution(z)
@@ -497,60 +562,6 @@ def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
     raise ResolutionExhausted(
         f"no exterior point within {delta:g} of {z} above margin {margin:g}"
     )
-
-
-# ---------------------------------------------------------------------------
-# global quantities
-
-
-def bounding_radius(K: CompactSet, center: complex = 0j) -> float:
-    """max |z - center| over the set (closed form per variant)."""
-    c = complex(center)
-    if isinstance(K, (Segment, Polyline, PointSet)):
-        return max(abs(v - c) for v in _vertices(K))
-    if isinstance(K, Arc):
-        candidates = [
-            abs(K.center + K.radius * complex(math.cos(a), math.sin(a)) - c)
-            for a in (K.angle_start, K.angle_end)
-        ]
-        w = K.center - c
-        if abs(w) > 0:
-            outward = math.atan2(w.imag, w.real)
-            if (outward - K.angle_start) % _TWO_PI <= K.span:
-                candidates.append(abs(w) + K.radius)
-        else:
-            candidates.append(K.radius)
-        return max(candidates)
-    if isinstance(K, CantorProduct):
-        x_lo, x_hi, y_lo, y_hi = K.rects()
-        corners = np.concatenate(
-            [np.hypot(x - c.real, y - c.imag) for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
-        )
-        return float(np.max(corners))
-    raise InvalidSpec(f"unsupported set type {type(K).__name__}")
-
-
-def bounding_box(K: CompactSet) -> tuple[float, float, float, float]:
-    """(x_min, x_max, y_min, y_max) of the set (closed form per variant)."""
-    if isinstance(K, CantorProduct):
-        x_lo, x_hi, y_lo, y_hi = K.rects()
-        return float(np.min(x_lo)), float(np.max(x_hi)), y_lo, y_hi
-    if isinstance(K, (Segment, Polyline, PointSet)):
-        pts = _vertices(K)
-    elif isinstance(K, Arc):
-        pts = [
-            K.center + K.radius * complex(math.cos(a), math.sin(a))
-            for a in (K.angle_start, K.angle_end)
-        ]
-        # the axis-extreme points of the circle that the arc passes through
-        for k, direction in enumerate((1, 1j, -1, -1j)):
-            if (k * math.pi / 2.0 - K.angle_start) % _TWO_PI <= K.span:
-                pts.append(K.center + K.radius * direction)
-    else:
-        raise InvalidSpec(f"unsupported set type {type(K).__name__}")
-    xs = [p.real for p in pts]
-    ys = [p.imag for p in pts]
-    return min(xs), max(xs), min(ys), max(ys)
 
 
 def _polyline_self_intersects(verts: tuple[complex, ...]) -> bool:

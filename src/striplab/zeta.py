@@ -758,16 +758,47 @@ def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
     return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
 
 
+# an a-priori estimate (_edwards_estimate) and an a-posteriori one (_em_tail)
+# are one product of |q_{K+1}|, |s + j| and N^-(Re s + 2K + 1), as the exp of
+# a sum of logs or from the summed terms; they differed by at most 2e-13
+# relative over 2 400 random pairs (K = 1..30, |Im s| up to 1e5)
+_REFUSAL_MARGIN = 1e-9
+
+
+def _refusal(points: np.ndarray, t: float, params: ZetaParams):
+    """(index, a-priori estimate) of the first point at shift t whose
+    estimate at its N does not surely pass, when it surely fails: finite,
+    above the threshold by the margin, and within the term cap; else (None,
+    None).  Its arrays are freed before _evaluate builds its own."""
+    shifted = np.empty(len(points), dtype=complex)
+    shifted.real, shifted.imag = points.real, points.imag + t
+    _check_range(shifted)
+    # the screen, above the exact estimate by far more than the margin,
+    # passes most points at N0, and those surely
+    if not (_edwards_estimate(shifted, _choose_n(shifted.imag, params), params, screen=True) > _ERR_THRESHOLD).any():
+        return None, None
+    counts = _decide_n(shifted, params)
+    estimate = _edwards_estimate(shifted, counts, params)
+    first = int(np.argmax(~(estimate <= _ERR_THRESHOLD * (1.0 - _REFUSAL_MARGIN))))
+    if _ERR_THRESHOLD * (1.0 + _REFUSAL_MARGIN) < estimate[first] < math.inf and counts.max() <= _MAX_TERMS:
+        return first, estimate[first]
+    return None, None
+
+
 def _evaluate_at(points: np.ndarray, t: float, params: ZetaParams):
     """_evaluate at one shift; a point that exhausts precision raises
-    PrecisionExhausted carrying its index."""
-    values, errors, exhausted = _evaluate(points, [t], params)
-    if exhausted.any():
+    PrecisionExhausted carrying its index, before any term is summed when
+    _refusal finds it."""
+    i, error = _refusal(points, t, params)
+    if i is None:
+        values, errors, exhausted = _evaluate(points, [t], params)
+        if not exhausted.any():
+            return values[:, 0], errors[:, 0]
         i = int(np.argmax(exhausted[:, 0]))
-        s = complex(points[i].real, points[i].imag + t)
-        msg = f"error estimate {errors[i, 0]:g} above {_ERR_THRESHOLD:g} at s = {s} after doubling N twice"
-        raise PrecisionExhausted(msg, index=i)
-    return values[:, 0], errors[:, 0]
+        error = errors[i, 0]
+    s = complex(points[i].real, points[i].imag + t)
+    msg = f"error estimate {error:g} above {_ERR_THRESHOLD:g} at s = {s} after doubling N twice"
+    raise PrecisionExhausted(msg, index=i)
 
 
 def zeta_em(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> ZetaValue:

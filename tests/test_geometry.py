@@ -261,7 +261,11 @@ def test_discretize_product_cap_counts_built_samples(depth, degenerate, height, 
 
 def test_discretize_covering_contract():
     rng = np.random.default_rng(11)
-    for K in sample_sets()[:3]:  # curve variants
+    # the curve variants, the comb of edges and a product of zero height,
+    # whose boxes are vertical and horizontal segments
+    comb = fiber_edges(sample_sets()[4])
+    row = CantorProduct(fat_cantor(2), 0.5, 0.5, 0.4, 0.55)
+    for K in sample_sets()[:3] + [comb, row]:
         g = discretize(K, 0.03)
         for _ in range(1000):
             t = rng.uniform()
@@ -269,11 +273,46 @@ def test_discretize_covering_contract():
                 z = K.a + t * (K.b - K.a)
             elif isinstance(K, Arc):
                 z = K.center + K.radius * np.exp(1j * (K.angle_start + t * K.span))
+            elif isinstance(K, CantorProduct):
+                x_lo, x_hi, y_lo, y_hi = K.rects()
+                k = rng.integers(len(x_lo))
+                z = complex(x_lo[k] + t * (x_hi[k] - x_lo[k]), y_lo + rng.uniform() * (y_hi - y_lo))
             else:
                 edges = list(zip(K.vertices, K.vertices[1:]))
                 u, v = edges[rng.integers(len(edges))]
                 z = u + t * (v - u)
             assert np.min(np.abs(g.points - z)) <= g.covering_radius + 1e-12
+
+
+def test_discretize_comb_samples_its_edges_as_segments():
+    # the depth-3 comb's 16 edges of height 0.09, each at 45 intervals of
+    # 2e-3: 736 samples at covering radius 1e-3, where the rectangle
+    # lattice took 1 040 at 7.0e-4; every sample lies on its edge exactly
+    K = fiber_edges(CantorProduct(fat_cantor(3), 0.0, 0.3, 0.3, 0.55 + 0.1j))
+    g = discretize(K, 1e-3)
+    assert len(g) == 736 and g.covering_radius == pytest.approx(1e-3, rel=1e-12)
+    assert all(distance(K, z) == 0.0 for z in g.points)
+    x_lo, _, y_lo, y_hi = K.rects()
+    for edge, x in enumerate(x_lo):
+        column = g.points[46 * edge : 46 * (edge + 1)]
+        assert (column.real == x).all() and column[0].imag == y_lo and column[-1].imag == y_hi
+
+
+def test_polyline_is_the_chain_of_its_edges():
+    # a polyline samples each edge as the segment of its two vertices does,
+    # each shared vertex once, and its distance is the least edge distance,
+    # bit for bit
+    K = sample_sets()[2]
+    edges = [Segment(u, v) for u, v in zip(K.vertices, K.vertices[1:])]
+    for h in (0.3, 0.03, 1e-3):
+        grids = [discretize(edge, h) for edge in edges]
+        chain = np.concatenate([g.points[:-1] for g in grids[:-1]] + [grids[-1].points])
+        g = discretize(K, h)
+        assert g.points.tobytes() == chain.tobytes()
+        assert g.covering_radius == max(e.covering_radius for e in grids)
+    rng = np.random.default_rng(3)
+    for z in rng.uniform(-1, 2, (300, 2)) @ np.array([1, 1j]):
+        assert distance(K, z) == min(distance(edge, z) for edge in edges)
 
 
 # ---------------------------------------------------------------- exterior
@@ -283,6 +322,21 @@ def test_nearest_exterior_segment_normal():
     w = nearest_exterior(Segment(0, 1), 0.5, 0.01)
     assert w == pytest.approx(0.5 + 0.01j, rel=1e-9)
     assert distance(Segment(0, 1), w) == pytest.approx(0.01, rel=1e-9)
+
+
+def test_nearest_exterior_probes_axis_boxes_along_their_normal():
+    # a box of zero width or height is probed along its segment's normal
+    # first: the exterior point lies straight across the comb's edge, and
+    # straight above or below the flat row, where the ring's first
+    # direction ran along the row
+    comb = fiber_edges(CantorProduct(fat_cantor(3), 0.0, 0.3, 0.3, 0.55 + 0.1j))
+    row = CantorProduct(fat_cantor(2), 0.5, 0.5, 0.4, 0.55)
+    for K in (comb, row):
+        x_lo, x_hi, y_lo, y_hi = K.rects()
+        z = complex((x_lo[1] + x_hi[1]) / 2.0, (y_lo + y_hi) / 2.0)
+        w = nearest_exterior(K, z, 1e-3)
+        assert (w.imag == z.imag) if K is comb else (w.real == z.real)
+        assert distance(K, w) == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_nearest_exterior_keeps_clear_points():

@@ -215,6 +215,55 @@ def test_grid_propagates_offending_index():
     assert excinfo.value.index == 1
 
 
+@pytest.mark.parametrize(
+    "points, params, index",
+    [
+        # one correction at 0.75 + 2e6 i: 4 N0 = 4e6 terms took 0.5 s to sum
+        # before the refusal, whose a-priori estimate reads 1.03522e-3
+        ([0.75 + 2e6j], ZetaParams(bernoulli_terms=1), 0),
+        ([0.75, 0.75 + 2e5j], ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=12), 1),
+    ],
+)
+def test_a_point_past_its_estimate_is_refused_before_it_is_summed(monkeypatch, points, params, index):
+    # the refusal reads as the summed point's did: its index, and its
+    # message, where the a-priori estimate prints as the a-posteriori one
+    _, errors, exhausted = zeta_mod._evaluate(points, [0.0], params)
+    assert np.flatnonzero(exhausted[:, 0]).tolist() == [index]
+    s = complex(points[index])
+    expected = f"error estimate {errors[index, 0]:g} above 1e-06 at s = {s} after doubling N twice"
+
+    def refused(*args):
+        raise AssertionError("summed a point that its a-priori estimate refuses")
+
+    monkeypatch.setattr(zeta_mod, "_sums", refused)
+    with pytest.raises(PrecisionExhausted) as excinfo:
+        zeta_em(s, params)
+    assert (str(excinfo.value), excinfo.value.index) == (expected, 0)
+    with pytest.raises(PrecisionExhausted) as excinfo:
+        zeta_shifted_grid(SampleGrid(points, 0.0), 0.0, params)
+    assert (str(excinfo.value), excinfo.value.index) == (expected, index)
+
+
+@pytest.mark.parametrize("within", [True, False])
+def test_a_point_within_the_margin_or_past_the_largest_double_is_summed(monkeypatch, within):
+    # an a-priori estimate above the threshold by less than the margin, or
+    # one past the largest double, refuses nothing before the sum: the
+    # point is summed and decided on its a-posteriori estimate as before
+    if within:
+        s, params = 0.95 + 1e3j, ZetaParams(terms_per_unit_t=0.1)
+        prior = float(zeta_mod._edwards_estimate(np.array([s]), np.array([400]), params)[0])
+        monkeypatch.setattr(zeta_mod, "_ERR_THRESHOLD", prior * (1.0 - 1e-10))
+    else:
+        s, params = 0.75 + 1e7j, ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=30)
+        assert zeta_mod._edwards_estimate(np.array([s]), np.array([8]), params)[0] == math.inf
+    summed = []
+    sums = zeta_mod._sums
+    monkeypatch.setattr(zeta_mod, "_sums", lambda *args: summed.append(args[2].tolist()) or sums(*args))
+    with pytest.raises(PrecisionExhausted):
+        zeta_em(s, params)
+    assert summed == [[400 if within else 8]]
+
+
 def test_grid_offending_index_with_rows_past_their_width():
     # the rows hold N = 2: 2, 3 and the one n = 1 coprime to 6, which serve
     # N = 4 as well; the offender at index 5 doubles past them to N = 8 and

@@ -18,7 +18,9 @@ sections:
   line_scan criterion-6 windows near t = 43 225 at 0.35 terms per unit t
   approx    the five fixed approximate_nonvanishing problems, and the
             command-line records of those it can state, without wall time
-  grids     the sample grids of each set type
+  grids     the sample grids of each set type, with its bounding box and
+            radii, and its distance and exterior points at probes on it,
+            near it and far from it
 
 No hash is pinned anywhere: a pinned hash would block intended changes.
 Fits run on one OpenBLAS thread (approximation._OneBlasThread); where numpy
@@ -51,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import striplab  # noqa: E402
 import striplab.cli  # noqa: E402
+import striplab.geometry as geometry  # noqa: E402
 import striplab.zeta as zeta_mod  # noqa: E402
 from striplab.errors import StriplabError  # noqa: E402
 from striplab.zeta import ZetaParams  # noqa: E402
@@ -282,13 +285,26 @@ def _grid_sets():
         striplab.CantorProduct(np.array([[0.0, 1.0]]), 0.0, 1.0, 0.4, 0.55),
         cantor,
         striplab.fiber_edges(cantor),
+        striplab.CantorProduct(striplab.fat_cantor(2), 0.5, 0.5, 0.4, 0.55),  # zero height
     )
+
+
+def _probes(K, fast: bool):
+    """Points on the set (some of its samples), near it (those moved by
+    1e-9 and 1e-4) and far from it (3 + 2i and -2 - 3i)."""
+    on = striplab.discretize(K, 0.05).points
+    on = [complex(z) for z in on[:: max(1, len(on) // (3 if fast else 12))]]
+    near = [z + d * (1 + 1j) for d in (1e-9, 1e-4) for z in on]
+    return on + near + [3 + 2j, -2 - 3j]
 
 
 def section_grids(fast: bool):
     for K in _grid_sets():
         for h in (0.05,) if fast else (0.1, 0.05, 0.01, 1e-3):
             yield striplab.to_spec(K), h, _outcome(striplab.discretize, K, h)
+        yield geometry.bounding_box(K), [striplab.bounding_radius(K, c) for c in (0j, 0.3 - 0.2j, 0.75)]
+        for z in _probes(K, fast):
+            yield z, striplab.distance(K, z), [_outcome(striplab.nearest_exterior, K, z, d) for d in (1e-2, 1e-5)]
 
 
 SECTIONS = {
