@@ -321,7 +321,11 @@ class _Points:
     passed the cap, (samples, covering radius)."""
 
     def __init__(self, points: tuple[complex, ...]):
-        self.points = self.corners = points
+        self.points = points
+
+    @property
+    def corners(self) -> tuple[complex, ...]:
+        return self.points
 
     def distance(self, z: complex) -> float:
         return min(abs(z - p) for p in self.points)
@@ -371,10 +375,14 @@ class _Arc(_Points):
     def __init__(self, center: complex, radius: float, start: float, end: float):
         super().__init__(tuple(center + radius * complex(math.cos(a), math.sin(a)) for a in (start, end)))
         self.center, self.radius, self.start, self.span = center, radius, start, end - start
-        # the axis-extreme points of the circle that the arc passes through
-        self.corners = self.points + tuple(
-            center + radius * direction for k, direction in enumerate((1, 1j, -1, -1j))
-            if (k * math.pi / 2.0 - start) % _TWO_PI <= self.span
+
+    @property
+    def corners(self) -> tuple[complex, ...]:
+        # its ends, and the axis-extreme points of the circle that it passes
+        # through: built only for bounding_box
+        return self.points + tuple(
+            self.center + self.radius * direction for k, direction in enumerate((1, 1j, -1, -1j))
+            if (k * math.pi / 2.0 - self.start) % _TWO_PI <= self.span
         )
 
     def distance(self, z: complex) -> float:
@@ -483,7 +491,10 @@ def _pieces(K: CompactSet) -> tuple:
 def distance(K: CompactSet, z: complex) -> float:
     """Exact Euclidean distance from z to the set (0 iff z lies on it)."""
     z = complex(z)
-    return min(piece.distance(z) for piece in _pieces(K))
+    pieces = _pieces(K)
+    if len(pieces) == 1:
+        return pieces[0].distance(z)
+    return min(piece.distance(z) for piece in pieces)
 
 
 def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) -> SampleGrid:
@@ -506,7 +517,10 @@ def discretize(K: CompactSet, h_target: float, cap: int = DEFAULT_SAMPLE_CAP) ->
 def bounding_radius(K: CompactSet, center: complex = 0j) -> float:
     """max |z - center| over the set (closed form per piece)."""
     c = complex(center)
-    return max(piece.reach(c) for piece in _pieces(K))
+    pieces = _pieces(K)
+    if len(pieces) == 1:
+        return pieces[0].reach(c)
+    return max(piece.reach(c) for piece in pieces)
 
 
 def bounding_box(K: CompactSet) -> tuple[float, float, float, float]:
@@ -545,7 +559,9 @@ def nearest_exterior(K: CompactSet, z: complex, delta: float) -> complex:
     margin = delta * 1e-6
     if distance(K, z) >= margin:
         return z
-    normals = min(_pieces(K), key=lambda piece: piece.distance(z)).normals(z)
+    pieces = _pieces(K)
+    nearest = pieces[0] if len(pieces) == 1 else min(pieces, key=lambda piece: piece.distance(z))
+    normals = nearest.normals(z)
     # probing a hair inside each radius keeps |w - z| <= delta after the
     # rounding of z + rho * direction
     shrink = delta * 1e-12 + exterior_resolution(z)

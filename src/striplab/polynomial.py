@@ -259,19 +259,49 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     s = abs(coeffs[low] / coeffs[m]) ** (1.0 / max(m - low, 1))
     desc = (coeffs / coeffs[m] * s ** (np.arange(m + 1) - m))[::-1]
     try:
-        u = np.roots(desc)
+        u = _companion_roots(desc)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"companion eigenvalues failed: {exc}") from exc
-    pv = np.polyval(desc, u)
+    pv = _polyval(desc, u)
     with np.errstate(all="ignore"):
-        step = u - pv / np.polyval(np.polyder(desc), u)
-        step_pv = np.polyval(desc, step)
+        step = u - pv / _polyval(desc[:-1] * np.arange(m, 0, -1), u)
+        step_pv = _polyval(desc, step)
     better = np.abs(step_pv) < np.abs(pv)
     u = np.where(better, step, u)
     pv = np.where(better, step_pv, pv)
-    if not np.all(np.abs(pv) <= _ROOT_TOL * np.polyval(np.abs(desc), np.abs(u))):
+    if not np.all(np.abs(pv) <= _ROOT_TOL * _polyval(np.abs(desc), np.abs(u))):
         raise NoConvergence("a root misses the backward-error test |p| <= 1e-12 * sum_k |c_k| |w|**k")
     return tuple(p.center + p.scale * (s * u))
+
+
+def _companion_roots(desc: np.ndarray) -> np.ndarray:
+    """np.roots(desc) for a complex coefficient array, highest power first,
+    without its argument handling: the eigenvalues of the companion matrix
+    of desc with its leading and trailing zeros stripped, then one root 0
+    per trailing zero.  The matrix, and so every eigenvalue, is np.roots'
+    own; as there, a polynomial whose only root is 0 gets float zeros."""
+    nonzero = np.flatnonzero(desc)
+    trailing = len(desc) - 1 - nonzero[-1]
+    p = desc[nonzero[0] : nonzero[-1] + 1]
+    n = len(p) - 1
+    if n > 0:
+        A = np.zeros((n, n), dtype=p.dtype)
+        A.flat[n :: n + 1] = 1
+        A[0, :] = -p[1:] / p[0]
+        u = np.linalg.eigvals(A)
+    else:
+        u = np.array([])
+    return np.concatenate((u, np.zeros(trailing, u.dtype))) if trailing else u
+
+
+def _polyval(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval(desc, x) for an array x: its recurrence y = y * x + c from
+    y = 0, the same array operations on the same operands, without its
+    argument handling."""
+    y = np.zeros_like(x)
+    for c in desc:
+        y = y * x + c
+    return y
 
 
 def perturbation_bound(
@@ -298,15 +328,15 @@ def perturbation_bound(
     m = len(old)
     if m == 0:
         return 0.0
-    center = complex(center)
-    factors = np.array([R + max(abs(a - center), abs(b - center)) for a, b in zip(old, new)]) / scale
+    center, R, scale = complex(center), float(R), float(scale)
+    # Python floats, and each telescoped product taken left to right
+    factors = [(R + max(abs(a - center), abs(b - center))) / scale for a, b in zip(old, new)]
     total = 0.0
     for k in range(m):
         move = abs(old[k] - new[k]) / scale
         if move == 0.0:
             continue
-        others = np.concatenate([factors[:k], factors[k + 1 :]])
-        total += move * float(np.prod(others))
+        total += move * math.prod(factors[:k] + factors[k + 1 :])
     return abs(complex(leading)) * total
 
 

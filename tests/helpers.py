@@ -1,5 +1,6 @@
 """Shared randomized-case machinery for the repair and acceptance suites,
-and the doubling rule that zeta's decided N is checked against."""
+the doubling rule that zeta's decided N is checked against, and the numpy
+paths that roots and perturbation_bound must match bit for bit."""
 
 import math
 
@@ -14,7 +15,9 @@ from striplab import (
     evaluate_factored,
     from_roots,
 )
+from striplab import polynomial
 from striplab import zeta as zeta_mod
+from striplab.errors import NoConvergence
 
 EPS = np.finfo(float).eps
 
@@ -46,6 +49,55 @@ def doubling_reference(points, ts, params, rows=None):
         exhausted &= ~((e <= zeta_mod._ERR_THRESHOLD) & np.isfinite(v))
     shape = (len(ts), len(points))
     return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
+
+
+def reference_roots(p):
+    """polynomial.roots through np.roots, np.polyval and np.polyder: the
+    same scaling, Newton step and backward-error test, with numpy's own
+    companion solve and Horner loops."""
+    m = p.degree
+    e = math.frexp(abs(p.leading))[1]
+    coeffs = np.ldexp(np.array(p.coeffs, dtype=complex).view(float), -e).view(complex)
+    low = int(np.flatnonzero(coeffs)[0])
+    s = abs(coeffs[low] / coeffs[m]) ** (1.0 / max(m - low, 1))
+    desc = (coeffs / coeffs[m] * s ** (np.arange(m + 1) - m))[::-1]
+    try:
+        u = np.roots(desc)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues failed: {exc}") from exc
+    pv = np.polyval(desc, u)
+    with np.errstate(all="ignore"):
+        step = u - pv / np.polyval(np.polyder(desc), u)
+        step_pv = np.polyval(desc, step)
+    better = np.abs(step_pv) < np.abs(pv)
+    u = np.where(better, step, u)
+    pv = np.where(better, step_pv, pv)
+    if not np.all(np.abs(pv) <= polynomial._ROOT_TOL * np.polyval(np.abs(desc), np.abs(u))):
+        raise NoConvergence("a root misses the backward-error test |p| <= 1e-12 * sum_k |c_k| |w|**k")
+    return tuple(p.center + p.scale * (s * u))
+
+
+def reference_perturbation_bound(leading, roots_old, roots_new, R, center=0j, scale=1.0):
+    """perturbation_bound with its factors in a float64 array and each
+    telescoped product taken by np.prod over np.concatenate."""
+    old = [complex(r) for r in roots_old]
+    new = [complex(r) for r in roots_new]
+    center = complex(center)
+    factors = np.array([R + max(abs(a - center), abs(b - center)) for a, b in zip(old, new)]) / scale
+    total = 0.0
+    for k in range(len(old)):
+        move = abs(old[k] - new[k]) / scale
+        if move == 0.0:
+            continue
+        others = np.concatenate([factors[:k], factors[k + 1 :]])
+        total += move * float(np.prod(others))
+    return abs(complex(leading)) * total
+
+
+def bits(values):
+    """The exact floats of complex or real values, signs of zero included,
+    as hex strings."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
 def point_on(K, rng):

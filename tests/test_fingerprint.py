@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
-SECTIONS = ["evaluate", "zeta_em", "scan500", "line_scan", "approx", "grids", "total"]
+SECTIONS = ["evaluate", "zeta_em", "scan500", "line_scan", "approx", "grids", "repair", "total"]
 
 
 def _tool():

@@ -249,8 +249,9 @@ def test_discretize_flat_product_column_count_past_the_cap():
     h=st.floats(1e-2, 1.0),
 )
 def test_discretize_product_cap_counts_built_samples(depth, degenerate, height, scale, h):
-    # degenerate intervals build one column and a zero height one row; the
-    # cap check must count exactly what is built
+    # boxes of zero width or height are segment pieces, sampled by
+    # arclength, and a point box is one sample; the cap check must count
+    # exactly what is built
     cp = CantorProduct(fat_cantor(depth), y_lo=0.2, y_hi=0.2 + height, scale=scale)
     K = fiber_edges(cp) if degenerate else cp
     g = discretize(K, h)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import bits, reference_perturbation_bound, reference_roots
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -336,6 +337,56 @@ def test_round_trip_property_200_cases():
         assert match_error(found, expected) <= 1e-8
 
 
+def _roots_outcome(roots_of, p):
+    """The bits of the roots, or the NoConvergence message, and the
+    warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = bits(roots_of(p))
+        except NoConvergence as exc:
+            out = str(exc)
+    return out, [str(w.message) for w in caught]
+
+
+_COEFF = st.floats(-10.0, 10.0, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(coeffs=[(1.0, 0.0)], low_zeros=1, exponent=0, frame=0)  # degree 1, root 0
+@example(coeffs=[(1.0, 0.0)], low_zeros=3, exponent=0, frame=1)  # no root but 0
+@example(coeffs=[(-1.5, 2.0), (3.0, 0.0)], low_zeros=0, exponent=0, frame=0)  # degree 1
+@example(coeffs=[(-4.0, 0.0), (0.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=-1064, frame=0)  # subnormal
+@example(coeffs=[(1.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=-1074, frame=2)  # 5e-324 (1 + z)
+@given(
+    coeffs=st.lists(st.tuples(_COEFF, _COEFF), min_size=1, max_size=17).filter(lambda cs: cs[-1] != (0.0, 0.0)),
+    low_zeros=st.integers(0, 3),
+    exponent=st.sampled_from([0, 0, -30, 200, -1030, -1064, -1074]),
+    frame=st.integers(0, 2),
+)
+def test_roots_are_the_numpy_paths_floats(coeffs, low_zeros, exponent, frame):
+    # the companion matrix, eigenvalues, Newton step and backward-error sum
+    # of roots are those that np.roots, np.polyval and np.polyder give,
+    # float for float, with the same warnings: at degree 1, with zero low
+    # coefficients (trailing zeros of the highest-first array np.roots
+    # strips), and with subnormal coefficients
+    cs = [0j] * low_zeros + [complex(np.ldexp(re, exponent), np.ldexp(im, exponent)) for re, im in coeffs]
+    center, scale = ((0j, 1.0), (0.25 - 0.5j, 2.0), (1e3j, 1e-3))[frame]
+    p = Polynomial(tuple(cs), center, scale)
+    if p.degree == 0:
+        return
+    assert _roots_outcome(roots, p) == _roots_outcome(reference_roots, p)
+
+
+def test_roots_match_the_numpy_paths_on_random_rings():
+    rng = np.random.default_rng(35)
+    for m in (1, 2, 5, 16, 33, 60):
+        for _ in range(10):
+            expected = rng.uniform(0.2, 3.0) * np.exp(2j * np.pi * rng.uniform(size=m))
+            p = from_roots(complex(*rng.standard_normal(2)), expected)
+            assert bits(roots(p)) == bits(reference_roots(p))
+
+
 # ---------------------------------------------------------------- bounds
 
 
@@ -352,6 +403,31 @@ def test_perturbation_bound_degree_one_exact():
 def test_perturbation_bound_length_mismatch():
     with pytest.raises(InvalidSpec, match="root lists differ in length"):
         perturbation_bound(1.0, (0.0,), (0.0, 1.0), 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            st.complex_numbers(max_magnitude=0.1, allow_nan=False, allow_infinity=False),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+    leading=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    R=st.floats(0.0, 5.0),
+    center=st.sampled_from([0j, 0.5 - 0.25j]),
+    scale=st.sampled_from([1.0, 0.3, 7.0]),
+)
+def test_perturbation_bound_is_the_numpy_telescoping(pairs, leading, R, center, scale):
+    # the factors and products as Python floats, left to right, give
+    # np.prod's floats over np.concatenate's vectors; unmoved roots add
+    # nothing
+    old = [r for r, _, _ in pairs]
+    new = [r + step if moved else r for r, step, moved in pairs]
+    args = (leading, old, new, R, center, scale)
+    assert perturbation_bound(*args).hex() == reference_perturbation_bound(*args).hex()
 
 
 def disk_samples(R, n, rng):

@@ -21,6 +21,11 @@ sections:
   grids     the sample grids of each set type, with its bounding box and
             radii, and its distance and exterior points at probes on it,
             near it and far from it
+  repair    repair_nonvanishing on seeded random cases in the repair
+            benchmark's style: a segment, an arc or 1-5 points, degree
+            1-16 with about half the roots on the set, budget 10**-4 to
+            10**-0.5, and three refusals; each factored polynomial and
+            certificate, or the error raised with its required_delta
 
 No hash is pinned anywhere: a pinned hash would block intended changes.
 Fits run on one OpenBLAS thread (approximation._OneBlasThread); where numpy
@@ -307,6 +312,57 @@ def section_grids(fast: bool):
             yield z, striplab.distance(K, z), [_outcome(striplab.nearest_exterior, K, z, d) for d in (1e-2, 1e-5)]
 
 
+# ------------------------------------------------------------------ repair
+
+
+def _repair_case(rng):
+    """(K, P, budget): K a segment, an arc or 1-5 points, P of degree 1-16
+    with each root on K or in the square |Re|, |Im| <= 1.5 by a coin toss."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        K = striplab.Segment(a, a + complex(rng.uniform(0.2, 1.0), rng.uniform(-0.5, 0.5)))
+    elif kind == 1:
+        start = rng.uniform(0, 2 * np.pi)
+        center = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        K = striplab.Arc(center, rng.uniform(0.05, 0.5), start, start + rng.uniform(0.3, 5.5))
+    else:
+        count = int(rng.integers(1, 6))
+        K = striplab.PointSet(tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(count)))
+    roots = []
+    for _ in range(int(rng.integers(1, 17))):
+        if rng.uniform() < 0.5:
+            u = rng.uniform()
+            if kind == 0:
+                roots.append(K.a + u * (K.b - K.a))
+            elif kind == 1:
+                roots.append(K.center + K.radius * complex(np.exp(1j * (K.angle_start + u * K.span))))
+            else:
+                roots.append(K.points[int(u * len(K.points)) % len(K.points)])
+        else:
+            roots.append(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+    leading = complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
+    return K, striplab.from_roots(leading, tuple(roots)), 10.0 ** rng.uniform(-4.0, -0.5)
+
+
+# no random case raises; these three refuse: the first displacement
+# underflows, no displacement resolves at the root on the set at 1e6, and
+# the modulus floor of a subnormal polynomial rounds to 0
+REPAIR_REFUSALS = (
+    (striplab.Segment(-1, 1), striplab.Polynomial((0, 1)), 5e-324),
+    (striplab.Segment(1e6 - 1, 1e6 + 1), striplab.Polynomial((-1e6, 1)), 1e-10),
+    (striplab.Segment(-10, 10), striplab.Polynomial((0, 5e-324), 0, 100), 1e-3),
+)
+
+
+def section_repair(fast: bool):
+    rng = np.random.default_rng(35)
+    cases = [_repair_case(rng) for _ in range(100 if fast else 1000)]
+    for K, P, budget in cases + list(REPAIR_REFUSALS):
+        out = _outcome(striplab.repair_nonvanishing, P, K, budget)
+        yield K, P, budget, out, getattr(out, "required_delta", None)
+
+
 SECTIONS = {
     "evaluate": section_evaluate,
     "zeta_em": section_zeta_em,
@@ -314,6 +370,7 @@ SECTIONS = {
     "line_scan": section_line_scan,
     "approx": section_approx,
     "grids": section_grids,
+    "repair": section_repair,
 }
 
 
