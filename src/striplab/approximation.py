@@ -18,12 +18,18 @@ point set, one row of a Cantor product), they are u * y with y real and
 u = 1 or i, by the one axis rule that ``polynomial.evaluate`` follows too
 (``polynomial._axis_coordinate``).  The basis is then built on y and every
 fit runs in real arithmetic, the target's real and imaginary parts as two
-right-hand sides, and so does the recomputation of each iterate's residuals
-(one real recurrence in y); every other set keeps the complex basis and the
-complex Horner loop.  The returned polynomial is always coefficient form in
-its frame variable after basis back-substitution, and its reported sup
-error is recomputed from those coefficients, so conversion loss is
-measured, never hidden.  The degree search runs each attempt only until it
+right-hand sides.  So do each iterate's residuals |p(z_i) - f_i|: the real
+recurrence in y that ``evaluate`` runs on an axis
+(``polynomial._horner_real``) runs on the fit's own coefficients of y**k,
+P a, on their real parts alone when they and the target are real, and
+gives the floats of np.abs(evaluate(p, z) - f).  Every other set keeps the
+complex basis and calls ``evaluate``, as does a recurrence that overflows.
+A ``Polynomial`` is built only for the fit returned, in coefficient form in
+its frame variable after basis back-substitution; its reported sup error
+is recomputed from those coefficients by ``evaluate``'s recurrence, so
+conversion loss is measured, never hidden.  The grid's frame points, their
+axis coordinate and the target's parts are formed once per grid
+(``_grid_samples``).  The degree search runs each attempt only until it
 knows whether the budget is met, and the chosen degree's Lawson loop then
 continues from where its attempt stopped, never starting over.
 ``approximate`` and ``lawson_refine`` run numpy's OpenBLAS on one thread
@@ -43,13 +49,21 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry, targets
 from .errors import BudgetExceeded, BudgetNotMet, InvalidSpec
 from .geometry import CompactSet, SampleGrid
-from .polynomial import Polynomial, _axis_coordinate, _turn, derivative_bound, evaluate
+from .polynomial import (
+    Polynomial,
+    _axis_coordinate,
+    _horner_real,
+    _turn,
+    derivative_bound,
+    evaluate,
+)
 from .targets import TargetFunction
 
 _LAWSON_WEIGHT_FLOOR = 1e-14
@@ -58,8 +72,9 @@ _LAWSON_ITERS = 10
 # covers the rounding between that residual and the least sup error on the
 # samples, that is the weights' sum missing 1, the Gram solve missing the
 # least-squares coefficients (the residual's excess is second order in that
-# miss, see _gram_fit) and the recomputed sup errors' own evaluation
-# rounding, all far below 1e-6
+# miss, see _gram_fit) and the rounding of the sup errors, which are
+# recomputed from each fit's coefficients by evaluate's recurrence
+# (_residuals), all far below 1e-6
 _LOWER_BOUND_MARGIN = 1e-6
 # most samples ``approximate`` puts on a set
 _GRID_CAP = 20_000
@@ -123,11 +138,12 @@ class _OneBlasThread(contextlib.ContextDecorator):
     A fit's products are small (20 000 x 61 at most under the default degree
     cap): a second OpenBLAS thread saves them no wall time, doubles their CPU
     time, slows them several times over when another process holds a core,
-    and moves their last bits (a fit's sup error by up to rel 1.7e-8).  The thread count is process-wide, so one
-    lock and one depth count cover every Python thread: the outermost entry
-    saves the caller's count and sets 1, the last exit restores it, also when
-    the call raises.  The library is looked up on the first entry, not at
-    import; where none is found the context does nothing.
+    and moves their last bits (a fit's sup error by up to rel 1.7e-8).  The
+    thread count is process-wide, so one lock and one depth count cover
+    every Python thread: the outermost entry saves the caller's count and
+    sets 1, the last exit restores it, also when the call raises.  The
+    library is looked up on the first entry, not at import; where none is
+    found the context does nothing.
     """
 
     def __init__(self):
@@ -209,6 +225,7 @@ def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int, held=None):
     solve in it (``_gram_fit``).
     """
     n = len(z)
+    real = not np.iscomplexobj(z)
     Q = np.zeros((n, degree + 1), dtype=z.dtype, order="F")
     P = np.zeros((degree + 1, degree + 1), dtype=z.dtype)
     if held is None:
@@ -226,10 +243,11 @@ def _weighted_basis(z: np.ndarray, w: np.ndarray, degree: int, held=None):
         pk[1:] = P[:-1, k - 1]
         Qk, Pk = Q[:, :k], P[:, :k]
         for _ in range(2):
-            h = np.conj(np.conj(w * q) @ Qk)
+            # on real points conj only copies, and q.imag is zeros
+            h = (w * q) @ Qk if real else np.conj(np.conj(w * q) @ Qk)
             q -= Qk @ h
             pk -= Pk @ h
-        hn = math.sqrt(float(np.sum(w * (q.real**2 + q.imag**2))))
+        hn = math.sqrt(float(np.sum(w * (q**2 if real else q.real**2 + q.imag**2))))
         if hn < 1e-14:
             raise InvalidSpec(
                 f"orthogonalization collapsed at degree {k}; "
@@ -278,6 +296,77 @@ def set_frame(K: CompactSet) -> tuple[complex, float]:
     return center, (rho if rho > 0 else 1.0)
 
 
+class _GridSamples(NamedTuple):
+    """A grid and its target as every Lawson fit on them reads them, made
+    once per grid (``_grid_samples``)."""
+
+    z: np.ndarray  # the grid points
+    f: np.ndarray  # the target samples
+    center: complex
+    scale: float
+    # the points the basis is built on: the frame points w = (z - c) / rho,
+    # or on an axis their real coordinate y, w = unit * y
+    y: np.ndarray
+    unit: complex
+    re: np.ndarray  # Re f and Im f, contiguous
+    im: np.ndarray
+    real: bool  # every Im f is exactly 0
+    f_scale: float  # max(1, max |f|), the scale of "exact" in the loop's stop
+
+
+def _grid_samples(grid: SampleGrid, target: TargetFunction, center, scale) -> _GridSamples:
+    """The grid and target in the frame (center, scale).  The frame points
+    are formed as ``evaluate`` forms them for a Polynomial in this frame, so
+    the axis test (``_axis_coordinate``) decides alike in both."""
+    center, scale = complex(center), float(scale)
+    z, f = grid.points, target.samples
+    w_frame = (z - center) / scale
+    y, unit = _axis_coordinate(w_frame) or (w_frame, 1)
+    re, im = np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
+    f_scale = max(1.0, float(np.max(np.abs(f))))
+    return _GridSamples(z, f, center, scale, y, unit, re, im, not np.any(im), f_scale)
+
+
+def _frame_polynomial(coeffs: np.ndarray, unit: complex, center, scale) -> Polynomial:
+    """The Polynomial of a fit's coefficients in its basis variable: a
+    complex vector in w, or on a real basis the (degree+1) x 2 array of the
+    real and imaginary parts of the coefficients of y**k, turned by (-i)**k
+    when w = i * y (``_turn``).  Raises InvalidSpec if one is not finite."""
+    if coeffs.ndim == 2:
+        coeffs = coeffs.view(complex)[:, 0]
+    if unit == 1j:
+        coeffs = _turn(coeffs, -1)
+    return Polynomial(tuple(coeffs), center, scale)
+
+
+def _residuals(coeffs: np.ndarray, unit: complex, s: _GridSamples) -> np.ndarray:
+    """|p(z_i) - f_i| for the fit p of these basis coefficients
+    (``_frame_polynomial``), the floats of np.abs(evaluate(p, z) - f).
+
+    On a real basis ``evaluate`` runs one real recurrence in y
+    (``_horner_real``) on the coefficients of p turned back by i**k, which
+    gives these coefficients again: the turns multiply by 0 and +-1, and
+    only a zero's sign can change, as it can by the trailing zeros
+    ``Polynomial`` trims.  So the recurrence runs here on the coefficients
+    as they are, and its moduli are evaluate's.  When every coefficient
+    and every sample is real it runs on the real parts alone: the
+    residual's imaginary part is then a zero, and the modulus of x + 0i is
+    |x| exactly.  A value that is not finite, and every complex basis, go
+    through ``evaluate`` itself."""
+    if coeffs.ndim == 2:
+        real = s.real and not np.any(coeffs[:, 1])
+        values = _horner_real(coeffs.T[: 1 if real else 2].tolist(), s.y)
+        if all(np.isfinite(v).all() for v in values):
+            values[0] -= s.re
+            if real:
+                return np.abs(values[0], out=values[0])
+            values[1] -= s.im
+            diff = np.empty(len(s.y), dtype=complex)
+            diff.real, diff.imag = values
+            return np.abs(diff)
+    return np.abs(evaluate(_frame_polynomial(coeffs, unit, s.center, s.scale), s.z) - s.f)
+
+
 def _count(name: str, value) -> int:
     """value as an integer >= 0 (numpy integers pass), else InvalidSpec."""
     try:
@@ -320,7 +409,7 @@ def lawson_refine(
     scale: float = 1.0,
     *,
     budget: float | None = None,
-    _basis: tuple[np.ndarray, np.ndarray, complex] | None = None,
+    _basis: tuple | None = None,
     _state: dict | None = None,
 ) -> FitResult:
     """Iteratively reweighted least squares toward the sup-norm objective,
@@ -345,47 +434,53 @@ def lawson_refine(
 
     Every fit solves in one basis orthogonal for uniform weights
     (``_gram_fit``), built on the frame points w, or on y when they lie on
-    an axis, w = u * y (``_axis_coordinate``): then in real arithmetic, and
-    the fit's coefficients of y**k are turned by (-i)**k when u = i
-    (``_turn``).  ``_basis`` is private: the degree search passes (Q, P, u),
-    the ``_weighted_basis`` of those points with weights 1/n, of at least
-    this degree, and u, so its attempts share one build and use its leading
-    columns.  ``_state`` is private too: a dict that the call leaves holding
-    its loop's state (weights, residuals, weighted residual, best iterate,
-    its sup error and the fit count).  When it already holds one, the call
+    an axis, w = u * y (``_axis_coordinate``): then in real arithmetic.
+    Each iterate's residuals come from its coefficients in the basis
+    variable (``_residuals``), on an axis by ``evaluate``'s real recurrence
+    in y, elsewhere by ``evaluate``; they are the floats of
+    np.abs(evaluate(p, z) - f) for the iterate's polynomial p.  Only the
+    iterate returned becomes a ``Polynomial``, its coefficients of y**k
+    turned by (-i)**k when u = i (``_frame_polynomial``); every fit's
+    coefficients are checked finite, so InvalidSpec comes at the fit that
+    makes one that is not.  ``_basis`` is private: the degree search passes
+    (Q, P, u, samples), the ``_weighted_basis`` of those points with
+    weights 1/n, of at least this degree, u, and the grid's
+    ``_grid_samples``, so its attempts share one build, use its leading
+    columns and form the samples once; with (Q, P, u) the samples are
+    formed here.  ``_state`` is private too: a dict that the call leaves
+    holding its loop's state (weights, residuals, weighted residual, the
+    best iterate's coefficients, its sup error and the fit count).  When it
+    already holds one, the call
     continues that loop instead of starting over: the degree search
     (``_escalate``) continues a budgeted attempt's state without a budget,
     to the full loop, whose first fits those are.
     """
     degree, max_iters = _validate_fit_args(grid, target, degree, max_iters, center, scale, budget)
     n = len(grid)
-    z = grid.points
-    f = target.samples
     w = np.full(n, 1.0 / n)
     if _basis is None:
-        w_frame = (z - center) / scale
-        y, unit = _axis_coordinate(w_frame) or (w_frame, 1)
-        _basis = (*_weighted_basis(y, w, degree), unit)
-    Q, P, unit = _basis
+        samples = _grid_samples(grid, target, center, scale)
+        _basis = (*_weighted_basis(samples.y, w, degree), samples.unit, samples)
+    elif len(_basis) == 3:
+        _basis = (*_basis, _grid_samples(grid, target, center, scale))
+    Q, P, unit, samples = _basis
     Q, P = Q[:, : degree + 1], P[: degree + 1, : degree + 1]
     # on a real basis the target's real and imaginary parts are two real
     # right-hand sides, read through a float view of the samples
-    rhs = f if np.iscomplexobj(Q) else f.view(float).reshape(n, 2)
+    rhs = samples.f if np.iscomplexobj(Q) else samples.f.view(float).reshape(n, 2)
 
     def fit(w):
-        # the weighted least-squares polynomial, |residual| at the samples
-        # recomputed from its coefficients, and (with a budget) the weighted
-        # residual of its basis values, which no coefficient rounding enters
+        # the weighted least-squares coefficients in the basis variable,
+        # |residual| at the samples recomputed from them, and (with a
+        # budget) the weighted residual of their basis values, which no
+        # coefficient rounding enters
         a = _gram_fit(Q, w, rhs)
         coeffs = P @ a
-        if coeffs.ndim == 2:
-            coeffs = coeffs.view(complex)[:, 0]
-        if unit == 1j:
-            coeffs = _turn(coeffs, -1)
-        poly = Polynomial(tuple(coeffs), center, scale)
+        if not np.isfinite(coeffs).all():
+            raise InvalidSpec("polynomial coefficients must be finite")
         # (the transpose lines the columns of a real basis's residual up with w)
         lower = 0.0 if budget is None else math.sqrt(float(np.sum(w * np.abs(rhs - Q @ a).T ** 2)))
-        return poly, np.abs(evaluate(poly, z) - f), lower
+        return coeffs, _residuals(coeffs, unit, samples), lower
 
     def settled(best_sup, lower):
         return budget is not None and (
@@ -394,25 +489,27 @@ def lawson_refine(
 
     if _state:
         w, r, lower = _state["w"], _state["r"], _state["lower"]
-        best_poly, best_sup, iterations = _state["best_poly"], _state["best_sup"], _state["iterations"]
+        best, best_sup, iterations = _state["best"], _state["best_sup"], _state["iterations"]
     else:
-        best_poly, r, lower = fit(w)
+        best, r, lower = fit(w)
         best_sup = float(np.max(r))
         iterations = 1
-    f_scale = max(1.0, float(np.max(np.abs(f))))
     # the plain fit, then at most max_iters reweighted ones
-    while iterations <= max_iters and not (best_sup <= 1e-15 * f_scale or settled(best_sup, lower)):
+    while iterations <= max_iters and not (
+        best_sup <= 1e-15 * samples.f_scale or settled(best_sup, lower)
+    ):
         w = w * r
         w = np.maximum(w / float(np.sum(w)), _LAWSON_WEIGHT_FLOOR)
         w = w / float(np.sum(w))
-        poly, r, lower = fit(w)
+        coeffs, r, lower = fit(w)
         sup = float(np.max(r))
         iterations += 1
         if sup < best_sup:
-            best_poly, best_sup = poly, sup
+            best, best_sup = coeffs, sup
     if _state is not None:
-        _state.update(w=w, r=r, lower=lower, best_poly=best_poly, best_sup=best_sup, iterations=iterations)
-    return FitResult(best_poly, best_sup, degree, iterations, grid.covering_radius)
+        _state.update(w=w, r=r, lower=lower, best=best, best_sup=best_sup, iterations=iterations)
+    poly = _frame_polynomial(best, unit, center, scale)
+    return FitResult(poly, best_sup, degree, iterations, grid.covering_radius)
 
 
 @_one_blas_thread
@@ -498,14 +595,14 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
     degree's alone.
 
     All attempts share one uniform-weight basis of the grid, on its frame
-    points or their axis coordinate (``_axis_coordinate``): an attempt at a
-    degree above the one held grows it to that degree, every other one uses
-    its leading columns, which equal a build at the lower degree."""
+    points or their axis coordinate (``_axis_coordinate``), and the grid's
+    samples (``_grid_samples``), formed once: an attempt at a degree above
+    the one held grows the basis to that degree, every other one uses its
+    leading columns, which equal a build at the lower degree."""
     cap = min(max_degree, len(grid) - 1)
     fits: dict[int, FitResult] = {}
     states: dict[int, dict] = {}
-    w_frame = (grid.points - center) / scale
-    y, unit = _axis_coordinate(w_frame) or (w_frame, 1)
+    samples = _grid_samples(grid, target, center, scale)
     w = np.full(len(grid), 1.0 / len(grid))
     basis = None
 
@@ -514,10 +611,10 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
         # budgeted attempt at d
         nonlocal basis
         if basis is None or basis[0].shape[1] <= d:
-            basis = _weighted_basis(y, w, d, basis)
+            basis = _weighted_basis(samples.y, w, d, basis)
         return lawson_refine(
             grid, target, d, _LAWSON_ITERS, center, scale,
-            budget=budget, _basis=(*basis, unit), _state=states.setdefault(d, {}),
+            budget=budget, _basis=(*basis, samples.unit, samples), _state=states.setdefault(d, {}),
         )
 
     def met(d):

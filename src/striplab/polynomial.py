@@ -135,7 +135,8 @@ def evaluate(p: Polynomial, z):
     re = im = None
     if axis is not None:
         y, unit = axis
-        re, im = _horner_real(p.coeffs if unit == 1 else _turn(p.coeffs, 1).tolist(), y)
+        cs = p.coeffs if unit == 1 else _turn(p.coeffs, 1).tolist()
+        re, im = _horner_real(([c.real for c in cs], [c.imag for c in cs]), y)
     if re is None or not (np.isfinite(re).all() and np.isfinite(im).all()):
         re, im = _horner(p.coeffs, w.real.copy(), w.imag.copy())
     acc = np.empty(w.shape, dtype=complex)
@@ -183,18 +184,21 @@ def _horner(coeffs, wr: np.ndarray, wi: np.ndarray):
     return re, im
 
 
-def _horner_real(coeffs, y: np.ndarray):
-    """(Re p(y), Im p(y)) for real y: the steps of ``_horner`` with the
-    products by wi = 0 left out.  re and im are two contiguous arrays, not
-    one n x 2 array, whose inner loops would be two elements long."""
-    re = np.zeros(y.shape)
-    im = np.zeros(y.shape)
-    for c in reversed(coeffs):
-        re *= y
-        re += c.real
-        im *= y
-        im += c.imag
-    return re, im
+def _horner_real(parts, y: np.ndarray) -> list[np.ndarray]:
+    """The steps of ``_horner`` with the products by wi = 0 left out, for
+    real y: one recurrence per sequence of real coefficients in parts,
+    ascending powers.  ``evaluate`` passes (Re c, Im c) and gets
+    (Re p(y), Im p(y)); a Lawson fit with real coefficients passes Re c
+    alone.  Each value is its own contiguous array, not a column of one
+    n x 2 array, whose inner loops would be two elements long."""
+    values = []
+    for part in parts:
+        acc = np.zeros(y.shape)
+        for c in reversed(part):
+            acc *= y
+            acc += c
+        values.append(acc)
+    return values
 
 
 def evaluate_factored(fp: FactoredPolynomial, z):
@@ -238,7 +242,8 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     the lowest nonzero coefficient: s is the geometric mean of the nonzero
     root moduli, so the monic polynomial in u has roots of order one and
     the eigenvalues are backward stable (Edelman & Murakami, Math. Comp. 64,
-    1995).  One Newton step then refines each root, kept only where it
+    1995); where s**(k - m) would overflow, s's power of two is applied by
+    ldexp.  One Newton step then refines each root, kept only where it
     lowers |p|.  A root is accepted when |p(w)| <= 1e-12 * sum_k |c_k| |w|**k,
     a backward-error test that holds its meaning at every root scale; it is
     evaluated on the scaled coefficients, where both sides carry the same
@@ -257,7 +262,19 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     low = int(np.flatnonzero(coeffs)[0])
     # p = c_m w**m (low = m) has only the root 0 and any s serves; this gives 1
     s = abs(coeffs[low] / coeffs[m]) ** (1.0 / max(m - low, 1))
-    desc = (coeffs / coeffs[m] * s ** (np.arange(m + 1) - m))[::-1]
+    powers = np.arange(m + 1) - m
+    try:
+        with np.errstate(over="raise"):
+            s_powers = s**powers
+    except FloatingPointError:
+        # s**(k - m) overflows where the root moduli are far from 1 (s =
+        # 1e-155 for 1e-310 + w**2): with s = f * 2**e, f in [1/2, 1), the
+        # power of two goes on exactly by ldexp
+        f, e_s = math.frexp(s)
+        scaled = (coeffs / coeffs[m] * f**powers).view(float)
+        desc = np.ldexp(scaled, np.repeat(e_s * powers, 2)).view(complex)[::-1]
+    else:
+        desc = (coeffs / coeffs[m] * s_powers)[::-1]
     try:
         u = _companion_roots(desc)
     except np.linalg.LinAlgError as exc:

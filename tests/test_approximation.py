@@ -789,6 +789,122 @@ def test_target_resolution_errors():
         TargetFunction((float("nan") + 0j,))
 
 
+# ---------------------------------------------------------------- residuals
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+RESIDUAL_SETS = [
+    pytest.param(Segment(0.2 + 0.3j, 0.9 + 0.3j), 1, id="horizontal segment"),
+    pytest.param(Segment(0.75, 0.75 + 1j), 1j, id="vertical segment"),
+    pytest.param(ARC, None, id="arc"),
+]
+RESIDUAL_TARGETS = [
+    pytest.param({"kind": "builtin", "name": "abs"}, True, id="real target"),
+    pytest.param(_wave, False, id="complex target"),
+]
+
+
+@pytest.mark.parametrize("spec, real_target", RESIDUAL_TARGETS)
+@pytest.mark.parametrize("K, unit", RESIDUAL_SETS)
+def test_every_iterates_residual_is_the_evaluate_residual(monkeypatch, K, unit, spec, real_target):
+    # each Lawson iterate's |p(z_i) - f_i|, from the line recurrence on its
+    # basis coefficients on an axis, equals np.abs(evaluate(p, z) - f) of
+    # its Polynomial bit for bit, and every sup error returned is the max
+    # of the returned polynomial's residual
+    seen, parts = [], []
+    residuals, horner = approximation._residuals, approximation._horner_real
+
+    def spy_residuals(coeffs, u, s):
+        r = residuals(coeffs, u, s)
+        seen.append((coeffs, u, s, r))
+        return r
+
+    def spy_horner(coeffs, y):
+        parts.append(len(coeffs))
+        return horner(coeffs, y)
+
+    monkeypatch.setattr(approximation, "_residuals", spy_residuals)
+    monkeypatch.setattr(approximation, "_horner_real", spy_horner)
+
+    def check_iterates():
+        assert seen
+        for coeffs, u, s, r in seen:
+            p = approximation._frame_polynomial(coeffs, u, s.center, s.scale)
+            assert _same_bits(r, np.abs(evaluate(p, s.z) - s.f))
+        if unit is None:
+            # off the axes the loop keeps evaluate and its complex loop
+            assert not parts and all(np.iscomplexobj(c) for c, *_ in seen)
+            return
+        assert all(u == unit for _, u, *_ in seen)
+        imag_zero = [not np.any(c[:, 1]) for c, *_ in seen]
+        # a real target gives coefficients with exactly zero imaginary
+        # parts, and only their real recurrence runs
+        assert all(imag_zero) if real_target else not any(imag_zero)
+        assert parts == [1 if real_target else 2] * len(seen)
+
+    c, rho = set_frame(K)
+    g = discretize(K, 0.01)
+    target = resolve_target(spec, g)
+    for d in (2, 7, 12):
+        fit = lawson_refine(g, target, d, center=c, scale=rho)
+        assert fit.iterations == len(seen) == 11
+        check_iterates()
+        err = np.abs(evaluate(fit.polynomial, g.points) - target.samples)
+        assert fit.sup_error_on_samples == float(np.max(err))
+        seen.clear()
+        parts.clear()
+    fit = approximate(K, spec, 0.1)
+    check_iterates()
+    s = seen[-1][2]  # the grid the returned fit was chosen on
+    assert fit.sup_error_on_samples == float(np.max(np.abs(evaluate(fit.polynomial, s.z) - s.f)))
+
+
+@pytest.mark.parametrize("K", [Segment(-0.5, 0.5), Segment(0.75, 0.75 + 1j)])
+def test_real_coefficients_against_a_complex_target_keep_the_imaginary_part(K):
+    # coefficients with imaginary parts exactly 0 skip their imaginary
+    # recurrence only when the target is real too
+    g = discretize(K, 0.01)
+    c, rho = set_frame(K)
+    rng = np.random.default_rng(36)
+    coeffs = np.column_stack([rng.standard_normal(6), np.zeros(6)])
+    for spec in (_wave, {"kind": "builtin", "name": "abs"}):
+        s = approximation._grid_samples(g, resolve_target(spec, g), c, rho)
+        p = approximation._frame_polynomial(coeffs, s.unit, c, rho)
+        want = np.abs(evaluate(p, g.points) - s.f)
+        assert _same_bits(approximation._residuals(coeffs, s.unit, s), want)
+
+
+def test_a_residual_whose_recurrence_overflows_comes_from_evaluate(monkeypatch):
+    # frame points up to 1e10 and coefficients 1e300: the real recurrence
+    # overflows, and the residual is evaluate's, whose complex loop makes
+    # NaN where the real one keeps inf
+    g = segment_grid(21)
+    target = TargetFunction(np.full(len(g), 1.0 + 0j))
+    s = approximation._grid_samples(g, target, 0j, 1e-10)
+    assert s.unit == 1 and s.real and np.max(np.abs(s.y)) > 9e9
+    coeffs = np.array([[0.5, 0.0], [1e300, 0.0], [1e300, 0.0]])
+    calls = []
+    evaluate_ = approximation.evaluate
+
+    def spy(*args):
+        calls.append(args)
+        return evaluate_(*args)
+
+    monkeypatch.setattr(approximation, "evaluate", spy)
+    with np.errstate(all="ignore"):
+        r = approximation._residuals(coeffs, 1, s)
+        p = approximation._frame_polynomial(coeffs, 1, 0j, 1e-10)
+        want = np.abs(evaluate_(p, g.points) - target.samples)
+    assert len(calls) == 1 and not np.isfinite(r).all()
+    assert np.array_equal(r, want, equal_nan=True)
+    # the finite values keep their bits
+    finite = np.isfinite(want)
+    assert finite.any() and _same_bits(r[finite], want[finite])
+
+
 # ---------------------------------------------------------------- callable targets
 
 
@@ -905,11 +1021,12 @@ def _abs_reading(get, seen):
 
 def test_a_fit_runs_on_one_blas_thread_and_gives_the_count_back(monkeypatch, two_blas_threads):
     # approximate resolves the target, every degree attempt's lawson_refine
-    # evaluates its iterates, and approximate reads the fit's L_P once the
-    # last attempt has returned: all on one thread.  lawson_refine called
-    # alone runs on one thread too
+    # evaluates its iterates (on a segment, by the line recurrence on each
+    # fit's coefficients), and approximate reads the fit's L_P once the last
+    # attempt has returned: all on one thread.  lawson_refine called alone
+    # runs on one thread too
     get = two_blas_threads
-    seen = {"target": [], "evaluate": [], "derivative_bound": []}
+    seen = {"target": [], "_horner_real": [], "derivative_bound": []}
 
     def spy(name):
         fn = getattr(approximation, name)
@@ -920,15 +1037,15 @@ def test_a_fit_runs_on_one_blas_thread_and_gives_the_count_back(monkeypatch, two
 
         monkeypatch.setattr(approximation, name, wrapped)
 
-    spy("evaluate")
+    spy("_horner_real")
     spy("derivative_bound")
     fit = approximate(Segment(-0.5, 0.5), _abs_reading(get, seen["target"]), 1e-2)
     assert fit.degree_used > 1 and all(seen.values())
     assert set().union(*seen.values()) == {1}
     assert get() == 2
-    seen["evaluate"].clear()
+    seen["_horner_real"].clear()
     lawson_refine(segment_grid(20), TargetFunction(np.ones(20)), 3)
-    assert seen["evaluate"] and set(seen["evaluate"]) == {1}
+    assert seen["_horner_real"] and set(seen["_horner_real"]) == {1}
     assert get() == 2
 
 

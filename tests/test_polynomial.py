@@ -156,6 +156,33 @@ def test_evaluate_on_an_axis_with_non_finite_points_or_values():
         assert np.isnan(evaluate(p, z)[2]) and cmath.isnan(evaluate(p, 1e200 + 0j))
 
 
+def _one_axis_loop(p, z):
+    # evaluate's axis path as one loop stepping both parts at once, as it
+    # ran before each part got a recurrence of its own
+    y, unit = polynomial._axis_coordinate((z - p.center) / p.scale)
+    cs = p.coeffs if unit == 1 else polynomial._turn(p.coeffs, 1).tolist()
+    re, im = np.zeros(y.shape), np.zeros(y.shape)
+    for c in reversed(cs):
+        re *= y
+        re += c.real
+        im *= y
+        im += c.imag
+    return [complex(a, b) for a, b in zip(re, im)]
+
+
+@pytest.mark.parametrize("vertical", [False, True])
+def test_evaluate_on_an_axis_keeps_the_one_loop_floats_and_zero_signs(vertical):
+    rng = np.random.default_rng(25 + vertical)
+    center, scale = 0.3 + 0.2j, 0.7
+    along = np.concatenate([np.linspace(-1.0, 1.0, 201) * scale, [0.0, -0.0]])
+    z = center + (1j * along if vertical else along)
+    for m in range(0, 41, 4):
+        cs = list(_spread_coeffs(rng, m))
+        cs[0] = complex(-0.0, cs[0].imag)  # a zero real part of each sign
+        p = Polynomial(tuple(cs), center, scale)
+        assert bits(evaluate(p, z)) == bits(_one_axis_loop(p, z))
+
+
 def test_evaluate_off_the_axes_keeps_the_complex_loop(monkeypatch):
     def axis_path(*args):
         raise AssertionError("the axis path ran off the axes")
@@ -319,6 +346,15 @@ def test_roots_of_subnormal_coefficients():
     assert match_error(roots(Polynomial((-4 * c, 0, c))), (2, -2)) <= 1e-15
 
 
+def test_roots_where_the_scaling_power_overflows():
+    # s = 1e-155 for 1e-310 + w**2, and 1e-323 for 1e-320 + 1e3 w: s**-m
+    # overflows, so the power of two in s goes on by ldexp
+    found = roots(Polynomial((1e-310, 0, 1)))
+    assert match_error(found, (1e-155j, -1e-155j)) <= 1e-12 * 1e-155
+    (found,) = roots(Polynomial((1e-320, 1e3)))
+    assert found.imag == 0 and abs(found.real + 1e-323) <= 5e-324
+
+
 def test_roots_are_unchanged_by_a_power_of_two_on_the_coefficients():
     rng = np.random.default_rng(24)
     for m in (1, 4, 16, 40):
@@ -358,6 +394,7 @@ _COEFF = st.floats(-10.0, 10.0, allow_subnormal=True)
 @example(coeffs=[(-1.5, 2.0), (3.0, 0.0)], low_zeros=0, exponent=0, frame=0)  # degree 1
 @example(coeffs=[(-4.0, 0.0), (0.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=-1064, frame=0)  # subnormal
 @example(coeffs=[(1.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=-1074, frame=2)  # 5e-324 (1 + z)
+@example(coeffs=[(1e-310, 0.0), (0.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=0, frame=1)  # s**-2 overflows
 @given(
     coeffs=st.lists(st.tuples(_COEFF, _COEFF), min_size=1, max_size=17).filter(lambda cs: cs[-1] != (0.0, 0.0)),
     low_zeros=st.integers(0, 3),
@@ -369,13 +406,19 @@ def test_roots_are_the_numpy_paths_floats(coeffs, low_zeros, exponent, frame):
     # of roots are those that np.roots, np.polyval and np.polyder give,
     # float for float, with the same warnings: at degree 1, with zero low
     # coefficients (trailing zeros of the highest-first array np.roots
-    # strips), and with subnormal coefficients
+    # strips), and with subnormal coefficients.  Where numpy's path fails
+    # because the scaling's power s**(k - m) overflows, roots puts the power
+    # of two in s on by ldexp instead and must find every root, silently
     cs = [0j] * low_zeros + [complex(np.ldexp(re, exponent), np.ldexp(im, exponent)) for re, im in coeffs]
     center, scale = ((0j, 1.0), (0.25 - 0.5j, 2.0), (1e3j, 1e-3))[frame]
     p = Polynomial(tuple(cs), center, scale)
     if p.degree == 0:
         return
-    assert _roots_outcome(roots, p) == _roots_outcome(reference_roots, p)
+    got, want = _roots_outcome(roots, p), _roots_outcome(reference_roots, p)
+    if "overflow encountered in power" in want[1]:
+        assert isinstance(got[0], list) and len(got[0]) == p.degree and got[1] == []
+    else:
+        assert got == want
 
 
 def test_roots_match_the_numpy_paths_on_random_rings():
