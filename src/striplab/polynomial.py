@@ -242,14 +242,15 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     the lowest nonzero coefficient: s is the geometric mean of the nonzero
     root moduli, so the monic polynomial in u has roots of order one and
     the eigenvalues are backward stable (Edelman & Murakami, Math. Comp. 64,
-    1995); where s**(k - m) would overflow, s's power of two is applied by
-    ldexp.  One Newton step then refines each root, kept only where it
-    lowers |p|.  A root is accepted when |p(w)| <= 1e-12 * sum_k |c_k| |w|**k,
-    a backward-error test that holds its meaning at every root scale; it is
-    evaluated on the scaled coefficients, where both sides carry the same
-    factor and stay representable.  Raises NoConvergence when LAPACK fails
-    or a root misses the test.  The roots are mapped back by
-    z = center + scale * w.
+    1995); where c_k / c_m or s**(k - m) would overflow, the powers of two
+    are split off and applied by ldexp (_split_scaling).  One Newton step
+    then refines each root, kept only where it lowers |p|.  A root is
+    accepted when |p(w)| <= 1e-12 * sum_k |c_k| |w|**k, a backward-error
+    test that holds its meaning at every root scale; it is evaluated on the
+    scaled coefficients, where both sides carry the same factor and stay
+    representable.  Raises NoConvergence when LAPACK fails, a root misses
+    the test, or a root lies past the float range.  The roots are mapped
+    back by z = center + scale * w.
     """
     m = p.degree
     if m == 0:
@@ -258,21 +259,23 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     # [1/2, 1): exact for normal coefficients, and it keeps the divisions
     # below from overflowing on subnormal ones
     e = math.frexp(abs(p.leading))[1]
-    coeffs = np.ldexp(np.array(p.coeffs, dtype=complex).view(float), -e).view(complex)
-    low = int(np.flatnonzero(coeffs)[0])
-    # p = c_m w**m (low = m) has only the root 0 and any s serves; this gives 1
-    s = abs(coeffs[low] / coeffs[m]) ** (1.0 / max(m - low, 1))
     powers = np.arange(m + 1) - m
     try:
         with np.errstate(over="raise"):
+            coeffs = np.ldexp(np.array(p.coeffs, dtype=complex).view(float), -e).view(complex)
+            low = int(np.flatnonzero(coeffs)[0])
+            # p = c_m w**m (low = m) has only the root 0 and any s serves; this gives 1
+            s = abs(coeffs[low] / coeffs[m]) ** (1.0 / max(m - low, 1))
             s_powers = s**powers
+        # abs reads inf, unflagged, where a finite c_low / c_m has a modulus
+        # past the float range
+        if s == math.inf:
+            raise FloatingPointError
     except FloatingPointError:
-        # s**(k - m) overflows where the root moduli are far from 1 (s =
-        # 1e-155 for 1e-310 + w**2): with s = f * 2**e, f in [1/2, 1), the
-        # power of two goes on exactly by ldexp
-        f, e_s = math.frexp(s)
-        scaled = (coeffs / coeffs[m] * f**powers).view(float)
-        desc = np.ldexp(scaled, np.repeat(e_s * powers, 2)).view(complex)[::-1]
+        # a scaling overflows where the root moduli are far from 1: c_k / c_m
+        # itself (1e300 + 1e-10 w**2, roots +-1e155i) or s**(k - m)
+        # (1e-310 + w**2, s = 1e-155)
+        desc, s = _split_scaling(p.coeffs, powers)
     else:
         desc = (coeffs / coeffs[m] * s_powers)[::-1]
     try:
@@ -288,7 +291,37 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     pv = np.where(better, step_pv, pv)
     if not np.all(np.abs(pv) <= _ROOT_TOL * _polyval(np.abs(desc), np.abs(u))):
         raise NoConvergence("a root misses the backward-error test |p| <= 1e-12 * sum_k |c_k| |w|**k")
-    return tuple(p.center + p.scale * (s * u))
+    w = s * u
+    if not np.isfinite(w).all():
+        raise NoConvergence("a root lies past the float range")
+    return tuple(p.center + p.scale * w)
+
+
+def _split_scaling(coeffs, powers: np.ndarray) -> tuple[np.ndarray, float]:
+    """(c_k / c_m * s**(k - m), highest power first, and s) without forming
+    c_k / c_m or s**(k - m), either of which may overflow a float: each
+    nonzero c_k is f_k * 2**E_k, E_k the exponent of its larger part, so
+    c_k / c_m = (f_k / f_m) * 2**(E_k - E_m), and s is the power of two
+    nearest the geometric mean of the nonzero root moduli, taken from those
+    parts.  The powers of two go on exactly by ldexp, so nothing overflows
+    where the roots lie in the float range.  Raises NoConvergence when s is
+    past it, or a coefficient in u = w / s is: then some root is that far
+    from s."""
+    c = np.array(coeffs, dtype=complex)
+    m = len(c) - 1
+    E = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)))[1]
+    ratio = np.ldexp(c.view(float), np.repeat(-E, 2)).view(complex)
+    ratio /= ratio[m]
+    shift = E - E[m]
+    low = int(np.flatnonzero(c)[0])
+    e_s = round((math.log2(abs(ratio[low])) + int(shift[low])) / max(m - low, 1))
+    if e_s >= 1024:
+        raise NoConvergence(f"the root moduli, of geometric mean near 2**{e_s}, are past the float range")
+    with np.errstate(over="ignore"):
+        desc = np.ldexp(ratio.view(float), np.repeat(shift + e_s * powers, 2)).view(complex)[::-1]
+    if not np.isfinite(desc).all():
+        raise NoConvergence(f"the roots spread past the float range about their geometric mean near 2**{e_s}")
+    return desc, math.ldexp(1.0, e_s)
 
 
 def _companion_roots(desc: np.ndarray) -> np.ndarray:

@@ -271,20 +271,48 @@ _TWO_PI_PARTS = (
 )
 
 
-def _prime_phases(taus: np.ndarray, ln_hi: np.ndarray, ln_lo: np.ndarray) -> np.ndarray:
-    """exp(-i tau ln p), one row per prime, one column per tau, from the
-    double-double logs (ln_hi, ln_lo) of the primes: tau ln_hi is split
-    exactly into P + e, k = rint(P / 2 pi), and the argument reduced to
-    r = ((P - k C1) - k C2) + ((e + tau ln_lo) - k C3), whose first two
-    differences are exact."""
-    P, e = _two_prod(taus, ln_hi[:, None])
-    k = np.rint(P * (1.0 / (2.0 * math.pi)))
+def _prime_phases(taus, plan: _FactorPlan, out: np.ndarray) -> None:
+    """exp(-i tau ln p) for the first len(out) primes p of the plan, written
+    to out: one row per prime and one column per tau of the array taus, or,
+    for one tau given as a scalar, one entry per prime of a flat out.  tau
+    ln_hi is split exactly into P + e as _two_prod splits it, from the
+    plan's Veltkamp halves of ln_hi, k = rint(P / 2 pi), and the argument
+    reduced to r = ((P - k C1) - k C2) + ((e + tau ln_lo) - k C3), whose
+    first two differences are exact.  Those are the real operations of
+    _two_prod and the reduction in their own order, each rounded once as on
+    new arrays, run in place in one scratch array of four rows: P, e, k and
+    the product at hand, with r left in P's row.  cos r and sin -r go
+    straight to the real and imaginary parts of out."""
+    # the plan's logs flat against one tau, or as a column against the taus
+    cut = slice(len(out)) if out.ndim == 1 else (slice(len(out)), None)
+    ln_hi, ln_lo = plan.ln_hi[cut], plan.ln_lo[cut]
+    split_hi, split_lo = plan.split_hi[cut], plan.split_lo[cut]
+    tau_hi, tau_lo = _split(taus)
+    P, e, k, product = np.empty((4,) + out.shape)
+    np.multiply(taus, ln_hi, out=P)
+    np.multiply(tau_hi, split_hi, out=e)
+    e -= P
+    np.multiply(tau_hi, split_lo, out=product)
+    e += product
+    np.multiply(tau_lo, split_hi, out=product)
+    e += product
+    np.multiply(tau_lo, split_lo, out=product)
+    e += product
+    np.multiply(P, 1.0 / (2.0 * math.pi), out=k)
+    np.rint(k, out=k)
     c1, c2, c3 = _TWO_PI_PARTS
-    r = ((P - k * c1) - k * c2) + ((e + taus * ln_lo[:, None]) - k * c3)
-    phase = np.empty(r.shape, dtype=complex)
-    np.cos(r, out=phase.real)
-    np.sin(np.negative(r, out=r), out=phase.imag)
-    return phase
+    np.multiply(k, c1, out=product)
+    P -= product
+    np.multiply(k, c2, out=product)
+    P -= product
+    np.multiply(taus, ln_lo, out=product)
+    e += product
+    np.multiply(k, c3, out=product)
+    e -= product
+    # r, in P
+    P += e
+    np.cos(P, out=out.real)
+    np.sin(np.negative(P, out=P), out=out.imag)
 
 
 # _phase_table fills the composites in passes over n in [5^k, 5^(k+1)): the
@@ -301,7 +329,9 @@ class _FactorPlan:
     and cofactors hold the buffer positions of p and m = n / p for each
     composite n, p its smallest prime factor; order[i] is the buffer
     position of entry i.  All indices are int32.  ln_hi and ln_lo hold ln p
-    of each prime as a double-double.  pass_ends[k] is the number of
+    of each prime as a double-double, and split_hi and split_lo the Veltkamp
+    halves of ln_hi (_split), formed once as the plan grows for the exact
+    products tau ln_hi of every table.  pass_ends[k] is the number of
     composites below n = _PASS_BOUNDS[k], for each bound up to the plan's
     largest n: the end of a composite pass of every table that reaches the
     bound, as Python ints."""
@@ -313,6 +343,8 @@ class _FactorPlan:
     order: np.ndarray
     ln_hi: np.ndarray
     ln_lo: np.ndarray
+    split_hi: np.ndarray
+    split_lo: np.ndarray
     pass_ends: tuple[int, ...]
 
 
@@ -348,6 +380,7 @@ def _factor_plan(count: int) -> _FactorPlan:
         n = ns[composites]
         factors = kind[composites]
         ln_hi, ln_lo = _dd_log(ns[primes])
+        split_hi, split_lo = _split(ln_hi)
         # the composites below a bound are those at the entries before it
         below = [_row_width(x - 1) for x in _PASS_BOUNDS if x <= ns[-1]]
         _plan_cache = _FactorPlan(
@@ -358,6 +391,8 @@ def _factor_plan(count: int) -> _FactorPlan:
             order=order,
             ln_hi=ln_hi,
             ln_lo=ln_lo,
+            split_hi=split_hi,
+            split_lo=split_lo,
             pass_ends=tuple(np.searchsorted(composites, below).tolist()),
         )
     return _plan_cache
@@ -366,15 +401,20 @@ def _factor_plan(count: int) -> _FactorPlan:
 def _phase_table(taus, count: int) -> np.ndarray:
     """exp(-i * tau_b * ln n) for the n of a row that holds every n <= count
     coprime to 6, 2 and 3 first, one row per tau_b, from _prime_phases at
-    the primes: n^(-i tau) is completely
-    multiplicative, so each composite n = p * m is phase[p] * phase[m], and
-    p and m are coprime to 6 as n is.  Both factors lie below 5^k for n in
-    [5^k, 5^(k+1)), since p <= sqrt n and m <= n / 5, so one vectorised pass
-    per such block fills the composites of every tau at once.  The passes
-    end at the plan's pass_ends up to count and at the table's own last
-    composite; with the number of primes below the table's width, one
-    search over the plan's primes, that layout is Python ints, so a table's
-    set-up costs the same at every count and calls no numpy function.
+    the primes: n^(-i tau) is completely multiplicative, so each composite n
+    = p * m is phase[p] * phase[m], and p and m are coprime to 6 as n is.
+    Both factors lie below 5^k for n in [5^k, 5^(k+1)), since p <= sqrt n
+    and m <= n / 5, so one vectorised pass per such block fills the
+    composites of every tau at once.  The passes end at the plan's
+    pass_ends up to count and at the table's own last composite; with the
+    number of primes below the table's width, one search over the plan's
+    primes, that layout is Python ints, so a table's set-up costs the same
+    at every count and calls no numpy function.  The buffer holds one row
+    per n and one column per tau, or, for one tau, is flat: its prime
+    phases, composite passes and reorder then run on 1-D arrays, not on
+    columns of one entry, with the same operations in the same operand
+    order (on line_scan's tables of about 5 000 entries, a pass over the
+    composites took 19 us flat and 31 us as a column).
 
     Error bound at a prime p, for |tau ln p| < 2^29 * 2 pi (3.3e9; the 1e8
     guard and the term cap give at most 1.8e9): the reduced argument r lies
@@ -408,11 +448,12 @@ def _phase_table(taus, count: int) -> np.ndarray:
         cofactors = np.where(cofactors >= start, cofactors - gap, cofactors)
         order = np.where(order >= start, order - gap, order)
         start -= gap
-    buf = np.empty((start + ends[-1], len(taus)), dtype=complex)
+    taus = np.asarray(taus, dtype=np.float64)
+    # one entry per n for one tau, else one row per n and one column per tau
+    one = len(taus) == 1
+    buf = np.empty((start + ends[-1],) if one else (start + ends[-1], len(taus)), dtype=complex)
     buf[0] = 1.0
-    buf[1 : primes + 1] = _prime_phases(
-        np.asarray(taus, dtype=np.float64), plan.ln_hi[:primes], plan.ln_lo[:primes]
-    )
+    _prime_phases(taus[0] if one else taus, plan, buf[1 : primes + 1])
     lo = 0
     for hi in ends:
         # a smallest prime factor is a prime, at the same position either way
@@ -422,7 +463,7 @@ def _phase_table(taus, count: int) -> np.ndarray:
             out=buf[start + lo : start + hi],
         )
         lo = hi
-    return np.ascontiguousarray(buf.take(order, axis=0).T)
+    return np.ascontiguousarray(buf.take(order, axis=0).T).reshape(len(taus), width)
 
 
 def _choose_n(tau, params: ZetaParams) -> np.ndarray:
@@ -728,15 +769,38 @@ def _edwards_estimate(s: np.ndarray, counts: np.ndarray, params: ZetaParams, scr
         return np.exp(logs - rate * np.log(counts.astype(np.float64)))
 
 
-def _decide_n(shifted: np.ndarray, params: ZetaParams) -> np.ndarray:
-    """Each pair's N: the first of N0, 2 N0 and 4 N0 (_choose_n) whose
-    _edwards_estimate, falling in N, is at most _ERR_THRESHOLD, else 4 N0.
-    The screen, above it by far more than rounding, settles most at N0."""
+def _decide(shifted: np.ndarray, params: ZetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """(each pair's N, the pairs the screen leaves): N is the first of N0,
+    2 N0 and 4 N0 (_choose_n) whose _edwards_estimate, falling in N, is at
+    most _ERR_THRESHOLD, else 4 N0.  The screen, above it by far more than
+    rounding, settles most at N0; the exact estimate is taken only for the
+    indices it leaves."""
     counts = _choose_n(shifted.imag, params)
     k = np.flatnonzero(_edwards_estimate(shifted, counts, params, screen=True) > _ERR_THRESHOLD)
     if len(k):
         counts[k] <<= sum(_edwards_estimate(shifted[k], counts[k] << m, params) > _ERR_THRESHOLD for m in (0, 1))
-    return counts
+    return counts, k
+
+
+def _decide_n(shifted: np.ndarray, params: ZetaParams) -> np.ndarray:
+    """Each pair's N, as _decide gives it."""
+    return _decide(shifted, params)[0]
+
+
+def _pairs(points: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The points z_j + i t_b, shift by shift: Re z_j, and Im z_j + t_b."""
+    shifted = np.empty((len(ts), len(points)), dtype=complex)
+    shifted.real, shifted.imag = points.real, points.imag + ts[:, None]
+    return shifted.reshape(-1)
+
+
+def _summed(points: np.ndarray, ts: np.ndarray, shifted: np.ndarray, counts: np.ndarray, params: ZetaParams, rows=None):
+    """_evaluate's outputs for its pairs, shifted, summed at their N,
+    counts."""
+    values, errors = _em_tail(shifted, counts, *_sums(points, ts, counts, rows), params.bernoulli_terms)
+    exhausted = ~((errors <= _ERR_THRESHOLD) & np.isfinite(values))
+    shape = (len(ts), len(points))
+    return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
 
 
 def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
@@ -746,16 +810,9 @@ def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
     estimate is above threshold or value not finite, marked exhausted."""
     points = np.asarray(points, dtype=complex)
     ts = np.asarray(ts, dtype=np.float64)
-    # pairs run shift by shift
-    shape = (len(ts), len(points))
-    shifted = np.empty(shape, dtype=complex)
-    shifted.real, shifted.imag = points.real, points.imag + ts[:, None]
-    shifted = shifted.reshape(-1)
+    shifted = _pairs(points, ts)
     _check_range(shifted)
-    counts = _decide_n(shifted, params)
-    values, errors = _em_tail(shifted, counts, *_sums(points, ts, counts, rows), params.bernoulli_terms)
-    exhausted = ~((errors <= _ERR_THRESHOLD) & np.isfinite(values))
-    return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
+    return _summed(points, ts, shifted, _decide_n(shifted, params), params, rows)
 
 
 # an a-priori estimate (_edwards_estimate) and an a-posteriori one (_em_tail)
@@ -765,33 +822,26 @@ def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
 _REFUSAL_MARGIN = 1e-9
 
 
-def _refusal(points: np.ndarray, t: float, params: ZetaParams):
-    """(index, a-priori estimate) of the first point at shift t whose
-    estimate at its N does not surely pass, when it surely fails: finite,
-    above the threshold by the margin, and within the term cap; else (None,
-    None).  Its arrays are freed before _evaluate builds its own."""
-    shifted = np.empty(len(points), dtype=complex)
-    shifted.real, shifted.imag = points.real, points.imag + t
-    _check_range(shifted)
-    # the screen, above the exact estimate by far more than the margin,
-    # passes most points at N0, and those surely
-    if not (_edwards_estimate(shifted, _choose_n(shifted.imag, params), params, screen=True) > _ERR_THRESHOLD).any():
-        return None, None
-    counts = _decide_n(shifted, params)
-    estimate = _edwards_estimate(shifted, counts, params)
-    first = int(np.argmax(~(estimate <= _ERR_THRESHOLD * (1.0 - _REFUSAL_MARGIN))))
-    if _ERR_THRESHOLD * (1.0 + _REFUSAL_MARGIN) < estimate[first] < math.inf and counts.max() <= _MAX_TERMS:
-        return first, estimate[first]
-    return None, None
-
-
 def _evaluate_at(points: np.ndarray, t: float, params: ZetaParams):
-    """_evaluate at one shift; a point that exhausts precision raises
-    PrecisionExhausted carrying its index, before any term is summed when
-    _refusal finds it."""
-    i, error = _refusal(points, t, params)
-    if i is None:
-        values, errors, exhausted = _evaluate(points, [t], params)
+    """_evaluate at one shift, with its range check and its N decided once.
+    A point that exhausts precision raises PrecisionExhausted carrying its
+    index, and before any term is summed when the first point whose
+    a-priori estimate at its N does not surely pass surely fails: finite,
+    above the threshold by the margin, and within the term cap."""
+    ts = np.array([t], dtype=np.float64)
+    shifted = _pairs(points, ts)
+    _check_range(shifted)
+    counts, left = _decide(shifted, params)
+    refused = False
+    # the screen, above the exact estimate by far more than the margin,
+    # passes the pairs that it settles surely
+    if len(left):
+        estimate = _edwards_estimate(shifted, counts, params)
+        i = int(np.argmax(~(estimate <= _ERR_THRESHOLD * (1.0 - _REFUSAL_MARGIN))))
+        error = estimate[i]
+        refused = _ERR_THRESHOLD * (1.0 + _REFUSAL_MARGIN) < error < math.inf and counts.max() <= _MAX_TERMS
+    if not refused:
+        values, errors, exhausted = _summed(points, ts, shifted, counts, params)
         if not exhausted.any():
             return values[:, 0], errors[:, 0]
         i = int(np.argmax(exhausted[:, 0]))

@@ -1,7 +1,10 @@
 """Shared randomized-case machinery for the repair and acceptance suites,
-the doubling rule that zeta's decided N is checked against, and the numpy
-paths that roots and perturbation_bound must match bit for bit."""
+the doubling rule that zeta's decided N is checked against, the numpy
+paths that roots and perturbation_bound must match bit for bit, and the
+phase table on new arrays that zeta's in-place one must match bit for
+bit."""
 
+import bisect
 import math
 
 import numpy as np
@@ -49,6 +52,45 @@ def doubling_reference(points, ts, params, rows=None):
         exhausted &= ~((e <= zeta_mod._ERR_THRESHOLD) & np.isfinite(v))
     shape = (len(ts), len(points))
     return values.reshape(shape).T, errors.reshape(shape).T, exhausted.reshape(shape).T
+
+
+def reference_phase_table(taus, count):
+    """zeta._phase_table with every step on new arrays, one row per n and
+    one column per tau for any number of taus: the exact product tau ln_hi
+    by _two_prod, which splits ln_hi itself, the reduction r = ((P - k C1) -
+    k C2) + ((e + tau ln_lo) - k C3), then cos r and sin -r, and the
+    composite passes and reorder on the 2-D buffer, under the plan that
+    zeta holds."""
+    width = zeta_mod._row_width(count)
+    plan = zeta_mod._factor_plan(count)
+    primes = bisect.bisect_left(plan.primes, width)
+    ends = plan.pass_ends[: bisect.bisect_right(zeta_mod._PASS_BOUNDS, count)] + (width - 1 - primes,)
+    cofactors, order = plan.cofactors[: ends[-1]], plan.order[:width]
+    start = len(plan.primes) + 1
+    gap = len(plan.primes) - primes
+    if gap > width:
+        cofactors = np.where(cofactors >= start, cofactors - gap, cofactors)
+        order = np.where(order >= start, order - gap, order)
+        start -= gap
+    taus = np.asarray(taus, dtype=np.float64)
+    ln_hi, ln_lo = plan.ln_hi[:primes, None], plan.ln_lo[:primes, None]
+    P, e = zeta_mod._two_prod(taus, ln_hi)
+    k = np.rint(P * (1.0 / (2.0 * math.pi)))
+    c1, c2, c3 = zeta_mod._TWO_PI_PARTS
+    r = ((P - k * c1) - k * c2) + ((e + taus * ln_lo) - k * c3)
+    buf = np.empty((start + ends[-1], len(taus)), dtype=complex)
+    buf[0] = 1.0
+    np.cos(r, out=buf[1 : primes + 1].real)
+    np.sin(-r, out=buf[1 : primes + 1].imag)
+    lo = 0
+    for hi in ends:
+        np.multiply(
+            buf.take(plan.factors[lo:hi], axis=0),
+            buf.take(cofactors[lo:hi], axis=0),
+            out=buf[start + lo : start + hi],
+        )
+        lo = hi
+    return np.ascontiguousarray(buf.take(order, axis=0).T)
 
 
 def reference_roots(p):

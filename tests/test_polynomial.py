@@ -1,4 +1,6 @@
 import cmath
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -395,6 +397,8 @@ _COEFF = st.floats(-10.0, 10.0, allow_subnormal=True)
 @example(coeffs=[(-4.0, 0.0), (0.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=-1064, frame=0)  # subnormal
 @example(coeffs=[(1.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=-1074, frame=2)  # 5e-324 (1 + z)
 @example(coeffs=[(1e-310, 0.0), (0.0, 0.0), (1.0, 0.0)], low_zeros=0, exponent=0, frame=1)  # s**-2 overflows
+@example(coeffs=[(1.0, 0.0), (0.0, 0.0), (5e-324, 0.0)], low_zeros=0, exponent=0, frame=0)  # c_0 / c_2 overflows
+@example(coeffs=[(1.0, 0.0), (5e-324, 0.0)], low_zeros=1, exponent=0, frame=0)  # root -2e323
 @given(
     coeffs=st.lists(st.tuples(_COEFF, _COEFF), min_size=1, max_size=17).filter(lambda cs: cs[-1] != (0.0, 0.0)),
     low_zeros=st.integers(0, 3),
@@ -407,18 +411,42 @@ def test_roots_are_the_numpy_paths_floats(coeffs, low_zeros, exponent, frame):
     # float for float, with the same warnings: at degree 1, with zero low
     # coefficients (trailing zeros of the highest-first array np.roots
     # strips), and with subnormal coefficients.  Where numpy's path fails
-    # because the scaling's power s**(k - m) overflows, roots puts the power
-    # of two in s on by ldexp instead and must find every root, silently
+    # because a scaling overflows (c_k / c_m, or its power s**(k - m)),
+    # roots splits the powers of two off instead and must find every root,
+    # silently, or raise NoConvergence only where Fujiwara's bound 2 max_k
+    # |c_k / c_m|**(1/(m - k)) on the root moduli is past the float range
     cs = [0j] * low_zeros + [complex(np.ldexp(re, exponent), np.ldexp(im, exponent)) for re, im in coeffs]
     center, scale = ((0j, 1.0), (0.25 - 0.5j, 2.0), (1e3j, 1e-3))[frame]
     p = Polynomial(tuple(cs), center, scale)
     if p.degree == 0:
         return
     got, want = _roots_outcome(roots, p), _roots_outcome(reference_roots, p)
-    if "overflow encountered in power" in want[1]:
-        assert isinstance(got[0], list) and len(got[0]) == p.degree and got[1] == []
+    if got == want:
+        return
+    assert isinstance(want[0], str) and any("overflow encountered" in w for w in want[1])
+    if isinstance(got[0], str):
+        m = p.degree
+        rates = [(math.log(abs(c)) - math.log(abs(cs[m]))) / (m - k) for k, c in enumerate(cs[:m]) if c]
+        assert math.log(2) + max(rates) > math.log(sys.float_info.max)
     else:
-        assert got == want
+        assert len(got[0]) == p.degree and got[1] == []
+
+
+def test_roots_where_the_coefficient_ratios_overflow():
+    # c_0 / c_m is past the float range, and so was the first scaling by
+    # c_m's power of two: the roots +-1e155i of 1e300 + 1e-10 w**2 and the
+    # cube roots of -1e608 (moduli 10**202.67) of 1e308 + 1e-300 w**3 are
+    # found without a warning; the root -1e310 of 1e300 + 1e-10 w is past
+    # the float range and raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = roots(Polynomial((1e300, 0, 1e-10)))
+        assert match_error(found, (1e155j, -1e155j)) <= 1e-12 * 1e155
+        found = roots(Polynomial((1e308, 0, 0, 1e-300)))
+        expected = 10 ** (608 / 3) * np.exp(1j * np.pi * np.array([1, 3, 5]) / 3)
+        assert match_error(found, expected) <= 1e-12 * 10 ** (608 / 3)
+        with pytest.raises(NoConvergence, match="past the float range"):
+            roots(Polynomial((1e300, 1e-10)))
 
 
 def test_roots_match_the_numpy_paths_on_random_rings():

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from helpers import doubling_reference, shifted_pairs
+from helpers import doubling_reference, reference_phase_table, shifted_pairs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
@@ -589,10 +589,11 @@ def test_phases_past_the_cut_agree_with_the_wide_table(count):
 
 
 def test_prime_phases_against_mpmath_up_to_the_guard(monkeypatch):
-    # 400 primes below 2e6, the largest among them, from the plan's
-    # double-double logs: within 2e-15 at every tau up to the 1e8 guard
-    # (3.1e-16 measured), where plain double logs would be 1e-8 off.  The
-    # plan holds each prime's entry in a row, 2 and 3 first
+    # 400 primes below 2e6, the largest among them, from the phases of all
+    # the plan's primes (one flat row per tau) and its double-double logs:
+    # within 2e-15 at every tau up to the 1e8 guard (3.1e-16 measured),
+    # where plain double logs would be 1e-8 off.  The plan holds each
+    # prime's entry in a row, 2 and 3 first
     mpmath = pytest.importorskip("mpmath")
     sympy = pytest.importorskip("sympy")
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
@@ -601,11 +602,12 @@ def test_prime_phases_against_mpmath_up_to_the_guard(monkeypatch):
     primes = _row_ns(2_000_000)[plan.primes[at]]
     assert primes[0] == 2 and primes[-1] == 1_999_993
     assert all(sympy.isprime(int(p)) for p in primes)
+    phases = np.empty(len(plan.primes), dtype=complex)
     for tau in (IM_PLUS_T, 1e5, 1e6, 1e7, 1e8, -1e8):
-        phases = zeta_mod._prime_phases(np.array([tau]), plan.ln_hi[at], plan.ln_lo[at])[:, 0]
+        zeta_mod._prime_phases(tau, plan, phases)
         with mpmath.workdps(40):
             exact = np.array([complex(mpmath.expj(-mpmath.mpf(tau) * mpmath.log(int(p)))) for p in primes])
-        assert np.max(np.abs(phases - exact)) <= 2e-15
+        assert np.max(np.abs(phases[at] - exact)) <= 2e-15
 
 
 def test_phase_table_does_not_depend_on_the_plan_size(monkeypatch):
@@ -677,6 +679,35 @@ def test_phase_tables_across_the_pass_bounds_and_plans(monkeypatch):
     for count in (20, 124, 126, 626, 1000):
         assert np.array_equal(zeta_mod._phase_table(taus, count), own[count])
     assert zeta_mod._plan_cache is wide
+
+
+TAUS = st.one_of(
+    st.sampled_from([0.0, -0.0, 14.1, -43225.0, IM_PLUS_T, 1e8, -1e8]),
+    st.floats(-1e8, 1e8, allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(TAUS, min_size=1, max_size=4),
+    st.one_of(st.sampled_from(PASS_EDGE_COUNTS), st.integers(2, 20000)),
+    st.sampled_from([0, 1, 100, 20000]),
+)
+def test_phase_table_is_the_reference_on_new_arrays(taus, count, extra):
+    # the in-place reduction from the plan's split logs, flat for one tau,
+    # gives the bits of the same operations on new arrays in 2-D, under a
+    # plan built for the count or for a wider row (whose extra primes may
+    # outnumber the table's entries)
+    saved = zeta_mod._plan_cache
+    try:
+        zeta_mod._plan_cache = None
+        zeta_mod._factor_plan(count + extra)
+        table, reference = zeta_mod._phase_table(taus, count), reference_phase_table(taus, count)
+    finally:
+        zeta_mod._plan_cache = saved
+    assert table.shape == reference.shape == (len(taus), _row_width(count))
+    assert table.flags.c_contiguous
+    assert table.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("t", [43225.0, 1e5])
@@ -1001,6 +1032,39 @@ def test_exact_estimates_only_for_pairs_the_screen_leaves(monkeypatch, params, t
     monkeypatch.setattr(zeta_mod, "_edwards_estimate", recording)
     zeta_mod._evaluate(points, ts, params)
     assert screens == [True] + [False] * (calls - 1)
+
+
+@pytest.mark.parametrize(
+    "s, params, screens",
+    [
+        # the A6 point passes the screen: one screen, no exact estimate
+        (0.8 + 1000j, ZetaParams(terms_per_unit_t=0.35), [True]),
+        # decided at 4 N0 and refused: the screen, the exact estimate at N0
+        # and 2 N0, then the refusal's own at 4 N0
+        (0.75 + 2e6j, ZetaParams(bernoulli_terms=1), [True, False, False, False]),
+    ],
+)
+def test_one_point_checks_its_range_and_decides_its_n_once(monkeypatch, s, params, screens):
+    # zeta_em runs the range check and the screen once, and its refusal
+    # reads the N that the sum would take
+    calls = []
+    check_range, edwards_estimate = zeta_mod._check_range, zeta_mod._edwards_estimate
+
+    def checking(shifted):
+        calls.append("range")
+        return check_range(shifted)
+
+    def estimating(s, counts, params, screen=False):
+        calls.append(screen)
+        return edwards_estimate(s, counts, params, screen)
+
+    monkeypatch.setattr(zeta_mod, "_check_range", checking)
+    monkeypatch.setattr(zeta_mod, "_edwards_estimate", estimating)
+    try:
+        zeta_em(s, params)
+    except PrecisionExhausted as exc:
+        assert exc.index == 0
+    assert calls == ["range"] + screens
 
 
 def test_term_cap_is_decided_before_any_work(monkeypatch):
