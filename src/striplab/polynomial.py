@@ -274,10 +274,23 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     except FloatingPointError:
         # a scaling overflows where the root moduli are far from 1: c_k / c_m
         # itself (1e300 + 1e-10 w**2, roots +-1e155i) or s**(k - m)
-        # (1e-310 + w**2, s = 1e-155)
+        # (1e-310 + w**2, s = 1e-155); s may then be far from a root
         desc, s = _split_scaling(p.coeffs, powers)
+        u = _scaled_roots(desc)
+        with np.errstate(over="ignore"):
+            w = s * u
+        if not np.isfinite(w).all():
+            raise NoConvergence("a root lies past the float range")
     else:
-        desc = (coeffs / coeffs[m] * s_powers)[::-1]
+        w = s * _scaled_roots((coeffs / coeffs[m] * s_powers)[::-1])
+    return tuple(p.center + p.scale * w)
+
+
+def _scaled_roots(desc: np.ndarray) -> np.ndarray:
+    """The roots u of the scaled polynomial desc, highest power first: the
+    companion eigenvalues, each refined by one Newton step kept where it
+    lowers |p|, and accepted by the backward-error test of roots."""
+    m = len(desc) - 1
     try:
         u = _companion_roots(desc)
     except np.linalg.LinAlgError as exc:
@@ -291,10 +304,7 @@ def roots(p: Polynomial) -> tuple[complex, ...]:
     pv = np.where(better, step_pv, pv)
     if not np.all(np.abs(pv) <= _ROOT_TOL * _polyval(np.abs(desc), np.abs(u))):
         raise NoConvergence("a root misses the backward-error test |p| <= 1e-12 * sum_k |c_k| |w|**k")
-    w = s * u
-    if not np.isfinite(w).all():
-        raise NoConvergence("a root lies past the float range")
-    return tuple(p.center + p.scale * w)
+    return u
 
 
 def _split_scaling(coeffs, powers: np.ndarray) -> tuple[np.ndarray, float]:
@@ -303,10 +313,12 @@ def _split_scaling(coeffs, powers: np.ndarray) -> tuple[np.ndarray, float]:
     nonzero c_k is f_k * 2**E_k, E_k the exponent of its larger part, so
     c_k / c_m = (f_k / f_m) * 2**(E_k - E_m), and s is the power of two
     nearest the geometric mean of the nonzero root moduli, taken from those
-    parts.  The powers of two go on exactly by ldexp, so nothing overflows
-    where the roots lie in the float range.  Raises NoConvergence when s is
-    past it, or a coefficient in u = w / s is: then some root is that far
-    from s."""
+    parts, and at most 2**1023: a mean in [2**1023.5, 2**1024) is still in
+    the float range.  The powers of two go on exactly by ldexp, so nothing
+    overflows where the roots lie in the float range.  Raises NoConvergence
+    when a coefficient in u = w / s is past it: then some root is that far
+    from s.  A root past it with every coefficient finite is refused by
+    roots once it maps w = s * u back."""
     c = np.array(coeffs, dtype=complex)
     m = len(c) - 1
     E = np.frexp(np.maximum(np.abs(c.real), np.abs(c.imag)))[1]
@@ -314,9 +326,7 @@ def _split_scaling(coeffs, powers: np.ndarray) -> tuple[np.ndarray, float]:
     ratio /= ratio[m]
     shift = E - E[m]
     low = int(np.flatnonzero(c)[0])
-    e_s = round((math.log2(abs(ratio[low])) + int(shift[low])) / max(m - low, 1))
-    if e_s >= 1024:
-        raise NoConvergence(f"the root moduli, of geometric mean near 2**{e_s}, are past the float range")
+    e_s = min(round((math.log2(abs(ratio[low])) + int(shift[low])) / max(m - low, 1)), 1023)
     with np.errstate(over="ignore"):
         desc = np.ldexp(ratio.view(float), np.repeat(shift + e_s * powers, 2)).view(complex)[::-1]
     if not np.isfinite(desc).all():

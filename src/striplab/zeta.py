@@ -328,10 +328,13 @@ class _FactorPlan:
     ascending]: primes holds the entry of each prime, 2 and 3 first; factors
     and cofactors hold the buffer positions of p and m = n / p for each
     composite n, p its smallest prime factor; order[i] is the buffer
-    position of entry i.  All indices are int32.  ln_hi and ln_lo hold ln p
-    of each prime as a double-double, and split_hi and split_lo the Veltkamp
-    halves of ln_hi (_split), formed once as the plan grows for the exact
-    products tau ln_hi of every table.  pass_ends[k] is the number of
+    position of entry i.  primes is int32; the buffer positions are intp,
+    the index type of take, which casts int32 ones to it on every call (at
+    line_scan's width a composite take took 5.1 us with int32 positions and
+    3.2 with intp ones).  ln_hi and ln_lo hold ln p of each prime as a
+    double-double, and split_hi and split_lo the Veltkamp halves of ln_hi
+    (_split), formed once as the plan grows for the exact products tau
+    ln_hi of every table.  pass_ends[k] is the number of
     composites below n = _PASS_BOUNDS[k], for each bound up to the plan's
     largest n: the end of a composite pass of every table that reaches the
     bound, as Python ints."""
@@ -386,9 +389,9 @@ def _factor_plan(count: int) -> _FactorPlan:
         _plan_cache = _FactorPlan(
             ln=np.log(ns),
             primes=primes,
-            factors=order[_coprime_count(factors) + 1],
-            cofactors=order[_coprime_count(n // factors) + 1],
-            order=order,
+            factors=order[_coprime_count(factors) + 1].astype(np.intp),
+            cofactors=order[_coprime_count(n // factors) + 1].astype(np.intp),
+            order=order.astype(np.intp),
             ln_hi=ln_hi,
             ln_lo=ln_lo,
             split_hi=split_hi,
@@ -663,7 +666,7 @@ def shift_rows(points, t_max: float, params: ZetaParams = DEFAULT_PARAMS) -> np.
     # every point's real part, repeats too: np.unique here raised line_scan's
     # peak RSS by 1.1 MB, the code its first call loads
     shifted = points.real + 1j * tau
-    counts = _decide_n(shifted, params)
+    counts = _decide_n(shifted, params)[0]
     k = np.flatnonzero(counts > 2 * n0)
     counts[k[_edwards_estimate(shifted[k], counts[k], params) > _ERR_THRESHOLD]] = n0
     count = max(n0, min(int(counts.max(initial=n0)), _MAX_TERMS))
@@ -769,22 +772,17 @@ def _edwards_estimate(s: np.ndarray, counts: np.ndarray, params: ZetaParams, scr
         return np.exp(logs - rate * np.log(counts.astype(np.float64)))
 
 
-def _decide(shifted: np.ndarray, params: ZetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """(each pair's N, the pairs the screen leaves): N is the first of N0,
-    2 N0 and 4 N0 (_choose_n) whose _edwards_estimate, falling in N, is at
-    most _ERR_THRESHOLD, else 4 N0.  The screen, above it by far more than
-    rounding, settles most at N0; the exact estimate is taken only for the
-    indices it leaves."""
+def _decide_n(shifted: np.ndarray, params: ZetaParams) -> tuple[np.ndarray, bool]:
+    """(each pair's N, whether the screen settled every pair at N0): N is
+    the first of N0, 2 N0 and 4 N0 (_choose_n) whose _edwards_estimate,
+    falling in N, is at most _ERR_THRESHOLD, else 4 N0.  The screen, above
+    it by far more than rounding, settles most at N0; the exact estimate is
+    taken only for the pairs it leaves."""
     counts = _choose_n(shifted.imag, params)
     k = np.flatnonzero(_edwards_estimate(shifted, counts, params, screen=True) > _ERR_THRESHOLD)
     if len(k):
         counts[k] <<= sum(_edwards_estimate(shifted[k], counts[k] << m, params) > _ERR_THRESHOLD for m in (0, 1))
-    return counts, k
-
-
-def _decide_n(shifted: np.ndarray, params: ZetaParams) -> np.ndarray:
-    """Each pair's N, as _decide gives it."""
-    return _decide(shifted, params)[0]
+    return counts, not len(k)
 
 
 def _pairs(points: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -812,7 +810,7 @@ def _evaluate(points, ts, params: ZetaParams, rows: np.ndarray | None = None):
     ts = np.asarray(ts, dtype=np.float64)
     shifted = _pairs(points, ts)
     _check_range(shifted)
-    return _summed(points, ts, shifted, _decide_n(shifted, params), params, rows)
+    return _summed(points, ts, shifted, _decide_n(shifted, params)[0], params, rows)
 
 
 # an a-priori estimate (_edwards_estimate) and an a-posteriori one (_em_tail)
@@ -831,11 +829,11 @@ def _evaluate_at(points: np.ndarray, t: float, params: ZetaParams):
     ts = np.array([t], dtype=np.float64)
     shifted = _pairs(points, ts)
     _check_range(shifted)
-    counts, left = _decide(shifted, params)
+    counts, screened = _decide_n(shifted, params)
     refused = False
     # the screen, above the exact estimate by far more than the margin,
     # passes the pairs that it settles surely
-    if len(left):
+    if not screened:
         estimate = _edwards_estimate(shifted, counts, params)
         i = int(np.argmax(~(estimate <= _ERR_THRESHOLD * (1.0 - _REFUSAL_MARGIN))))
         error = estimate[i]

@@ -436,10 +436,14 @@ def test_roots_where_the_coefficient_ratios_overflow():
     # c_0 / c_m is past the float range, and so was the first scaling by
     # c_m's power of two: the roots +-1e155i of 1e300 + 1e-10 w**2 and the
     # cube roots of -1e608 (moduli 10**202.67) of 1e308 + 1e-300 w**3 are
-    # found without a warning; the root -1e310 of 1e300 + 1e-10 w is past
-    # the float range and raises
+    # found without a warning, and so are the roots 1.3e308 and 1.5e308 of
+    # 1e-310 (w - 1.3e308) (w - 1.5e308), whose geometric mean rounds to
+    # 2**1024 in log2; the root -1e310 of 1e300 + 1e-10 w is past the float
+    # range and raises
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        found = roots(Polynomial((1.95e306, -2.8e-2, 1e-310)))
+        assert match_error(found, (1.3e308, 1.5e308)) <= 1e-12 * 1.5e308
         found = roots(Polynomial((1e300, 0, 1e-10)))
         assert match_error(found, (1e155j, -1e155j)) <= 1e-12 * 1e155
         found = roots(Polynomial((1e308, 0, 0, 1e-300)))

@@ -311,7 +311,7 @@ def test_rows_built_for_scattered_points_match_the_call_without_rows(monkeypatch
     params = ZetaParams(terms_per_unit_t=0.1)
     rows = zeta_mod._dirichlet_table(points, 100)
     assert rows.shape == (7, 35)
-    assert zeta_mod._decide_n(points, params).tolist() == [20, 400, 20, 400, 20, 400, 20]
+    assert zeta_mod._decide_n(points, params)[0].tolist() == [20, 400, 20, 400, 20, 400, 20]
     expected = zeta_mod._evaluate(points, [0.0], params)
     dirichlet_table = zeta_mod._dirichlet_table
     built = []
@@ -426,7 +426,7 @@ def test_values_do_not_depend_on_the_weighting_runs(monkeypatch, with_rows):
         runs.append([])
         results.append(zeta_mod._evaluate(points, shifts, params, rows))
     shifted = shifted_pairs(points, shifts)
-    n0, counts = zeta_mod._choose_n(shifted.imag, params), zeta_mod._decide_n(shifted, params)
+    n0, counts = zeta_mod._choose_n(shifted.imag, params), zeta_mod._decide_n(shifted, params)[0]
     assert ((counts > n0).sum(), (counts > 2 * n0).sum(), counts.max()) == (110, 51, 404)
     # the split calls' runs, of one or two pairs, hold every pair once
     runs[2] = [c for c in runs[2] if len(c) <= 2]
@@ -480,7 +480,7 @@ def test_shift_rows_outside_the_supported_range_warn_of_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = zeta_mod.shift_rows(points, 10.0, params)
-    assert zeta_mod._decide_n(points + 10j, params).tolist() == [5, 20]
+    assert zeta_mod._decide_n(points + 10j, params)[0].tolist() == [5, 20]
     assert rows.shape == (2, _row_width(5))
     with pytest.raises(InvalidSpec, match="outside the supported range"):
         zeta_mod._evaluate(points, [10.0], params, rows)
@@ -498,12 +498,14 @@ def test_factor_plan_holds_no_more_than_the_largest_n(monkeypatch):
     monkeypatch.setattr(zeta_mod, "_plan_cache", None)
     zeta_em(0.75 + 1e4j)
     # the plan is as wide as the largest row asked for, holds its logs, and
-    # has int32 indices
+    # has int32 prime entries and intp buffer positions, which take reads
+    # without a cast
     plan = zeta_mod._plan_cache
     assert len(plan.order) == _row_width(max(used))
     assert np.array_equal(plan.ln, np.log(_row_ns(max(used))))
-    for indices in (plan.primes, plan.factors, plan.cofactors, plan.order):
-        assert indices.dtype == np.int32
+    assert plan.primes.dtype == np.int32
+    for indices in (plan.factors, plan.cofactors, plan.order):
+        assert indices.dtype == np.intp
 
 
 def test_term_cap_raises_before_allocating(monkeypatch):
@@ -878,7 +880,7 @@ def test_edwards_bound_covers_what_twice_the_first_omitted_term_misses(monkeypat
     N = np.full(len(s), 200)
     values, errors = zeta_mod._em_tail(s, N, *zeta_mod._sums(s, np.array([0.0]), N, None), kb)
     assert (errors > 1e-6).all()
-    assert zeta_mod._decide_n(s, params).tolist() == [400, 400, 400]
+    assert zeta_mod._decide_n(s, params)[0].tolist() == [400, 400, 400]
     seen = _tails_checked(monkeypatch, 1e3, params)
     assert {N for _, N, _, _ in seen} == {400}
     exact = {z: _mpmath_at_shift(mpmath, z, 0.0) for z in s}
@@ -953,7 +955,7 @@ def test_a_tie_with_the_threshold_passes(monkeypatch, m):
     outcomes = ((tie, 100 * m), (np.nextafter(tie, np.inf), 100 * m), (below, min(200 * m, 400)))
     for threshold, n in outcomes:
         monkeypatch.setattr(zeta_mod, "_ERR_THRESHOLD", threshold)
-        assert zeta_mod._decide_n(s, params).tolist() == [n]
+        assert zeta_mod._decide_n(s, params)[0].tolist() == [n]
         values, errors, exhausted = zeta_mod._evaluate(s, [0.0], params)
         assert seen.pop() == [n]
         assert exhausted[0, 0] == (not (errors[0, 0] <= threshold and np.isfinite(values[0, 0])))
@@ -965,7 +967,7 @@ def test_zeta_at_zero_with_the_fewest_terms():
     params = ZetaParams(min_terms=2, bernoulli_terms=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert zeta_mod._decide_n(np.array([0j]), params).tolist() == [2]
+        assert zeta_mod._decide_n(np.array([0j]), params)[0].tolist() == [2]
         zv = zeta_em(0j, params)
     assert (zv.value, zv.error_estimate) == (-0.5, 0.0)
 
@@ -979,7 +981,7 @@ def test_far_past_the_threshold_decides_4_n0_without_a_warning(s, kb):
     params = ZetaParams(terms_per_unit_t=1e-9, min_terms=2, bernoulli_terms=kb)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert zeta_mod._decide_n(np.array([s]), params).tolist() == [8]
+        assert zeta_mod._decide_n(np.array([s]), params)[0].tolist() == [8]
         assert zeta_mod._evaluate([s], [0.0], params)[2].all()
         with pytest.raises(PrecisionExhausted):
             zeta_em(s, params)
@@ -992,7 +994,7 @@ def test_one_sum_and_one_tail_per_call(monkeypatch, with_rows):
     params = ZetaParams(terms_per_unit_t=0.1)
     points = np.array([0.55, 0.75, 0.95, 0.6 + 0.5j])
     ts = np.array([0.0, 1e3, 1e4])
-    counts = zeta_mod._decide_n(shifted_pairs(points, ts), params)
+    counts = zeta_mod._decide_n(shifted_pairs(points, ts), params)[0]
     assert set((counts // zeta_mod._choose_n(shifted_pairs(points, ts).imag, params)).tolist()) == {1, 2, 4}
     rows = zeta_mod.shift_rows(points, 1e4, params) if with_rows else None
     calls = []
@@ -1078,7 +1080,7 @@ def test_term_cap_is_decided_before_any_work(monkeypatch):
     monkeypatch.setattr(zeta_mod, "_dirichlet_table", refused)
     monkeypatch.setattr(zeta_mod, "_partial_sums", refused)
     params = ZetaParams(bernoulli_terms=1)
-    assert zeta_mod._decide_n(np.array([0.75 + 1e8j]), params).tolist() == [200_000_000]
+    assert zeta_mod._decide_n(np.array([0.75 + 1e8j]), params)[0].tolist() == [200_000_000]
     with pytest.raises(InvalidSpec, match="term cap 67108864"):
         zeta_em(0.75 + 1e8j, params)
     assert zeta_mod._plan_cache is None
