@@ -47,7 +47,7 @@ from .scan import (
     write_trace_csv,
 )
 from .targets import TargetFunction, resolve_target
-from .zeta import DEFAULT_PARAMS, ZetaParams, ZetaValue, bernoulli_table, zeta_em, zeta_shifted_grid
+from .zeta import DEFAULT_PARAMS, ZetaParams, ZetaValue, zeta_em, zeta_shifted_grid
 
 __all__ = [
     "__version__",
@@ -70,7 +70,6 @@ __all__ = [
     "ZetaValue",
     "approximate",
     "approximate_nonvanishing",
-    "bernoulli_table",
     "bounding_radius",
     "build_set",
     "derivative_bound",

@@ -35,7 +35,8 @@ continues from where its attempt stopped, never starting over.
 ``approximate`` and ``lawson_refine`` run numpy's OpenBLAS on one thread
 for the length of the call and then give the caller back its own thread
 count (``_one_blas_thread``), so a fit costs one core and returns the same
-bits whatever count the caller runs.
+bits whatever count the caller runs.  Its thread-count calls are looked up
+through numpy's linalg module, among the libraries that module links.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import ctypes
 import math
 import operator
 import os
-import sys
 import threading
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -80,8 +80,9 @@ _LOWER_BOUND_MARGIN = 1e-6
 _GRID_CAP = 20_000
 
 # (get, set) thread-count symbol pairs of OpenBLAS builds, in the order they
-# are looked for: numpy's wheels bundle the 64-bit-integer scipy-openblas
-# build, scipy's the 32-bit one, and a system OpenBLAS has the plain names
+# are looked for: numpy's wheels link the 64-bit-integer scipy-openblas
+# build, a numpy built on the 32-bit one has its names, and one built on a
+# system OpenBLAS has the plain names (with 64_ in a 64-bit-integer build)
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -90,45 +91,27 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-def _openblas_paths() -> list[str]:
-    """Paths of the OpenBLAS libraries that may be loaded in this process:
-    on Linux every one mapped into it, elsewhere numpy's bundled copies."""
-    if sys.platform.startswith("linux"):
-        try:
-            with open("/proc/self/maps", encoding="utf-8") as fh:
-                rows = [line.split(maxsplit=5) for line in fh]
-        except OSError:
-            return []
-        paths = [row[5].rstrip("\n") for row in rows if len(row) == 6]
-    else:
-        root = os.path.dirname(np.__file__)
-        dirs = [os.path.join(os.path.dirname(root), "numpy.libs"), os.path.join(root, ".dylibs")]
-        paths = [os.path.join(d, name) for d in dirs if os.path.isdir(d) for name in sorted(os.listdir(d))]
-    # the whole path, for a system BLAS such as .../openblas-pthread/libblas.so.3
-    return [p for p in dict.fromkeys(paths) if "openblas" in p.lower()]
-
-
 def _openblas_thread_calls() -> tuple:
-    """(get, set) for the thread count of the OpenBLAS that numpy has
-    loaded, or () when none is found (numpy on Accelerate or MKL).  Each
-    library is opened with RTLD_NOLOAD, so one that is not loaded already
-    stays unloaded and no second copy is ever made."""
+    """(get, set) for the thread count of the OpenBLAS that numpy links, or
+    () when none is found (numpy on Accelerate or MKL).  numpy's own linalg
+    module is opened with RTLD_NOLOAD, so nothing new is loaded, and the
+    symbols are looked up through that handle, a lookup that searches the
+    module and then the libraries it depends on: the BLAS that numpy calls."""
     noload = getattr(os, "RTLD_NOLOAD", None)
     if noload is None:
         return ()
-    libs = []
-    for path in _openblas_paths():
-        try:
-            libs.append(ctypes.CDLL(path, mode=noload))
-        except OSError:
-            continue
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__, mode=noload)
+    except (ImportError, OSError):
+        return ()
     for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        for lib in libs:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return ()
 
 
@@ -443,27 +426,24 @@ def lawson_refine(
     turned by (-i)**k when u = i (``_frame_polynomial``); every fit's
     coefficients are checked finite, so InvalidSpec comes at the fit that
     makes one that is not.  ``_basis`` is private: the degree search passes
-    (Q, P, u, samples), the ``_weighted_basis`` of those points with
-    weights 1/n, of at least this degree, u, and the grid's
-    ``_grid_samples``, so its attempts share one build, use its leading
-    columns and form the samples once; with (Q, P, u) the samples are
-    formed here.  ``_state`` is private too: a dict that the call leaves
-    holding its loop's state (weights, residuals, weighted residual, the
-    best iterate's coefficients, its sup error and the fit count).  When it
-    already holds one, the call
-    continues that loop instead of starting over: the degree search
-    (``_escalate``) continues a budgeted attempt's state without a budget,
-    to the full loop, whose first fits those are.
+    (Q, P, samples), the ``_weighted_basis`` of those points with weights
+    1/n, of at least this degree, and the grid's ``_grid_samples``, whose
+    ``unit`` is u, so its attempts share one build, use its leading columns
+    and form the samples once.  ``_state`` is private too: a dict that the
+    call leaves holding its loop's state (weights, residuals, weighted
+    residual, the best iterate's coefficients, its sup error and the fit
+    count).  When it already holds one, the call continues that loop
+    instead of starting over: the degree search (``_escalate``) continues a
+    budgeted attempt's state without a budget, to the full loop, whose
+    first fits those are.
     """
     degree, max_iters = _validate_fit_args(grid, target, degree, max_iters, center, scale, budget)
     n = len(grid)
     w = np.full(n, 1.0 / n)
     if _basis is None:
         samples = _grid_samples(grid, target, center, scale)
-        _basis = (*_weighted_basis(samples.y, w, degree), samples.unit, samples)
-    elif len(_basis) == 3:
-        _basis = (*_basis, _grid_samples(grid, target, center, scale))
-    Q, P, unit, samples = _basis
+        _basis = (*_weighted_basis(samples.y, w, degree), samples)
+    Q, P, samples = _basis
     Q, P = Q[:, : degree + 1], P[: degree + 1, : degree + 1]
     # on a real basis the target's real and imaginary parts are two real
     # right-hand sides, read through a float view of the samples
@@ -480,7 +460,7 @@ def lawson_refine(
             raise InvalidSpec("polynomial coefficients must be finite")
         # (the transpose lines the columns of a real basis's residual up with w)
         lower = 0.0 if budget is None else math.sqrt(float(np.sum(w * np.abs(rhs - Q @ a).T ** 2)))
-        return coeffs, _residuals(coeffs, unit, samples), lower
+        return coeffs, _residuals(coeffs, samples.unit, samples), lower
 
     def settled(best_sup, lower):
         return budget is not None and (
@@ -508,7 +488,7 @@ def lawson_refine(
             best, best_sup = coeffs, sup
     if _state is not None:
         _state.update(w=w, r=r, lower=lower, best=best, best_sup=best_sup, iterations=iterations)
-    poly = _frame_polynomial(best, unit, center, scale)
+    poly = _frame_polynomial(best, samples.unit, center, scale)
     return FitResult(poly, best_sup, degree, iterations, grid.covering_radius)
 
 
@@ -614,7 +594,7 @@ def _escalate(grid, target, budget, max_degree, center, scale) -> tuple[FitResul
             basis = _weighted_basis(samples.y, w, d, basis)
         return lawson_refine(
             grid, target, d, _LAWSON_ITERS, center, scale,
-            budget=budget, _basis=(*basis, samples.unit, samples), _state=states.setdefault(d, {}),
+            budget=budget, _basis=(*basis, samples), _state=states.setdefault(d, {}),
         )
 
     def met(d):

@@ -28,6 +28,8 @@ _TWO_PI = 2.0 * math.pi
 
 #: hard cap on discretization size
 DEFAULT_SAMPLE_CAP = 10**7
+# the deepest fat Cantor table of at most DEFAULT_SAMPLE_CAP intervals
+_MAX_CANTOR_DEPTH = DEFAULT_SAMPLE_CAP.bit_length() - 1
 
 
 def _as_complex(value, what: str) -> complex:
@@ -192,12 +194,14 @@ def fat_cantor(depth: int) -> np.ndarray:
     At step n the open middle piece of length 4**-n is removed from each of
     the 2**(n-1) current intervals.  Returns the 2**depth remaining closed
     intervals as an array of [lo, hi] rows, sorted and pairwise disjoint.
-    All endpoints are dyadic rationals, exact in double precision for
-    depth <= 25.
+    All endpoints are dyadic rationals, exact in double precision.  The
+    depth is at most 23, the most at which the table holds no more than
+    DEFAULT_SAMPLE_CAP intervals: no deeper product set can be sampled
+    under that cap, and a deeper table is refused before it is built.
     """
     depth = operator.index(depth)
-    if depth < 0 or depth > 30:
-        raise InvalidSpec("fat_cantor depth must be in 0..30")
+    if not 0 <= depth <= _MAX_CANTOR_DEPTH:
+        raise InvalidSpec(f"fat_cantor depth must be in 0..{_MAX_CANTOR_DEPTH}")
     lo = np.array([0.0])
     hi = np.array([1.0])
     for n in range(1, depth + 1):

@@ -61,15 +61,6 @@ class Polynomial:
             spec["scale"] = self.scale
         return spec
 
-    @staticmethod
-    def from_spec(spec: dict) -> "Polynomial":
-        center = spec.get("center", (0.0, 0.0))
-        return Polynomial(
-            tuple(complex(re, im) for re, im in spec["coeffs"]),
-            complex(center[0], center[1]),
-            float(spec.get("scale", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
 class FactoredPolynomial:

@@ -96,14 +96,6 @@ class ZetaParams:
         if not 0 < self.terms_per_unit_t < math.inf:
             raise InvalidSpec("terms_per_unit_t must be positive and finite")
 
-    def quadrupled(self) -> "ZetaParams":
-        """Oracle setting: 4x the term count and more correction terms."""
-        return ZetaParams(
-            terms_per_unit_t=4.0 * self.terms_per_unit_t,
-            min_terms=4 * self.min_terms,
-            bernoulli_terms=min(30, 2 * self.bernoulli_terms),
-        )
-
 
 DEFAULT_PARAMS = ZetaParams()
 
@@ -124,14 +116,6 @@ def _bernoulli_fractions(count: int) -> tuple[Fraction, ...]:
             s += math.comb(m + 1, j) * B[j]
         B.append(-s / (m + 1))
     return tuple(B)
-
-
-def bernoulli_table(n: int) -> list[float]:
-    """B_2, B_4, ..., B_{2n} as floats (exact rational recurrence underneath)."""
-    if not 0 <= n <= 31:
-        raise InvalidSpec("bernoulli_table supports n in 0..31")
-    B = _bernoulli_fractions(2 * n)
-    return [float(B[2 * k]) for k in range(1, n + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -1,28 +1,77 @@
 """Shared randomized-case machinery for the repair and acceptance suites,
 the doubling rule that zeta's decided N is checked against, the numpy
-paths that roots and perturbation_bound must match bit for bit, and the
+paths that roots and perturbation_bound must match bit for bit, the
 phase table on new arrays that zeta's in-place one must match bit for
-bit."""
+bit, the zeta oracle's parameters, a Polynomial read back from its spec,
+and the OpenBLAS that the fits' thread-count lookup must find."""
 
 import bisect
+import ctypes
 import math
+import os
 
 import numpy as np
 
 from striplab import (
     Arc,
     PointSet,
+    Polynomial,
     Segment,
+    ZetaParams,
     bounding_radius,
     distance,
     evaluate_factored,
     from_roots,
 )
-from striplab import polynomial
+from striplab import approximation, polynomial
 from striplab import zeta as zeta_mod
 from striplab.errors import NoConvergence
 
 EPS = np.finfo(float).eps
+
+
+def quadrupled(params):
+    """The zeta tests' oracle setting: 4x the term count and more
+    correction terms than params."""
+    return ZetaParams(
+        terms_per_unit_t=4.0 * params.terms_per_unit_t,
+        min_terms=4 * params.min_terms,
+        bernoulli_terms=min(30, 2 * params.bernoulli_terms),
+    )
+
+
+def polynomial_from_spec(spec):
+    """The Polynomial whose ``to_spec`` is spec."""
+    center = spec.get("center", (0.0, 0.0))
+    return Polynomial(
+        tuple(complex(re, im) for re, im in spec["coeffs"]),
+        complex(center[0], center[1]),
+        float(spec.get("scale", 1.0)),
+    )
+
+
+def mapped_openblas_thread_addresses():
+    """The addresses of (get, set) for the OpenBLAS thread count by a
+    search of every library mapped into this process (Linux only): the
+    first symbol pair of approximation._OPENBLAS_THREAD_SYMBOLS that some
+    mapped OpenBLAS holds, from the first such library in map order, each
+    opened with RTLD_NOLOAD.  None where no mapped OpenBLAS holds one."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        rows = [line.split(maxsplit=5) for line in fh]
+    paths = [row[5].rstrip("\n") for row in rows if len(row) == 6]
+    libs = []
+    # the whole path, for a system BLAS such as .../openblas-pthread/libblas.so.3
+    for path in dict.fromkeys(p for p in paths if "openblas" in p.lower()):
+        try:
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+        except OSError:
+            continue
+    for get_name, set_name in approximation._OPENBLAS_THREAD_SYMBOLS:
+        for lib in libs:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                calls = (getattr(lib, get_name), getattr(lib, set_name))
+                return tuple(ctypes.cast(f, ctypes.c_void_p).value for f in calls)
+    return None
 
 
 def shifted_pairs(points, ts):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import random_repair_case, repair_round_trip_checks
+from helpers import quadrupled, random_repair_case, repair_round_trip_checks
 from scipy.optimize import linear_sum_assignment
 from scipy.special import loggamma
 
@@ -24,7 +24,7 @@ from striplab.errors import BudgetNotMet
 from striplab.zeta import DEFAULT_PARAMS, ZetaParams
 
 ARC = sl.Arc(0.75, 0.1, 0.0, 1.5 * math.pi)
-ORACLE = DEFAULT_PARAMS.quadrupled()
+ORACLE = quadrupled(DEFAULT_PARAMS)
 
 # frozen first-run regression values
 A5_DENSITY = 3.7792968750000005e-05

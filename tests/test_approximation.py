@@ -1,4 +1,5 @@
 import cmath
+import ctypes
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import mapped_openblas_thread_addresses
 
 from striplab import (
     Arc,
@@ -623,8 +625,10 @@ def test_a_set_on_a_line_is_fitted_on_a_real_basis(monkeypatch, K, unit):
     n = len(g)
     for d in (1, 6, 12, 24):
         fit = lawson_refine(g, target, d, center=c, scale=rho)
-        complex_basis = (*_weighted_basis((g.points - c) / rho, np.full(n, 1.0 / n), d), 1)
-        ref = lawson_refine(g, target, d, center=c, scale=rho, _basis=complex_basis)
+        w = (g.points - c) / rho
+        samples = approximation._grid_samples(g, target, c, rho)._replace(y=w, unit=1)
+        ref = lawson_refine(g, target, d, center=c, scale=rho,
+                            _basis=(*_weighted_basis(w, np.full(n, 1.0 / n), d), samples))
         assert fit.iterations == ref.iterations
         assert fit.sup_error_on_samples == pytest.approx(ref.sup_error_on_samples, rel=1e-8)
     budget = 1e-8
@@ -995,6 +999,15 @@ def _blas_thread_calls():
         assert "openblas" not in str(blas.get("name")).lower(), f"no thread-count symbols in {blas}"
         pytest.skip(f"numpy's BLAS is {blas.get('name')}, not OpenBLAS")
     return calls
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_blas_lookup_finds_the_mapped_openblas():
+    # numpy's linalg module and the libraries it links are searched; the
+    # reference searches every OpenBLAS mapped into the process
+    get, set_ = _blas_thread_calls()
+    found = tuple(ctypes.cast(f, ctypes.c_void_p).value for f in (get, set_))
+    assert found == mapped_openblas_thread_addresses()
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from striplab.geometry import bounding_box, bounding_radius, build_set, distance
 from striplab.repair import RepairCertificate, original_roots
 from striplab.scan import ScanConfig, discrepancy, scan_on_grid
 from striplab.targets import TargetFunction, resolve_target
-from striplab.zeta import ZetaParams, bernoulli_table
+from striplab.zeta import ZetaParams
 
 
 def write_json(path, payload):
@@ -390,7 +390,6 @@ FORMER_VALUE_ERROR_SITES = {
     "zeta_terms_per_unit_t": (
         lambda: ZetaParams(terms_per_unit_t=0.0), "terms_per_unit_t must be positive and finite"
     ),
-    "bernoulli_table": (lambda: bernoulli_table(32), "bernoulli_table supports n in 0..31"),
     "set_complex_field": (
         lambda: build_set({"variant": "segment", "a": "x", "b": [1.0, 0.0]}),
         "a: expected a complex number or [re, im] pair, got 'x'",
@@ -555,6 +554,15 @@ def test_cantor_rejects_invalid_product_set(tmp_path, capsys):
                  "--scale", "-2", "--out", str(out)])
     assert code == 1
     assert "error" in json.loads(capsys.readouterr().out)
+    assert not out.exists()
+
+
+def test_cantor_refuses_a_depth_past_the_sample_cap_with_json(tmp_path, capsys):
+    # 2**24 intervals are more than the 10**7 samples any set may have; the
+    # depth is refused before any table is built, and the failure is JSON
+    out = tmp_path / "cantor.json"
+    assert main(["cantor", "--depth", "24", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "fat_cantor depth must be in 0..23"
     assert not out.exists()
 
 

@@ -110,8 +110,8 @@ def test_build_keeps_the_message_of_the_check_that_rejects():
         build_set({"variant": "segment", "a": [0.3, 0.3], "b": [0.3, 0.3]})
     assert str(info.value) == "segment endpoints coincide; use the points variant"
     with pytest.raises(InvalidSpec) as info:
-        build_set({"variant": "cantor_product", "depth": 31, "y_lo": 0, "y_hi": 1})
-    assert str(info.value) == "fat_cantor depth must be in 0..30"
+        build_set({"variant": "cantor_product", "depth": 24, "y_lo": 0, "y_hi": 1})
+    assert str(info.value) == "fat_cantor depth must be in 0..23"
 
 
 @pytest.mark.parametrize(

@@ -6,19 +6,19 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from helpers import doubling_reference, reference_phase_table, shifted_pairs
+from helpers import doubling_reference, quadrupled, reference_phase_table, shifted_pairs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
 import striplab.zeta as zeta_mod
-from striplab import CantorProduct, PointSet, Segment, ZetaParams, bernoulli_table, discretize, zeta_em, zeta_shifted_grid
+from striplab import CantorProduct, PointSet, Segment, ZetaParams, discretize, zeta_em, zeta_shifted_grid
 from striplab.errors import InvalidSpec, PrecisionExhausted
 from striplab.geometry import SampleGrid
 from striplab.scan import DEFAULT_GRID_H
 from striplab.zeta import DEFAULT_PARAMS
 
-ORACLE = DEFAULT_PARAMS.quadrupled()
+ORACLE = quadrupled(DEFAULT_PARAMS)
 
 # frozen on first run against the quadrupled-parameter oracle (and mpmath)
 ZETA_075 = -3.4412853869452236
@@ -41,9 +41,10 @@ def _row_width(count):
 
 
 def test_bernoulli_small_values():
-    table = bernoulli_table(2)
-    assert table[0] == pytest.approx(1.0 / 6.0, abs=1e-16)
-    assert table[1] == pytest.approx(-1.0 / 30.0, abs=1e-16)
+    B = zeta_mod._bernoulli_fractions(4)
+    assert (B[2], B[4]) == (Fraction(1, 6), Fraction(-1, 30))
+    # q_k = B_2k / (2k)!
+    assert zeta_mod._em_coefficients(1) == (1.0 / 12.0, -1.0 / 720.0)
 
 
 def test_bernoulli_b12_vs_exact_recurrence():
@@ -55,15 +56,19 @@ def test_bernoulli_b12_vs_exact_recurrence():
             s += math.comb(m + 1, j) * B[j]
         B.append(-s / (m + 1))
     assert B[12] == Fraction(-691, 2730)
-    assert bernoulli_table(6)[5] == pytest.approx(float(Fraction(-691, 2730)), abs=1e-18)
+    assert zeta_mod._bernoulli_fractions(12) == tuple(B)
+    assert zeta_mod._em_coefficients(5)[5] == float(Fraction(-691, 2730) / math.factorial(12))
 
 
 def test_bernoulli_vs_sympy():
     import sympy
 
-    table = bernoulli_table(15)
+    B = zeta_mod._bernoulli_fractions(30)
+    q = zeta_mod._em_coefficients(14)
     for k in range(1, 16):
-        assert table[k - 1] == pytest.approx(float(sympy.bernoulli(2 * k)), rel=1e-15)
+        exact = sympy.bernoulli(2 * k)
+        assert B[2 * k] == Fraction(int(exact.p), int(exact.q))
+        assert q[k - 1] == pytest.approx(float(exact / sympy.factorial(2 * k)), rel=1e-15)
 
 
 # ---------------------------------------------------------------- zeta_em
